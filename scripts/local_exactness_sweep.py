@@ -2,10 +2,15 @@
 """Sweep every coordinate-hyperplane local model in the desk-scale box and
 check that the augmented restriction complex is exact in every degree.
 
-    PYTHONPATH=src python3 scripts/local_exactness_sweep.py [--degree-bound K]
+    PYTHONPATH=src python3 scripts/local_exactness_sweep.py [--degree-bound K] [--max-ambient N]
 
-The box is ambient dimension <= 4, any nonempty component subset, and
-multiplicities in {1, 2, 3}; 336 models in all.
+The box is ambient dimension <= N (default 4), any nonempty component
+subset, and multiplicities in {1, 2, 3}: 336 models for N = 4, 1359 for
+N = 5.  Each model is checked through ``localmodel.verify_exactness``,
+which splits every degree into full-simplex blocks, one per survivor-set
+size (see the ``localmodel`` module docstring).  On a 2-core x86-64
+machine with Python 3.11 the default box takes about 0.8 s and N = 5
+about 8 s through degree 8.
 """
 
 from __future__ import annotations

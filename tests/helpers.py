@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own elimination code.  Ranks
 come from fraction-free Bareiss elimination over the integers, Betti
 numbers from chain boundary matrices (the homology route, not the cochain
-route the library uses), and monomial counts from inclusion-exclusion.
+route the library uses), monomial counts from inclusion-exclusion, and
+local-model homology from the full Cech matrix over every stratum at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from math import comb
 from dualcech import exactla, presheaf, simplicial, snc
 from dualcech.bicomplex import Bicomplex, make_bicomplex
 from dualcech.exactla import RationalMatrix
-from dualcech.presheaf import Presheaf
+from dualcech.localmodel import LocalModelSpec, quotient_basis
+from dualcech.presheaf import CochainComplex, Presheaf
 from dualcech.simplicial import SimplicialComplex
 from dualcech.snc import DERHAM, SHEAF, SncDivisor, TableEntry
 
@@ -132,6 +134,63 @@ def oracle_monomial_count(n: int, degree: int, constraints, mode: str) -> int:
             shift = sum(bound for _, bound in chosen)
             total += (-1) ** size * monomials(degree - shift)
     return total
+
+
+class OracleCochainComplex(CochainComplex):
+    """A cochain complex whose cohomology comes from Bareiss ranks."""
+
+    def cohomology(self) -> list[int]:
+        ranks = [oracle_rank(d.to_rows()) for d in self.differentials]
+        n = len(self.space_dims)
+        return [
+            dim - (ranks[p] if p < n - 1 else 0) - (ranks[p - 1] if p > 0 else 0)
+            for p, dim in enumerate(self.space_dims)
+        ]
+
+
+def oracle_sheaf_cech_complex(spec: LocalModelSpec, degree: int) -> OracleCochainComplex:
+    """The augmented local-model complex in one degree, over all strata at once.
+
+    Index 0 is the whole configuration.  Matrices send a basis monomial to
+    its class in the target quotient, which is the monomial itself or zero,
+    with the alternating sign of the omitted index; the augmentation
+    carries no signs.  No multidegree splitting is used.
+    """
+    levels = [list(combinations(spec.components, p + 1)) for p in range(len(spec.components))]
+    bases = {None: quotient_basis(spec, None, degree).exponents}
+    for level in levels:
+        for t in level:
+            bases[t] = quotient_basis(spec, t, degree).exponents
+    space_dims = [len(bases[None])] + [sum(len(bases[t]) for t in level) for level in levels]
+
+    def positions(level):
+        """Row or column of each (tuple, monomial) pair in the level's block vector."""
+        out = {}
+        for t in level:
+            for a in bases[t]:
+                out[(t, a)] = len(out)
+        return out
+
+    entries = {}
+    target = positions(levels[0])
+    for col, a in enumerate(bases[None]):
+        for t in levels[0]:
+            if (t, a) in target:
+                entries[(target[(t, a)], col)] = 1
+    differentials = [RationalMatrix.from_entries(space_dims[1], space_dims[0], entries)]
+    for p in range(len(levels) - 1):
+        source, target = positions(levels[p]), positions(levels[p + 1])
+        entries = {}
+        for tau in levels[p + 1]:
+            for pos in range(len(tau)):
+                sigma = tau[:pos] + tau[pos + 1 :]
+                for a in bases[sigma]:
+                    if (tau, a) in target:
+                        entries[(target[(tau, a)], source[(sigma, a)])] = -1 if pos % 2 else 1
+        differentials.append(
+            RationalMatrix.from_entries(space_dims[p + 2], space_dims[p + 1], entries)
+        )
+    return OracleCochainComplex(tuple(space_dims), tuple(differentials))
 
 
 # ------------------------------------------------------ divisor builders

@@ -53,6 +53,25 @@ def test_verify_lemma31_degree_bound_flag(capsys):
     assert report["options"] == {"degree_bound": 3}
 
 
+def test_verify_lemma31_wide_ambient(capsys, tmp_path):
+    # more coordinates than the interpreter's default recursion limit
+    doc = {
+        "schema_version": 1,
+        "kind": "localmodel",
+        "n": 1200,
+        "components": [1],
+        "multiplicities": [1],
+        "degree_bound": 1,
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify-lemma31", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["result"]["exact"] is True
+
+
 def test_betti_empty(capsys):
     code, report = run_json(capsys, "betti", input_path("empty.json"))
     assert code == 0

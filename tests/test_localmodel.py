@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
 
 from dualcech import localmodel, presheaf, simplicial
 from dualcech.errors import InvalidInput
-from dualcech.localmodel import make_local_model, quotient_basis, sheaf_cech_complex, verify_exactness
+from dualcech.localmodel import make_local_model, quotient_basis, verify_exactness
 
-from helpers import oracle_monomial_count
+from helpers import oracle_monomial_count, oracle_sheaf_cech_complex
 
 
 def test_default_degree_bound():
@@ -55,14 +57,14 @@ def test_quotient_basis_counts_match_inclusion_exclusion():
 def test_single_component_complex_is_isomorphism():
     spec = make_local_model(2, [1], [2], degree_bound=4)
     for k in range(5):
-        complex_ = sheaf_cech_complex(spec, k)
+        complex_ = oracle_sheaf_cech_complex(spec, k)
         assert complex_.space_dims[0] == complex_.space_dims[1]
         assert complex_.cohomology() == [0, 0]
 
 
 def test_two_component_degree_zero_complex():
     spec = make_local_model(2, [1, 2], [1, 1], degree_bound=0)
-    complex_ = sheaf_cech_complex(spec, 0)
+    complex_ = oracle_sheaf_cech_complex(spec, 0)
     assert complex_.space_dims == (1, 2, 1)
     assert complex_.cohomology() == [0, 0, 0]
 
@@ -77,7 +79,7 @@ def test_degree_zero_slice_matches_constant_presheaf_on_simplex():
     # is the coboundary complex of the full simplex on the components
     spec = make_local_model(4, [1, 2, 3, 4], [1, 1, 1, 1], degree_bound=6)
     assert verify_exactness(spec).exact
-    complex_ = sheaf_cech_complex(spec, 0)
+    complex_ = oracle_sheaf_cech_complex(spec, 0)
     base = simplicial.from_facets(4, [(0, 1, 2, 3)])
     expected = presheaf.cech_complex(presheaf.constant_presheaf(base, 1))
     assert complex_.space_dims[1:] == expected.space_dims
@@ -109,3 +111,27 @@ def test_bad_component_indices_rejected():
 
 def test_sweep_spec_count():
     assert sum(1 for _ in localmodel.sweep_specs()) == 336
+
+
+def test_monomials_are_lexicographic():
+    for n in range(5):
+        for k in range(5):
+            expected = sorted(a for a in product(range(k + 1), repeat=n) if sum(a) == k)
+            assert list(localmodel._monomials(n, k)) == expected
+
+
+def test_split_matches_full_cech_oracle():
+    blocks = {s: localmodel.simplex_block(s) for s in range(1, 4)}
+    for spec in localmodel.sweep_specs(max_ambient=3, degree_bound=6):
+        joints = len(spec.components) + 1
+        table = []
+        for k in range(spec.degree_bound + 1):
+            oracle = oracle_sheaf_cech_complex(spec, k)
+            counts = localmodel.survivor_counts(spec, k)
+            split_dims = [0] * joints
+            for s, count in counts.items():
+                for j, dim in enumerate(blocks[s].space_dims):
+                    split_dims[j] += count * dim
+            assert tuple(split_dims) == oracle.space_dims, (spec, k)
+            table.append(tuple(oracle.cohomology()))
+        assert verify_exactness(spec).homology == tuple(table), spec
