@@ -23,7 +23,7 @@ def describe(name: str, fan: toric.Fan) -> None:
     selected = range(len(fan.rays))
     divisor = toric.boundary_divisor(fan, selected)
     delta = snc.dual_complex(divisor)
-    report = toric.toric_snc_cohomology(fan, selected)
+    report = snc.combinatorial_cohomology_check(divisor)
     chi_tables = snc.sheaf_euler_characteristic(divisor)
     chi_delta = simplicial.euler_characteristic(delta)
     certificate = toric.completeness_certificate(fan)

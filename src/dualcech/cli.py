@@ -170,8 +170,8 @@ def cmd_toric(doc, args):
         certificate = toric.completeness_certificate(fan)
     except NecessaryConditionFailed as exc:
         certificate = f"failed: {exc}"
-    report = toric.toric_snc_cohomology(fan, selected)
     divisor = toric.boundary_divisor(fan, selected)
+    report = snc.combinatorial_cohomology_check(divisor)
     delta = snc.dual_complex(divisor)
     return {
         "smooth": True,

@@ -374,6 +374,8 @@ class IntegerMatrix:
         return cls(rows, cols, {})
 
     def entry(self, i: int, j: int) -> int:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ShapeMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols} matrix")
         return self._entries.get((i, j), 0)
 
     def to_rows(self) -> list[list[int]]:

@@ -12,8 +12,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import exactla
-from .errors import BadTuple
-from .exactla import IntegerMatrix, RationalMatrix
+from .errors import BadTuple, CompositionNonzero
+from .exactla import IntegerMatrix
 
 Simplex = tuple[int, ...]
 
@@ -84,12 +84,12 @@ def betti_numbers(k: SimplicialComplex) -> list[int]:
         return []
     counts = k.counts()
     diffs = [coboundary_matrix(k, p).to_rational() for p in range(d)]
-    out = []
-    for p in range(d + 1):
-        d_in = diffs[p - 1] if p > 0 else RationalMatrix.zeros(counts[0], 0)
-        d_out = diffs[p] if p < d else RationalMatrix.zeros(0, counts[d])
-        out.append(exactla.homology_dim(d_in, d_out))
-    return out
+    for p in range(d - 1):
+        if not (diffs[p + 1] @ diffs[p]).is_zero():
+            raise CompositionNonzero(f"coboundaries {p} and {p + 1} do not compose to zero")
+    # ranks[p] is the rank of the coboundary into C^p, ranks[p + 1] of the one out of it
+    ranks = [0] + [exactla.rank(m) for m in diffs] + [0]
+    return [counts[p] - ranks[p] - ranks[p + 1] for p in range(d + 1)]
 
 
 def integral_cohomology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:

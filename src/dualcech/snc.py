@@ -236,7 +236,9 @@ def _assemble(d: SncDivisor, layers: Sequence[tuple[int, Presheaf, str]]) -> Coh
     delta = dual_complex(d)
     if delta.dim < 0:
         return CohomologyReport((), ())
-    cohomology = {q: presheaf_cohomology(v) for q, v, _ in layers}
+    # a zero layer has 0 groups and shape-checked 0x0 restrictions: no check can fail
+    zero = [0] * (delta.dim + 1)
+    cohomology = {q: zero if v.is_zero() else presheaf_cohomology(v) for q, v, _ in layers}
     q_eff = max((q for q, v, _ in layers if not v.is_zero()), default=0)
     top = delta.dim + q_eff
     summands = []

@@ -42,6 +42,20 @@ def _ray_matrix(f: Fan, cone: frozenset[int]) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows, cols=f.dim)
 
 
+def _maximal_cones(f: Fan) -> list[frozenset[int]]:
+    """Nonempty cones that are faces of no other cone, in ascending ray order.
+
+    A face of a simplicial (unimodular) cone is simplicial (unimodular), so
+    make_fan and is_smooth test these alone.  The cone family is closed
+    under faces: a cone lies in a larger one iff one more ray gives a cone.
+    """
+    rays = range(len(f.rays))
+    maximal = [
+        c for c in f.cones if c and not any(i not in c and c | {i} in f.cones for i in rays)
+    ]
+    return sorted(maximal, key=sorted)
+
+
 def make_fan(dim: int, rays, cones) -> Fan:
     """Validate rays and close the cone list under faces.
 
@@ -74,9 +88,7 @@ def make_fan(dim: int, rays, cones) -> Fan:
     for i in range(len(ray_tuples)):
         if i not in used:
             raise InvalidInput(f"ray {i} does not occur in any cone")
-    for cone in fan.cones:
-        if not cone:
-            continue
+    for cone in _maximal_cones(fan):
         if len(cone) > dim:
             raise InvalidInput(f"cone {sorted(cone)} has more rays than the ambient dimension")
         factors = exactla.smith_normal_form(_ray_matrix(fan, cone))
@@ -87,9 +99,7 @@ def make_fan(dim: int, rays, cones) -> Fan:
 
 def is_smooth(f: Fan) -> bool:
     """True iff every cone's rays extend to a basis of the integer lattice."""
-    for cone in f.cones:
-        if not cone:
-            continue
+    for cone in _maximal_cones(f):
         factors = exactla.smith_normal_form(_ray_matrix(f, cone))
         if any(d != 1 for d in factors):
             return False

@@ -148,6 +148,39 @@ class OracleCochainComplex(CochainComplex):
         ]
 
 
+def oracle_layered_report(d: SncDivisor, r: int, flavor: str) -> snc.CohomologyReport:
+    """The report of one (form degree, flavor) family, every layer ranked.
+
+    Layers q = 0..top are built as the library builds them, and each one,
+    identically zero or not, goes through ``cech_complex`` (functoriality
+    and d.d checked) and Bareiss ranks.  The totals and summands follow the
+    paper's sum over p + q = k, up to the last nonzero layer.
+    """
+    delta = snc.dual_complex(d)
+    if delta.dim < 0:
+        return snc.CohomologyReport((), ())
+    bound = max(snc.stratum_dim_bound(d, t) for t in d.strata)
+    top = 2 * bound if flavor == DERHAM else bound
+    layers = []
+    for q in range(top + 1):
+        v = snc.build_presheaf(d, r, q, flavor)
+        c = presheaf.cech_complex(v)
+        h = OracleCochainComplex(c.space_dims, c.differentials).cohomology()
+        label = f"derham q={q}" if flavor == DERHAM else f"sheaf r={r} q={q}"
+        layers.append((q, v.is_zero(), h, label))
+    q_eff = max((q for q, zero, _, _ in layers if not zero), default=0)
+    summands = [
+        snc.Summand(p, q, dim, label)
+        for q, _, h, label in layers
+        if q <= q_eff
+        for p, dim in enumerate(h)
+    ]
+    totals = [0] * (delta.dim + q_eff + 1)
+    for s in summands:
+        totals[s.p + s.q] += s.dim
+    return snc.CohomologyReport(tuple(totals), tuple(summands))
+
+
 def oracle_sheaf_cech_complex(spec: LocalModelSpec, degree: int) -> OracleCochainComplex:
     """The augmented local-model complex in one degree, over all strata at once.
 
@@ -241,6 +274,46 @@ def three_lines_divisor(perturb: tuple | None = None) -> SncDivisor:
         old = tables[(t, SHEAF, r, q)]
         tables[(t, SHEAF, r, q)] = TableEntry(old.dim + 1, old.restriction)
     return snc.make_snc_divisor([(f"L{i}", 1) for i in range(3)], strata, tables)
+
+
+def nonfunctorial_q1_document() -> dict:
+    """Three 3-folds meeting in a curve, with h^1 = 1 on every stratum.
+
+    The q = 1 restrictions are explicit and not path independent: from (0,)
+    or (1,) into (0, 1, 2) the route through (0, 1) gives 2, the other
+    route 1.  Every other layer is constant or zero.
+    """
+    strata = [list(t) for size in (1, 2, 3) for t in combinations(range(3), size)]
+    tables = []
+    for t in strata:
+        tables.append({"tuple": t, "r": 0, "q": 0, "dim": 1, "restriction": "constant"})
+        row = {"tuple": t, "r": 0, "q": 1, "dim": 1}
+        if len(t) > 1:
+            faces = [t[:k] + t[k + 1 :] for k in range(len(t))]
+            row["restriction"] = {
+                "matrices": {",".join(map(str, f)): [[2 if f == [0, 1] else 1]] for f in faces}
+            }
+        tables.append(row)
+        for q in range(2, 3 - (len(t) - 1) + 1):
+            tables.append({"tuple": t, "r": 0, "q": q, "dim": 0})
+    return {
+        "schema_version": 1,
+        "kind": "divisor",
+        "components": [{"name": f"S{i}", "dim": 3} for i in range(3)],
+        "strata": strata,
+        "tables": tables,
+    }
+
+
+def disguised_rays(rng: random.Random, rays) -> list[list[int]]:
+    """Rays moved by a random GL(n, Z) change of lattice basis.
+
+    Primitivity, linear independence and every gcd of maximal minors of
+    a ray subset are invariant under it.
+    """
+    n = len(rays[0])
+    u = random_unimodular(rng, n).to_rows()
+    return [[int(sum(u[i][k] * ray[k] for k in range(n))) for i in range(n)] for ray in rays]
 
 
 # ------------------------------------------------------------- generators

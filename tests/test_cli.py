@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 from dualcech import cli
 
-from helpers import schema_errors
+from helpers import disguised_rays, nonfunctorial_q1_document, schema_errors
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 INPUTS = os.path.join(ROOT, "inputs")
@@ -362,3 +364,44 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["betti"] == [1, 1]
+
+
+def test_toric_projective_boundaries_at_depth(capsys, tmp_path):
+    rng = random.Random(3)
+    for n in range(2, 9):
+        rays = [[1 if j == i else 0 for j in range(n)] for i in range(n)] + [[-1] * n]
+        doc = {
+            "schema_version": 1,
+            "kind": "fan",
+            "n": n,
+            "rays": disguised_rays(rng, rays),
+            "cones": [list(c) for c in combinations(range(n + 1), n)],
+        }
+        # the full boundary is the boundary of an n-simplex, a sphere S^{n-1}
+        path = tmp_path / f"p{n}.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "toric", str(path))
+        assert code == 0
+        result = report["result"]
+        assert result["totals"] == [1] + [0] * (n - 2) + [1]
+        euler = 1 + (-1) ** (n - 1)
+        assert result["dual_complex_euler_characteristic"] == euler
+        assert result["sheaf_euler_characteristic"] == euler
+        # a proper subset of the rays spans a cone: the dual complex is a full simplex
+        subset = sorted(rng.sample(range(n + 1), rng.randint(1, n)))
+        path = tmp_path / f"p{n}_ball.json"
+        path.write_text(json.dumps({**doc, "selected_rays": subset}))
+        code, report = run_json(capsys, "toric", str(path))
+        assert code == 0
+        assert report["result"]["totals"] == [1] + [0] * (len(subset) - 1)
+        assert report["result"]["selected_rays"] == subset
+        assert report["result"]["sheaf_euler_characteristic"] == 1
+
+
+def test_nonfunctorial_higher_layer_exits_1(capsys, tmp_path):
+    path = tmp_path / "nonfunctorial.json"
+    path.write_text(json.dumps(nonfunctorial_q1_document()))
+    code = cli.main(["snc-cohomology", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "restriction composites (1,) -> (0, 1, 2) disagree" in captured.err

@@ -98,6 +98,16 @@ def test_block_matrix_assembly():
     assert m == RationalMatrix.from_rows([[1, 0], [0, -1]])
 
 
+def test_entry_outside_the_matrix_raises():
+    m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    assert m.entry(1, 0) == 3
+    for i, j in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(ShapeMismatch):
+            m.entry(i, j)
+        with pytest.raises(ShapeMismatch):
+            m.to_rational().entry(i, j)
+
+
 def test_smith_normal_form_examples():
     assert exactla.smith_normal_form(IntegerMatrix.from_rows([[2]])) == [2]
     assert exactla.smith_normal_form(

@@ -1,11 +1,16 @@
+import glob
+import json
+import os
 import random
 
 import pytest
 
-from dualcech import presheaf, simplicial, snc
+from dualcech import formats, presheaf, simplicial, snc
 from dualcech.errors import (
+    FunctorialityViolation,
     HodgeMismatch,
     HypothesisViolated,
+    InputError,
     MissingTable,
     NotClosed,
     NotSimplicial,
@@ -15,9 +20,13 @@ from dualcech.snc import DERHAM, SHEAF, TableEntry
 
 from helpers import (
     elliptic_triangle_divisor,
+    nonfunctorial_q1_document,
+    oracle_layered_report,
     pn_hyperplanes_divisor,
     three_lines_divisor,
 )
+
+INPUTS = os.path.join(os.path.dirname(__file__), "..", "inputs")
 
 
 def single_component(name="X", dim=1, h_row=(1, 1)):
@@ -359,3 +368,40 @@ def test_hodge_random_symmetric_diamonds():
         d = snc.make_snc_divisor([(f"C{i}", 1) for i in range(3)], strata, tables)
         table = snc.hodge_decomposition(d)
         assert table.antidiagonal_sums == table.derham_totals
+
+
+def _outcome(compute, *args):
+    """The report, or the class of the input error raised instead."""
+    try:
+        return compute(*args)
+    except InputError as exc:
+        return type(exc)
+
+
+def test_zero_layer_skip_matches_every_layer_ranked():
+    reports = 0
+    zero_layers = 0
+    for path in sorted(glob.glob(os.path.join(INPUTS, "*.json"))):
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if doc["kind"] != "divisor":
+            continue
+        d = formats.parse_divisor(doc)
+        bound = max(snc.stratum_dim_bound(d, t) for t in d.strata)
+        cases = [(snc.structure_sheaf_cohomology, (d,), (d, 0, SHEAF))]
+        cases += [(snc.reduced_forms_cohomology, (d, r), (d, r, SHEAF)) for r in range(bound + 1)]
+        cases += [(snc.derham_cohomology, (d,), (d, 0, DERHAM))]
+        for compute, args, oracle_args in cases:
+            report = _outcome(compute, *args)
+            assert report == _outcome(oracle_layered_report, *oracle_args), (path, compute.__name__, args[1:])
+            reports += isinstance(report, snc.CohomologyReport)
+        zero_layers += sum(snc.build_presheaf(d, 0, q).is_zero() for q in range(bound + 1))
+    # every structure-sheaf report, three_lines_p2's forms and deRham reports, and skipped layers
+    assert reports >= 18 and zero_layers > 0
+
+
+def test_zero_layer_skip_keeps_functoriality_check():
+    d = formats.parse_divisor(nonfunctorial_q1_document())
+    assert snc.build_presheaf(d, 0, 2).is_zero()
+    with pytest.raises(FunctorialityViolation):
+        snc.structure_sheaf_cohomology(d)

@@ -1,8 +1,13 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
 from dualcech import simplicial, snc, toric
 from dualcech.errors import InvalidInput, NecessaryConditionFailed, NotSmooth
 from dualcech.toric import CERTIFIED, UNCERTIFIED
+
+from helpers import disguised_rays, oracle_minor_gcd
 
 
 def p1xp1_fan():
@@ -132,3 +137,58 @@ def test_boundary_strata_downward_closed():
     for n in (2, 3, 4):
         f = toric.projective_space_fan(n)
         toric.boundary_divisor(f, range(len(f.rays)))
+
+
+def oracle_fan_verdict(dim, rays, cones) -> tuple[bool, bool]:
+    """(make_fan accepts, fan is smooth), from the k x k minor gcds of every face.
+
+    A face with k rays is simplicial iff the gcd is nonzero (none exist
+    when k > dim) and unimodular iff it is 1.  No Smith normal form.
+    """
+    faces = {f for c in cones for k in range(1, len(c) + 1) for f in combinations(sorted(c), k)}
+    gcds = [oracle_minor_gcd([rays[i] for i in f], len(f)) for f in faces]
+    accepted = all(g != 0 for g in gcds)
+    return accepted, accepted and all(g == 1 for g in gcds)
+
+
+def _projective_space(n):
+    rays = [[1 if j == i else 0 for j in range(n)] for i in range(n)] + [[-1] * n]
+    return n, rays, [list(c) for c in combinations(range(n + 1), n)]
+
+
+def _p1_power(k):
+    rays = []
+    for i in range(k):
+        rays += [[1 if j == i else 0 for j in range(k)], [-1 if j == i else 0 for j in range(k)]]
+    return k, rays, [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=k)]
+
+
+ORACLE_FANS = [
+    *(_projective_space(n) for n in range(1, 5)),
+    *(_p1_power(k) for k in range(1, 4)),
+    # the only singular cone is a lower-dimensional maximal one (minor gcd 2)
+    # beside a smooth full-dimensional cone
+    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0], [-1, 1, 0]], [[0, 1, 2], [3, 4]]),
+    # a non-simplicial maximal cone: three rays in a plane, full or lower dimensional
+    (3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 2]]),
+    (
+        4,
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0], [-1, -1, 0, 0]],
+        [[0, 1, 2, 3], [4, 5, 6]],
+    ),
+    # more rays than the ambient dimension
+    (2, [[1, 0], [0, 1], [-1, -1]], [[0, 1, 2]]),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_maximal_cone_checks_match_minor_gcd_oracle(seed):
+    rng = random.Random(seed)
+    for dim, rays, cones in ORACLE_FANS:
+        rays = disguised_rays(rng, rays)
+        accepted, smooth = oracle_fan_verdict(dim, rays, cones)
+        if not accepted:
+            with pytest.raises(InvalidInput):
+                toric.make_fan(dim, rays, cones)
+            continue
+        assert toric.is_smooth(toric.make_fan(dim, rays, cones)) == smooth, (dim, rays, cones)
