@@ -1,9 +1,10 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals, and Smith normal form over the integers.
 
 Every quantity in this package is ultimately a dimension, so a single
-rounding error would falsify a theorem check.  All arithmetic here uses
-arbitrary-precision ``fractions.Fraction`` (or plain ``int`` for integer
-matrices); there is no floating point anywhere.
+rounding error would falsify a theorem check.  Every matrix entry is an
+arbitrary-precision ``fractions.Fraction``; there is no floating point
+anywhere.  Rank, kernels and inverses come from one sparse elimination,
+``_eliminate``; Smith normal form is the only other reduction.
 
 Matrices are conceptually dense and row-major.  Internally only nonzero
 entries are stored, which keeps the differentials of large combinatorial
@@ -72,7 +73,7 @@ class RationalMatrix:
             if len(row) != ncols:
                 raise ShapeMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
             for j, value in enumerate(row):
-                entries[(i, j)] = as_fraction(value)
+                entries[(i, j)] = value
         return cls(nrows, ncols, entries)
 
     @classmethod
@@ -85,7 +86,7 @@ class RationalMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "RationalMatrix":
-        return cls(rows, cols, {k: as_fraction(v) for k, v in entries.items()})
+        return cls(rows, cols, entries)
 
     @classmethod
     def column(cls, values: Sequence) -> "RationalMatrix":
@@ -195,21 +196,27 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank by sparse Gaussian elimination.
+def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[int, dict[int, Fraction]]]:
+    """Sparse Gaussian elimination; returns the pivot rows as (pivot column, row).
 
     Pivots are chosen to keep fill-in low (shortest column, then shortest
     row, ties broken by index so runs are reproducible).  The pivot rule
-    can only change the running time, never the result.
+    can only change the running time, never the result.  Each pivot row is
+    zero in the pivot columns of the rows before it, so the rows form a
+    triangular system with the row space of ``m``.  Only columns below
+    ``pivot_limit`` (default: all) hold pivots; rows left with entries in
+    the other columns alone are not returned.
     """
+    limit = m.cols if pivot_limit is None else pivot_limit
     rows: dict[int, dict[int, Fraction]] = {}
     for (i, j), value in m._entries.items():
         rows.setdefault(i, {})[j] = value
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
-    pivots = 0
+            if j < limit:
+                cols.setdefault(j, set()).add(i)
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
     while cols:
         c = min(cols, key=lambda j: (len(cols[j]), j))
         r = min(cols[c], key=lambda i: (len(rows[i]), i))
@@ -235,64 +242,57 @@ def rank(m: RationalMatrix) -> int:
                             if not holders:
                                 del cols[j]
                 else:
-                    if j not in row:
+                    if j < limit and j not in row:
                         cols.setdefault(j, set()).add(i)
                     row[j] = new
             if not row:
                 del rows[i]
-        pivots += 1
+        pivots.append((c, pivot_row))
     return pivots
 
 
-def _rref(dense: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(dense)):
-            if dense[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        dense[r], dense[pivot] = dense[pivot], dense[r]
-        pv = dense[r][c]
-        if pv != 1:
-            dense[r] = [x / pv for x in dense[r]]
-        for i in range(len(dense)):
-            if i != r and dense[i][c] != 0:
-                f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-        pivot_cols.append(c)
-        r += 1
-    return dense, pivot_cols
+def _back_substitute(pivots: list[tuple[int, dict[int, Fraction]]], ncols: int) -> RationalMatrix:
+    """Null space of triangular pivot rows, one kernel vector per free column.
+
+    Kernel vector k is 1 at the k-th free column, 0 at the other free
+    columns, and solves each pivot row for its pivot column, last row first.
+    """
+    pivot_cols = {c for c, _ in pivots}
+    free = [j for j in range(ncols) if j not in pivot_cols]
+    # solution[j][k]: coordinate j of kernel vector k
+    solution = {f: {k: _ONE} for k, f in enumerate(free)}
+    for c, row in reversed(pivots):
+        acc: dict[int, Fraction] = {}
+        for j, v in row.items():
+            if j != c:
+                for k, x in solution[j].items():
+                    acc[k] = acc.get(k, _ZERO) - v * x
+        pivot_value = row[c]
+        solution[c] = {k: x / pivot_value for k, x in acc.items() if x != 0}
+    entries = {(j, k): x for j, coords in solution.items() for k, x in coords.items()}
+    return RationalMatrix(ncols, len(free), entries)
+
+
+def rank(m: RationalMatrix) -> int:
+    """Exact rank by sparse Gaussian elimination."""
+    return len(_eliminate(m))
 
 
 def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     """Matrix whose columns form a basis of the null space of ``m``."""
-    dense, pivot_cols = _rref(m.to_rows(), m.cols)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    entries: dict[tuple[int, int], Fraction] = {}
-    for k, free in enumerate(free_cols):
-        entries[(free, k)] = _ONE
-        for r, pc in enumerate(pivot_cols):
-            value = dense[r][free]
-            if value != 0:
-                entries[(pc, k)] = -value
-    return RationalMatrix(m.cols, len(free_cols), entries)
+    return _back_substitute(_eliminate(m), m.cols)
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
+    """m^-1, read off the kernel of [m | -I]: kernel vector k is (m^-1 e_k, e_k)."""
     if m.rows != m.cols:
         raise ShapeMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = [row + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(m.to_rows())]
-    dense, pivot_cols = _rref(aug, n)
-    if len(pivot_cols) != n:
+    pivots = _eliminate(m.hstack(-RationalMatrix.identity(n)), pivot_limit=n)
+    if len(pivots) != n:
         raise ShapeMismatch("matrix is singular")
-    return RationalMatrix.from_rows([row[n:] for row in dense])
+    kernel = _back_substitute(pivots, 2 * n)
+    return RationalMatrix(n, n, {(i, k): v for (i, k), v in kernel._entries.items() if i < n})
 
 
 def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
@@ -331,75 +331,6 @@ def block_matrix(
     return RationalMatrix(row_off[-1], col_off[-1], entries)
 
 
-class IntegerMatrix:
-    """Immutable matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], int]):
-        if rows < 0 or cols < 0:
-            raise ShapeMismatch(f"negative matrix shape {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        data = {}
-        for (i, j), value in entries.items():
-            if not isinstance(value, int):
-                raise TypeError(f"integer entries must be int, got {type(value).__name__}")
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ShapeMismatch(f"entry ({i},{j}) outside {rows}x{cols} matrix")
-            if value != 0:
-                data[(i, j)] = value
-        self._entries = data
-
-    @classmethod
-    def from_rows(cls, rows_data: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        nrows = len(rows_data)
-        if nrows == 0:
-            return cls(0, 0 if cols is None else cols, {})
-        ncols = len(rows_data[0]) if cols is None else cols
-        entries = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise ShapeMismatch(f"row {i} has {len(row)} entries, expected {ncols}")
-            for j, value in enumerate(row):
-                entries[(i, j)] = value
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], int]) -> "IntegerMatrix":
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, {})
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise ShapeMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        return self._entries.get((i, j), 0)
-
-    def to_rows(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), value in self._entries.items():
-            out[i][j] = value
-        return out
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.rows, self.cols, {k: Fraction(v) for k, v in self._entries.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
-
-
 def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
     best = None
     best_abs = None
@@ -415,16 +346,21 @@ def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int
     return best
 
 
-def smith_normal_form(m: IntegerMatrix) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+def smith_normal_form(m: RationalMatrix) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of a matrix with integer entries.
 
-    Classical reduction: bring the smallest entry to the corner, clear its
-    row and column with euclidean steps, and when the corner fails to
-    divide some remaining entry fold that row in and start over.  The
-    folding step is what guarantees the divisibility chain.
+    An entry with a denominator other than 1 raises ``TypeError``.
+    Classical reduction over the integers: bring the smallest entry to the
+    corner, clear its row and column with euclidean steps, and when the
+    corner fails to divide some remaining entry fold that row in and start
+    over.  The folding step is what guarantees the divisibility chain.
     """
-    a = m.to_rows()
     nr, nc = m.rows, m.cols
+    a = [[0] * nc for _ in range(nr)]
+    for (i, j), value in m._entries.items():
+        if value.denominator != 1:
+            raise TypeError(f"Smith normal form needs integer entries, got {value} at ({i},{j})")
+        a[i][j] = value.numerator
     factors: list[int] = []
     t = 0
     while True:

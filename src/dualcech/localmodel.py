@@ -167,7 +167,7 @@ def simplex_block(s: int) -> CochainComplex:
     """
     simplex = simplicial.from_facets(s, [range(s)])
     augmentation = RationalMatrix.from_entries(s, 1, {(i, 0): 1 for i in range(s)})
-    coboundaries = [simplicial.coboundary_matrix(simplex, p).to_rational() for p in range(s - 1)]
+    coboundaries = [simplicial.coboundary_matrix(simplex, p) for p in range(s - 1)]
     return CochainComplex((1, *simplex.counts()), (augmentation, *coboundaries))
 
 

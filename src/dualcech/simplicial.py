@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from . import exactla
 from .errors import BadTuple, CompositionNonzero
-from .exactla import IntegerMatrix
+from .exactla import RationalMatrix
 
 Simplex = tuple[int, ...]
 
@@ -64,7 +64,7 @@ def euler_characteristic(k: SimplicialComplex) -> int:
     return sum((-1) ** (len(s) - 1) for s in k.simplices)
 
 
-def coboundary_matrix(k: SimplicialComplex, p: int) -> IntegerMatrix:
+def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
     """Signed incidence matrix from p-simplices to (p+1)-simplices."""
     lower = k.p_simplices(p)
     upper = k.p_simplices(p + 1)
@@ -74,7 +74,7 @@ def coboundary_matrix(k: SimplicialComplex, p: int) -> IntegerMatrix:
         for pos in range(len(tau)):
             face = tau[:pos] + tau[pos + 1 :]
             entries[(ri, index[face])] = -1 if pos % 2 else 1
-    return IntegerMatrix.from_entries(len(upper), len(lower), entries)
+    return RationalMatrix.from_entries(len(upper), len(lower), entries)
 
 
 def betti_numbers(k: SimplicialComplex) -> list[int]:
@@ -83,7 +83,7 @@ def betti_numbers(k: SimplicialComplex) -> list[int]:
     if d < 0:
         return []
     counts = k.counts()
-    diffs = [coboundary_matrix(k, p).to_rational() for p in range(d)]
+    diffs = [coboundary_matrix(k, p) for p in range(d)]
     for p in range(d - 1):
         if not (diffs[p + 1] @ diffs[p]).is_zero():
             raise CompositionNonzero(f"coboundaries {p} and {p + 1} do not compose to zero")

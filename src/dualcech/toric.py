@@ -15,7 +15,7 @@ from math import gcd
 
 from . import exactla
 from .errors import InvalidInput, NecessaryConditionFailed, NotSmooth
-from .exactla import IntegerMatrix
+from .exactla import RationalMatrix
 from .snc import SHEAF, Component, SncDivisor, TableEntry, make_snc_divisor
 from .snc import CohomologyReport, combinatorial_cohomology_check
 
@@ -37,9 +37,10 @@ def _is_primitive(vector: tuple[int, ...]) -> bool:
     return g == 1
 
 
-def _ray_matrix(f: Fan, cone: frozenset[int]) -> IntegerMatrix:
-    rows = [list(f.rays[i]) for i in sorted(cone)]
-    return IntegerMatrix.from_rows(rows, cols=f.dim)
+def _ray_matrix(f: Fan, cone: frozenset[int]) -> RationalMatrix:
+    rows = [f.rays[i] for i in sorted(cone)]
+    entries = {(r, j): x for r, ray in enumerate(rows) for j, x in enumerate(ray) if x}
+    return RationalMatrix(len(rows), f.dim, entries)
 
 
 def _maximal_cones(f: Fan) -> list[frozenset[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from dualcech import exactla, presheaf, simplicial, snc
 from dualcech.bicomplex import Bicomplex, make_bicomplex
@@ -26,9 +26,17 @@ from dualcech.snc import DERHAM, SHEAF, SncDivisor, TableEntry
 # ---------------------------------------------------------------- oracles
 
 
-def oracle_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination."""
-    m = [[int(x) for x in row] for row in rows]
+def oracle_rank(rows: list[list]) -> int:
+    """Rank of a rational matrix by fraction-free Bareiss elimination.
+
+    Each row is first multiplied by the lcm of its denominators, which
+    makes it integral and leaves the rank unchanged.
+    """
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        m.append([int(x * scale) for x in row])
     nr = len(m)
     nc = len(m[0]) if m else 0
     rank = 0

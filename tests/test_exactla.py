@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from dualcech import exactla
 from dualcech.errors import CompositionNonzero, ShapeMismatch
-from dualcech.exactla import IntegerMatrix, RationalMatrix
+from dualcech.exactla import RationalMatrix
 
 from helpers import oracle_minor_gcd, oracle_rank, random_unimodular
 
@@ -99,32 +99,30 @@ def test_block_matrix_assembly():
 
 
 def test_entry_outside_the_matrix_raises():
-    m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
     assert m.entry(1, 0) == 3
     for i, j in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
         with pytest.raises(ShapeMismatch):
             m.entry(i, j)
-        with pytest.raises(ShapeMismatch):
-            m.to_rational().entry(i, j)
 
 
 def test_smith_normal_form_examples():
-    assert exactla.smith_normal_form(IntegerMatrix.from_rows([[2]])) == [2]
+    assert exactla.smith_normal_form(RationalMatrix.from_rows([[2]])) == [2]
     assert exactla.smith_normal_form(
-        IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     ) == [1, 1, 1]
-    assert exactla.smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])) == [2, 4]
+    assert exactla.smith_normal_form(RationalMatrix.from_rows([[2, 4], [6, 8]])) == [2, 4]
 
 
 def test_smith_normal_form_zero():
-    assert exactla.smith_normal_form(IntegerMatrix.zeros(3, 2)) == []
+    assert exactla.smith_normal_form(RationalMatrix.zeros(3, 2)) == []
 
 
 def test_smith_normal_form_divisibility_fold():
     # diagonal entries that do not divide each other must be folded
-    assert exactla.smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
+    assert exactla.smith_normal_form(RationalMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
     assert exactla.smith_normal_form(
-        IntegerMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+        RationalMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
     ) == [1, 30, 30]
 
 
@@ -150,9 +148,58 @@ def test_rank_equals_rank_of_transpose(data):
     assert exactla.rank(m) == exactla.rank(m.transpose())
 
 
+@st.composite
+def small_rational_matrix(draw, max_dim=4, square=False):
+    """(rows as lists of Fractions, column count); either count may be 0."""
+    rows = draw(st.integers(0, max_dim))
+    cols = rows if square else draw(st.integers(0, max_dim))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols
+
+
+def test_oracle_rank_clears_denominators():
+    assert oracle_rank([[Fraction(1, 2)]]) == 1
+    assert oracle_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+
+
+@given(small_rational_matrix())
+def test_rank_matches_oracle_on_rational_entries(drawn):
+    data, cols = drawn
+    assert exactla.rank(RationalMatrix.from_rows(data, cols=cols)) == oracle_rank(data)
+
+
+@given(small_rational_matrix())
+def test_kernel_basis_matches_oracle(drawn):
+    data, cols = drawn
+    m = RationalMatrix.from_rows(data, cols=cols)
+    k = exactla.kernel_basis(m)
+    assert k.rows == m.cols
+    assert (m @ k).is_zero()
+    assert k.cols == m.cols - oracle_rank(data)
+    assert oracle_rank(k.to_rows()) == k.cols
+
+
+@given(small_rational_matrix(square=True))
+def test_inverse_matches_oracle(drawn):
+    data, n = drawn
+    m = RationalMatrix.from_rows(data, cols=n)
+    if oracle_rank(data) == n:
+        inv = exactla.inverse(m)
+        assert inv @ m == RationalMatrix.identity(n)
+        assert m @ inv == RationalMatrix.identity(n)
+    else:
+        with pytest.raises(ShapeMismatch):
+            exactla.inverse(m)
+
+
+def test_smith_normal_form_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        exactla.smith_normal_form(RationalMatrix.from_rows([[Fraction(1, 2)]]))
+
+
 @given(small_int_matrix(max_dim=3, bound=4))
 def test_smith_chain_and_minor_gcd(data):
-    m = IntegerMatrix.from_rows(data)
+    m = RationalMatrix.from_rows(data)
     factors = exactla.smith_normal_form(m)
     assert all(f > 0 for f in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
