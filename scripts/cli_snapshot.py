@@ -11,6 +11,10 @@ and the sha256 of stdout and of stderr.  The document path is replaced by
 compared with ``diff``: identical output means every report, verdict and
 error message is unchanged.  An exception that escapes ``cli.main`` is
 recorded as the exit code ``raised:<type>``.
+
+``tests/data/cli_snapshot.txt`` holds the expected output, and
+``tests/test_cli.py`` regenerates it in-process and compares.  When a
+report changes on purpose, rewrite that file with the command above.
 """
 
 from __future__ import annotations
@@ -50,12 +54,18 @@ def run(command: str, name: str, as_json: bool) -> str:
     )
 
 
-def main() -> None:
+def lines():
+    """One fingerprint line per command, input and mode, in a fixed order."""
     names = sorted(n for n in os.listdir(os.path.join(ROOT, "inputs")) if n.endswith(".json"))
     for command in cli.COMMANDS:
         for name in names:
             for as_json in (False, True):
-                print(run(command, name, as_json), flush=True)
+                yield run(command, name, as_json)
+
+
+def main() -> None:
+    for line in lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,24 @@
 """Exact linear algebra over the rationals, and Smith normal form over the integers.
 
 Every quantity in this package is ultimately a dimension, so a single
-rounding error would falsify a theorem check.  Every matrix entry is an
-arbitrary-precision ``fractions.Fraction``; there is no floating point
-anywhere.  Rank, kernels and inverses come from one sparse elimination,
+rounding error would falsify a theorem check.  There is no floating point
+anywhere: the API takes and returns arbitrary-precision
+``fractions.Fraction`` entries, and the two inner loops run on Python
+``int``s.  Rank, kernels and inverses come from one sparse elimination,
 ``_eliminate``; Smith normal form is the only other reduction.
+
+``_eliminate`` first scales each row by a positive rational to integers
+with no common factor, which leaves the row space unchanged, and then
+eliminates fraction-free: a row is replaced by an integer combination
+``s*row - t*pivot_row`` with ``s > 0`` and divided by the gcd of its
+entries.  Each row so stays a positive multiple of the row that rational
+elimination would hold, with the same zero pattern, so the pivots, the
+rank and the row space of the triangular system are the same.  Kernel
+vectors are read off that system with the free coordinates fixed to a unit
+vector; such a vector is unique, so the kernel basis (and the inverse read
+off it) does not depend on the scaling.  A product multiplies the integer
+numerators of both operands over their common denominators and forms one
+``Fraction`` per nonzero entry of the result.
 
 Matrices are conceptually dense and row-major.  Internally only nonzero
 entries are stored, which keeps the differentials of large combinatorial
@@ -15,12 +29,26 @@ cannot change any result.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import CompositionNonzero, ShapeMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _integer_rows(m: RationalMatrix) -> tuple[dict[int, dict[int, int]], int]:
+    """The nonzero rows of ``m`` as integer numerators over the common denominator."""
+    d = lcm(*(v.denominator for v in m._entries.values()))
+    rows: dict[int, dict[int, int]] = {}
+    if d == 1:
+        for (i, j), v in m._entries.items():
+            rows.setdefault(i, {})[j] = v.numerator
+    else:
+        for (i, j), v in m._entries.items():
+            rows.setdefault(i, {})[j] = v.numerator * (d // v.denominator)
+    return rows, d
 
 
 def as_fraction(value) -> Fraction:
@@ -59,6 +87,13 @@ class RationalMatrix:
             if value != 0:
                 data[(i, j)] = value
         self._entries = data
+
+    @classmethod
+    def _of_fractions(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
+        """Wrap nonzero in-bounds ``Fraction`` entries without checking them again."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._entries = rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence], cols: int | None = None) -> "RationalMatrix":
@@ -113,13 +148,13 @@ class RationalMatrix:
         return not self._entries
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()})
+        return RationalMatrix._of_fractions(self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()})
 
     def scaled(self, factor) -> "RationalMatrix":
         factor = as_fraction(factor)
         if factor == 0:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix(self.rows, self.cols, {k: factor * v for k, v in self._entries.items()})
+        return RationalMatrix._of_fractions(self.rows, self.cols, {k: factor * v for k, v in self._entries.items()})
 
     def __neg__(self) -> "RationalMatrix":
         return self.scaled(-1)
@@ -136,29 +171,29 @@ class RationalMatrix:
                 entries.pop(key, None)
             else:
                 entries[key] = total
-        return RationalMatrix(self.rows, self.cols, entries)
+        return RationalMatrix._of_fractions(self.rows, self.cols, entries)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        other_rows: dict[int, dict[int, Fraction]] = {}
-        for (k, j), value in other._entries.items():
-            other_rows.setdefault(k, {})[j] = value
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, k), value in self._entries.items():
-            row = other_rows.get(k)
-            if row is None:
-                continue
-            for j, bv in row.items():
-                key = (i, j)
-                total = acc.get(key, _ZERO) + value * bv
-                if total == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-        return RationalMatrix(self.rows, other.cols, acc)
+        left, da = _integer_rows(self)
+        right, db = _integer_rows(other)
+        d = da * db
+        entries: dict[tuple[int, int], Fraction] = {}
+        for i, row in left.items():
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                right_row = right.get(k)
+                if right_row is None:
+                    continue
+                for j, b in right_row.items():
+                    acc[j] = acc.get(j, 0) + a * b
+            for j, n in acc.items():
+                if n:
+                    entries[(i, j)] = Fraction(n) if d == 1 else Fraction(n, d)
+        return RationalMatrix._of_fractions(self.rows, other.cols, entries)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
@@ -168,7 +203,7 @@ class RationalMatrix:
         entries = dict(self._entries)
         for (i, j), value in other._entries.items():
             entries[(i, j + self.cols)] = value
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        return RationalMatrix._of_fractions(self.rows, self.cols + other.cols, entries)
 
     def take_columns(self, indices: Sequence[int]) -> "RationalMatrix":
         position = {c: new for new, c in enumerate(indices)}
@@ -176,7 +211,7 @@ class RationalMatrix:
         for (i, j), value in self._entries.items():
             if j in position:
                 entries[(i, position[j])] = value
-        return RationalMatrix(self.rows, len(indices), entries)
+        return RationalMatrix._of_fractions(self.rows, len(indices), entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -196,32 +231,35 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[int, dict[int, Fraction]]]:
-    """Sparse Gaussian elimination; returns the pivot rows as (pivot column, row).
+def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[int, dict[int, int]]]:
+    """Sparse fraction-free elimination; returns the pivot rows as (pivot column, row).
 
-    Pivots are chosen to keep fill-in low (shortest column, then shortest
-    row, ties broken by index so runs are reproducible).  The pivot rule
-    can only change the running time, never the result.  Each pivot row is
-    zero in the pivot columns of the rows before it, so the rows form a
-    triangular system with the row space of ``m``.  Only columns below
-    ``pivot_limit`` (default: all) hold pivots; rows left with entries in
-    the other columns alone are not returned.
+    Rows are scaled to integers with coprime entries; a row holding ``a``
+    in the pivot column becomes ``(p/g)*row - (a/g)*pivot_row`` for the
+    pivot value ``p`` and ``g = gcd(a, p)`` signed like ``p``, and is then
+    divided by the gcd of its entries.  Pivots are chosen to keep fill-in
+    low (shortest column, then shortest row, ties broken by index so runs
+    are reproducible).  The pivot rule can only change the running time,
+    never the result.  Each pivot row is zero in the pivot columns of the
+    rows before it, so the rows form a triangular system with the row space
+    of ``m``.  Only columns below ``pivot_limit`` (default: all) hold
+    pivots; rows left with entries in the other columns alone are not
+    returned.
     """
     limit = m.cols if pivot_limit is None else pivot_limit
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (i, j), value in m._entries.items():
-        rows.setdefault(i, {})[j] = value
+    rows, _ = _integer_rows(m)
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
+        row = rows[i] = _primitive(row)
         for j in row:
             if j < limit:
                 cols.setdefault(j, set()).add(i)
-    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    pivots: list[tuple[int, dict[int, int]]] = []
     while cols:
         c = min(cols, key=lambda j: (len(cols[j]), j))
         r = min(cols[c], key=lambda i: (len(rows[i]), i))
         pivot_row = rows.pop(r)
-        pivot_value = pivot_row[c]
+        p = pivot_row[c]
         for j in pivot_row:
             holders = cols.get(j)
             if holders is not None:
@@ -230,9 +268,14 @@ def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[
                     del cols[j]
         for i in list(cols.get(c, ())):
             row = rows[i]
-            factor = row[c] / pivot_value
+            a = row[c]
+            g = gcd(a, p) if p > 0 else -gcd(a, p)
+            s, t = p // g, a // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
             for j, v in pivot_row.items():
-                new = row.get(j, _ZERO) - factor * v
+                new = row.get(j, 0) - t * v
                 if new == 0:
                     if j in row:
                         del row[j]
@@ -245,13 +288,23 @@ def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[
                     if j < limit and j not in row:
                         cols.setdefault(j, set()).add(i)
                     row[j] = new
-            if not row:
+            if row:
+                rows[i] = _primitive(row)
+            else:
                 del rows[i]
         pivots.append((c, pivot_row))
     return pivots
 
 
-def _back_substitute(pivots: list[tuple[int, dict[int, Fraction]]], ncols: int) -> RationalMatrix:
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its (nonzero) entries."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {j: v // g for j, v in row.items()}
+
+
+def _back_substitute(pivots: list[tuple[int, dict[int, int]]], ncols: int) -> RationalMatrix:
     """Null space of triangular pivot rows, one kernel vector per free column.
 
     Kernel vector k is 1 at the k-th free column, 0 at the other free
@@ -270,7 +323,7 @@ def _back_substitute(pivots: list[tuple[int, dict[int, Fraction]]], ncols: int) 
         pivot_value = row[c]
         solution[c] = {k: x / pivot_value for k, x in acc.items() if x != 0}
     entries = {(j, k): x for j, coords in solution.items() for k, x in coords.items()}
-    return RationalMatrix(ncols, len(free), entries)
+    return RationalMatrix._of_fractions(ncols, len(free), entries)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -292,7 +345,7 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     if len(pivots) != n:
         raise ShapeMismatch("matrix is singular")
     kernel = _back_substitute(pivots, 2 * n)
-    return RationalMatrix(n, n, {(i, k): v for (i, k), v in kernel._entries.items() if i < n})
+    return RationalMatrix._of_fractions(n, n, {(i, k): v for (i, k), v in kernel._entries.items() if i < n})
 
 
 def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
@@ -328,7 +381,7 @@ def block_matrix(
         ri, ci = row_off[bi], col_off[bj]
         for (i, j), value in block._entries.items():
             entries[(ri + i, ci + j)] = value
-    return RationalMatrix(row_off[-1], col_off[-1], entries)
+    return RationalMatrix._of_fractions(row_off[-1], col_off[-1], entries)
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:

@@ -59,18 +59,28 @@ def oracle_rank(rows: list[list]) -> int:
     return rank
 
 
-def oracle_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, Bareiss again."""
-    m = [[int(x) for x in row] for row in rows]
+def oracle_det(rows: list[list]) -> Fraction:
+    """Determinant of a square rational matrix, Bareiss again.
+
+    Each row is first multiplied by the lcm of its denominators; the
+    integer determinant is then divided by the product of those scales.
+    """
+    m = []
+    scales = 1
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        scales *= scale
+        m.append([int(x * scale) for x in row])
     n = len(m)
     if n == 0:
-        return 1
+        return Fraction(1)
     sign = 1
     prev = 1
     for col in range(n):
         pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
         if pivot is None:
-            return 0
+            return Fraction(0)
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
@@ -79,7 +89,19 @@ def oracle_det(rows: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]) // prev
             m[i][col] = 0
         prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], scales)
+
+
+def oracle_matmul(a: list[list], b: list[list], cols: int) -> list[list[Fraction]]:
+    """Dense product of rational matrices given as rows, by a triple loop.
+
+    ``b`` has one row per column of ``a`` and ``cols`` columns; ``cols``
+    is passed because ``b`` may have no rows to read it from.
+    """
+    return [
+        [sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
 
 
 def oracle_minor_gcd(rows: list[list[int]], size: int) -> int:
@@ -92,7 +114,7 @@ def oracle_minor_gcd(rows: list[list[int]], size: int) -> int:
     for ri in combinations(range(nr), size):
         for ci in combinations(range(nc), size):
             minor = oracle_det([[rows[i][j] for j in ci] for i in ri])
-            g = math.gcd(g, abs(minor))
+            g = math.gcd(g, abs(minor.numerator))  # integer rows: the minor is integral
     return g
 
 

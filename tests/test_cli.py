@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -405,3 +406,17 @@ def test_nonfunctorial_higher_layer_exits_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert "restriction composites (1,) -> (0, 1, 2) disagree" in captured.err
+
+
+def test_cli_snapshot_unchanged():
+    # every command on every input, text and --json: exit code and sha256
+    # of stdout and stderr, against the committed scripts/cli_snapshot.py output
+    spec = importlib.util.spec_from_file_location("cli_snapshot", os.path.join(ROOT, "scripts", "cli_snapshot.py"))
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    with open(os.path.join(ROOT, "tests", "data", "cli_snapshot.txt"), encoding="utf-8") as f:
+        expected = f.read().splitlines()
+    actual = list(snapshot.lines())
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want

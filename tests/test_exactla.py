@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from dualcech import exactla
 from dualcech.errors import CompositionNonzero, ShapeMismatch
 from dualcech.exactla import RationalMatrix
 
-from helpers import oracle_minor_gcd, oracle_rank, random_unimodular
+from helpers import oracle_det, oracle_matmul, oracle_minor_gcd, oracle_rank, random_unimodular
 
 
 def test_rank_identity():
@@ -148,13 +149,15 @@ def test_rank_equals_rank_of_transpose(data):
     assert exactla.rank(m) == exactla.rank(m.transpose())
 
 
+_ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
 @st.composite
 def small_rational_matrix(draw, max_dim=4, square=False):
     """(rows as lists of Fractions, column count); either count may be 0."""
     rows = draw(st.integers(0, max_dim))
     cols = rows if square else draw(st.integers(0, max_dim))
-    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols
+    return [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)], cols
 
 
 def test_oracle_rank_clears_denominators():
@@ -190,6 +193,66 @@ def test_inverse_matches_oracle(drawn):
     else:
         with pytest.raises(ShapeMismatch):
             exactla.inverse(m)
+
+
+def test_oracle_det_clears_denominators():
+    assert oracle_det([[Fraction(1, 2), 1], [1, 2]]) == 0
+    assert oracle_det([[Fraction(1, 2)]]) == Fraction(1, 2)
+
+
+@st.composite
+def composable_pair(draw, max_dim=4):
+    """Rows of an r x k and a k x c rational matrix, and c; any of r, k, c may be 0."""
+    r, k, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    a = [[draw(_ENTRY) for _ in range(k)] for _ in range(r)]
+    b = [[draw(_ENTRY) for _ in range(c)] for _ in range(k)]
+    return a, b, c
+
+
+@given(composable_pair())
+def test_matmul_matches_oracle(drawn):
+    a, b, c = drawn
+    product = RationalMatrix.from_rows(a, cols=len(b)) @ RationalMatrix.from_rows(b, cols=c)
+    assert (product.rows, product.cols) == (len(a), c)
+    assert product.to_rows() == oracle_matmul(a, b, c)
+
+
+def _all_fractions(m: RationalMatrix) -> bool:
+    return all(type(v) is Fraction for _, _, v in m.nonzero_entries())
+
+
+@given(composable_pair(), st.booleans())
+def test_results_have_fraction_entries(drawn, integral):
+    # integer data is where int / int would silently give a float
+    a, b, c = drawn
+    if integral:
+        a = [[x.numerator for x in row] for row in a]
+        b = [[x.numerator for x in row] for row in b]
+    ma = RationalMatrix.from_rows(a, cols=len(b))
+    assert _all_fractions(ma @ RationalMatrix.from_rows(b, cols=c))
+    assert _all_fractions(exactla.kernel_basis(ma))
+    if ma.rows == ma.cols and oracle_rank(a) == ma.rows:
+        assert _all_fractions(exactla.inverse(ma))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hilbert_matrix_rank_and_inverse(n):
+    # entries 1/(i+j+1) clear to large integers, and the inverse has
+    # integer entries of up to 3.7e15 at n = 12
+    hilbert = RationalMatrix.from_rows([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+    assert exactla.rank(hilbert) == n
+    closed_form = RationalMatrix.from_rows(
+        [
+            [
+                (-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+    inv = exactla.inverse(hilbert)
+    assert inv == closed_form
+    assert inv @ hilbert == RationalMatrix.identity(n)
 
 
 def test_smith_normal_form_rejects_non_integer_entries():
