@@ -4,10 +4,12 @@
     PYTHONPATH=src python3 scripts/cli_snapshot.py > snapshot.txt
 
 Runs each command of ``dualcech.cli`` on each ``inputs/*.json`` document,
-once as text and once with ``--json``, in this process through
-``cli.main``.  Prints one line per run: command, input, mode, exit code,
-and the sha256 of stdout and of stderr.  The document path is replaced by
-``inputs/<name>`` before hashing, so the output of two checkouts can be
+and then on each ``tests/data/*.json`` document, once as text and once
+with ``--json``, in this process through ``cli.main``.  Prints one line per
+run: command, input (its name for ``inputs/``, its path from the
+repository root otherwise), mode, exit code, and the sha256 of stdout and
+of stderr.  The absolute document path is replaced by its path from the
+repository root before hashing, so the output of two checkouts can be
 compared with ``diff``: identical output means every report, verdict and
 error message is unchanged.  An exception that escapes ``cli.main`` is
 recorded as the exit code ``raised:<type>``.
@@ -35,8 +37,8 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(command: str, name: str, as_json: bool) -> str:
-    path = os.path.join(ROOT, "inputs", name)
+def run(command: str, shown: str, label: str, as_json: bool) -> str:
+    path = os.path.join(ROOT, shown)
     argv = [command, path] + (["--json"] if as_json else [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -45,22 +47,32 @@ def run(command: str, name: str, as_json: bool) -> str:
         except Exception as exc:  # the CLI contract forbids this; record it
             code = f"raised:{type(exc).__name__}"
             print(exc, file=sys.stderr)
-    shown = f"inputs/{name}"
     mode = "json" if as_json else "text"
     return (
-        f"{command} {name} {mode} exit={code} "
+        f"{command} {label} {mode} exit={code} "
         f"stdout={_digest(out.getvalue().replace(path, shown))} "
         f"stderr={_digest(err.getvalue().replace(path, shown))}"
     )
 
 
+def documents() -> list[tuple[str, str]]:
+    """(path from the repository root, label) of every document, in order."""
+    out = []
+    for directory in ("inputs", "tests/data"):
+        for name in sorted(os.listdir(os.path.join(ROOT, directory))):
+            if name.endswith(".json"):
+                shown = f"{directory}/{name}"
+                out.append((shown, name if directory == "inputs" else shown))
+    return out
+
+
 def lines():
     """One fingerprint line per command, input and mode, in a fixed order."""
-    names = sorted(n for n in os.listdir(os.path.join(ROOT, "inputs")) if n.endswith(".json"))
+    docs = documents()
     for command in cli.COMMANDS:
-        for name in names:
+        for shown, label in docs:
             for as_json in (False, True):
-                yield run(command, name, as_json)
+                yield run(command, shown, label, as_json)
 
 
 def main() -> None:

@@ -4,6 +4,10 @@
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/make_inputs.py
+
+It also writes tests/data/nonfunctorial_q1.json, a divisor whose q = 1
+layer every structure-sheaf command refuses.  It stays out of inputs/,
+whose divisors the tests build layer by layer.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from itertools import combinations
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "inputs")
+TEST_DATA = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
 
 
-def write(name: str, doc: dict) -> None:
-    path = os.path.join(OUT, name)
+def write(name: str, doc: dict, directory: str = OUT) -> None:
+    path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -142,6 +147,92 @@ def segment_rational_check() -> dict:
     }
 
 
+def _faces(t: list[int]) -> list[list[int]]:
+    return [t[:k] + t[k + 1 :] for k in range(len(t))]
+
+
+def nonfunctorial_presheaf() -> dict:
+    """Filled triangle, every space one-dimensional, restrictions not path
+    independent: from (0,) into (0, 1, 2) the route through (0, 1) gives 2,
+    the route through (0, 2) gives 1.  Refused with exit code 1."""
+    simplices = [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+    restrictions = [
+        {"from": f, "to": t, "matrix": [["2" if (f, t) == ([0], [0, 1]) else "1"]]}
+        for t in simplices
+        if len(t) > 1
+        for f in _faces(t)
+    ]
+    return {
+        "kind": "presheaf",
+        "schema_version": 1,
+        "complex": {"vertex_count": 3, "facets": [[0, 1, 2]]},
+        "dims": {",".join(map(str, t)): 1 for t in simplices},
+        "restrictions": restrictions,
+    }
+
+
+def nonfunctorial_rational_check() -> dict:
+    """Three surfaces through a point, with a sections presheaf that carries
+    the unit section but whose restrictions are not path independent: from
+    (0,) into (0, 1, 2) the route through (0, 1) is a shear, the route
+    through (0, 2) the identity.  Refused with exit code 1."""
+    strata = [list(t) for size in (1, 2, 3) for t in combinations(range(3), size)]
+    tables = []
+    for t in strata:
+        tables.append({"tuple": t, "r": 0, "q": 0, "dim": 1, "restriction": "constant"})
+        for q in range(1, 2 - (len(t) - 1) + 1):
+            tables.append({"tuple": t, "r": 0, "q": q, "dim": 0})
+    shear, identity = [["1", "1"], ["0", "1"]], [["1", "0"], ["0", "1"]]
+    restrictions = [
+        {"from": f, "to": t, "matrix": shear if (f, t) == ([0], [0, 1]) else identity}
+        for t in strata
+        if len(t) > 1
+        for f in _faces(t)
+    ]
+    keys = [",".join(map(str, t)) for t in strata]
+    return {
+        "kind": "divisor",
+        "schema_version": 1,
+        "components": [{"name": f"S{i}", "dim": 2} for i in range(3)],
+        "strata": strata,
+        "tables": tables,
+        "rational_check": {
+            "claimed_rational": True,
+            "dims": {key: 2 for key in keys},
+            "restrictions": restrictions,
+            "unit": {key: ["1", "0"] for key in keys},
+        },
+    }
+
+
+def nonfunctorial_q1() -> dict:
+    """Three 3-folds meeting in a curve, with h^1 = 1 on every stratum.
+
+    The q = 1 restrictions are explicit and not path independent: from (0,)
+    or (1,) into (0, 1, 2) the route through (0, 1) gives 2, the other
+    route 1.  Every other layer is constant or zero.
+    """
+    strata = [list(t) for size in (1, 2, 3) for t in combinations(range(3), size)]
+    tables = []
+    for t in strata:
+        tables.append({"tuple": t, "r": 0, "q": 0, "dim": 1, "restriction": "constant"})
+        row = {"tuple": t, "r": 0, "q": 1, "dim": 1}
+        if len(t) > 1:
+            row["restriction"] = {
+                "matrices": {",".join(map(str, f)): [[2 if f == [0, 1] else 1]] for f in _faces(t)}
+            }
+        tables.append(row)
+        for q in range(2, 3 - (len(t) - 1) + 1):
+            tables.append({"tuple": t, "r": 0, "q": q, "dim": 0})
+    return {
+        "schema_version": 1,
+        "kind": "divisor",
+        "components": [{"name": f"S{i}", "dim": 3} for i in range(3)],
+        "strata": strata,
+        "tables": tables,
+    }
+
+
 def pn_fan(n: int) -> dict:
     rays = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     rays.append([-1] * n)
@@ -258,6 +349,9 @@ def main() -> None:
     write("bicomplex_d2.json", nonzero_d2_bicomplex())
     write("bicomplex_row.json", one_row_bicomplex())
     write("vertex_presheaf_triangle.json", vertex_presheaf_triangle())
+    write("nonfunctorial_presheaf.json", nonfunctorial_presheaf())
+    write("nonfunctorial_rational_check.json", nonfunctorial_rational_check())
+    write("nonfunctorial_q1.json", nonfunctorial_q1(), TEST_DATA)
 
 
 if __name__ == "__main__":

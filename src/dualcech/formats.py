@@ -102,10 +102,6 @@ def _vertex_tuple(value, path) -> Simplex:
     return tuple(_int(x, f"{path}/{i}") for i, x in enumerate(items))
 
 
-def simplex_key(s: Simplex) -> str:
-    return ",".join(str(v) for v in s)
-
-
 def _parse_simplex_key(key: str, path: str) -> Simplex:
     try:
         return tuple(int(part) for part in key.split(","))

@@ -2,9 +2,20 @@
 
 A presheaf assigns a dimension to every simplex and a restriction matrix
 to every codimension-1 face inclusion; restrictions point from smaller
-simplices to larger ones.  Deeper restrictions are composites, and the
-path-independence check below is exactly what makes the Cech differential
-square to zero.
+simplices to larger ones.  Deeper restrictions are composites, and their
+path independence (functoriality) is exactly what makes the Cech
+differential square to zero: the block of d.d from a face sigma to a
+simplex rho two dimensions up is +-(via_x - via_y), the difference of the
+two composites through the faces between them.
+
+Each check runs once, where the data enters.  ``make_presheaf`` is the one
+door for caller-supplied restrictions (presheaf documents, rational-check
+sections, explicit divisor tables); it checks shapes and then
+functoriality.  ``constant_presheaf``, the zero presheaf, ``direct_sum`` and
+the quotient of ``split_constant`` are functorial by construction, as their
+docstrings say, and are not checked again.  ``cech_complex`` only assembles
+matrices; ``CochainComplex`` still checks d.d, which refuses any
+non-functorial ``Presheaf`` built directly, without ``make_presheaf``.
 
 Summands inside each cochain group are ordered lexicographically by
 vertex tuple, so all matrices here are reproducible.
@@ -62,7 +73,8 @@ def make_presheaf(
 
     Simplices missing from ``dims`` get dimension 0.  Restrictions into or
     out of a zero space are filled in as zero matrices; every other
-    codimension-1 restriction must be supplied.
+    codimension-1 restriction must be supplied.  The result is checked for
+    functoriality before it is returned.
     """
     full_dims: dict[Simplex, int] = {}
     for s in base.simplices:
@@ -95,7 +107,9 @@ def make_presheaf(
     if restrictions:
         key = next(iter(restrictions))
         raise ShapeMismatch(f"restriction given for {key}, which is not a codimension-1 inclusion")
-    return Presheaf(base, full_dims, full_restrictions)
+    v = Presheaf(base, full_dims, full_restrictions)
+    check_functoriality(v)
+    return v
 
 
 def check_functoriality(v: Presheaf) -> None:
@@ -156,7 +170,11 @@ class CochainComplex:
 
 
 def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:
-    """Every simplex gets dimension d with identity restrictions."""
+    """Every simplex gets dimension d with identity restrictions.
+
+    Functorial by construction: every composite is the identity.  With
+    d = 0 this is the zero presheaf, whose composites are 0x0.
+    """
     ident = RationalMatrix.identity(d)
     dims = {s: d for s in base.simplices}
     restrictions = {pair: ident for pair in _codim1_pairs(base)}
@@ -164,8 +182,12 @@ def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:
 
 
 def cech_complex(v: Presheaf) -> CochainComplex:
-    """Block cochain complex of a presheaf with the alternating-sign differential."""
-    check_functoriality(v)
+    """Block cochain complex of a presheaf with the alternating-sign differential.
+
+    Only assembles matrices: functoriality was checked where the
+    restrictions entered, and ``CochainComplex`` refuses a non-functorial
+    presheaf through its d.d check.
+    """
     base = v.base
     top = base.dim
     if top < 0:
@@ -190,6 +212,11 @@ def presheaf_cohomology(v: Presheaf) -> list[int]:
 
 
 def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
+    """Stalkwise direct sum with block-diagonal restrictions.
+
+    Functorial when v and w are: a composite of block-diagonal maps is the
+    block-diagonal map of the two summands' composites.
+    """
     if v.base != w.base:
         raise BaseMismatch("direct sum requires a common base complex")
     dims = {s: v.dim(s) + w.dim(s) for s in v.base.simplices}
@@ -225,6 +252,16 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, 
     additive across it, and that identity is verified here by direct
     computation; inputs whose extension does not split are rejected rather
     than silently mis-reported.
+
+    The quotient is functorial by construction whenever v is.  Its
+    restriction sigma -> tau is P_tau R_{sigma,tau} E_sigma, where E embeds
+    a complement of the unit vector u and P projects along u, so
+    E_tau P_tau = I - u_tau pi_tau and P_rho u_rho = 0.  The section is
+    checked compatible (R_{tau,rho} u_tau = u_rho) before anything else, so
+    the composite sigma -> tau -> rho is
+    P_rho R_{tau,rho} (I - u_tau pi_tau) R_{sigma,tau} E_sigma
+    = P_rho R_{tau,rho} R_{sigma,tau} E_sigma.  A non-functorial v is
+    refused by the d.d check of its own Cech complex below.
     """
     base = v.base
     units = {s: _unit_column(v, unit, s) for s in sorted(base.simplices)}
@@ -253,7 +290,7 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, 
         pair: projections[pair[1]] @ v.restrictions[pair] @ embeddings[pair[0]]
         for pair in _codim1_pairs(base)
     }
-    quotient = make_presheaf(base, q_dims, q_restrictions)
+    quotient = Presheaf(base, q_dims, q_restrictions)
     total = presheaf_cohomology(v)
     constant_part = presheaf_cohomology(constant_presheaf(base, 1))
     complement = presheaf_cohomology(quotient)

@@ -212,6 +212,9 @@ def build_presheaf(d: SncDivisor, r: int, q: int, flavor: str = SHEAF) -> Preshe
                 )
         return constant_presheaf(delta, 1)
     dims = {t: table_dim(d, t, flavor, r, q) for t in d.strata}
+    if not any(dims.values()):
+        return constant_presheaf(delta, 0)
+    # make_presheaf fills in the zero maps into or out of a zero space
     restrictions: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
     for tau in sorted(d.strata):
         if len(tau) < 2:
@@ -219,9 +222,7 @@ def build_presheaf(d: SncDivisor, r: int, q: int, flavor: str = SHEAF) -> Preshe
         for pos in range(len(tau)):
             sigma = tau[:pos] + tau[pos + 1 :]
             ds, dt = dims[sigma], dims[tau]
-            if ds == 0 or dt == 0:
-                restrictions[(sigma, tau)] = RationalMatrix.zeros(dt, ds)
-            else:
+            if ds and dt:
                 restrictions[(sigma, tau)] = _resolve_restriction(
                     d, flavor, r, q, sigma, tau, ds, dt
                 )
@@ -236,7 +237,10 @@ def _assemble(d: SncDivisor, layers: Sequence[tuple[int, Presheaf, str]]) -> Coh
     delta = dual_complex(d)
     if delta.dim < 0:
         return CohomologyReport((), ())
-    # a zero layer has 0 groups and shape-checked 0x0 restrictions: no check can fail
+    # a zero layer has 0 groups in every degree, so no check on it can fail.
+    # A nonzero layer is the constant q = 0 presheaf, functorial by
+    # construction, or came through make_presheaf, which checked its shapes
+    # and functoriality; the CochainComplex of presheaf_cohomology checks d.d.
     zero = [0] * (delta.dim + 1)
     cohomology = {q: zero if v.is_zero() else presheaf_cohomology(v) for q, v, _ in layers}
     q_eff = max((q for q, v, _ in layers if not v.is_zero()), default=0)
@@ -384,18 +388,15 @@ def snc_curve_euler(genera: Sequence[int], edges: int) -> CurveEulerResult:
     """Euler characteristic of a curve configuration: N - e - sum of genera.
 
     Assumes any two components meet in at most one point (the caller's
-    responsibility).  The same number computed through the dual complex,
-    chi(Delta) - sum g, is returned alongside and must agree.
+    responsibility).  ``dual_complex_euler`` is N - e, the Euler
+    characteristic of the dual graph with N vertices and e edges, taken as
+    given rather than computed from a complex; the value is one formula.
     """
     if any(g < 0 for g in genera) or edges < 0:
         raise InvalidInput("genera and edge count must be nonnegative")
     n = len(genera)
     genus_sum = sum(genera)
-    value = n - edges - genus_sum
-    via_complex = (n - edges) - genus_sum
-    if value != via_complex:
-        raise InvalidInput("curve Euler characteristic is inconsistent")
-    return CurveEulerResult(value, n - edges, genus_sum)
+    return CurveEulerResult(n - edges - genus_sum, n - edges, genus_sum)
 
 
 def combinatorial_cohomology_check(d: SncDivisor) -> CohomologyReport:

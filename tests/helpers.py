@@ -3,12 +3,15 @@
 The oracles deliberately avoid the library's own elimination code.  Ranks
 come from fraction-free Bareiss elimination over the integers, Betti
 numbers from chain boundary matrices (the homology route, not the cochain
-route the library uses), monomial counts from inclusion-exclusion, and
-local-model homology from the full Cech matrix over every stratum at once.
+route the library uses), monomial counts from inclusion-exclusion,
+local-model homology from the full Cech matrix over every stratum at once,
+and presheaf functoriality from triple-loop products of the restrictions.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +24,8 @@ from dualcech.localmodel import LocalModelSpec, quotient_basis
 from dualcech.presheaf import CochainComplex, Presheaf
 from dualcech.simplicial import SimplicialComplex
 from dualcech.snc import DERHAM, SHEAF, SncDivisor, TableEntry
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 # ---------------------------------------------------------------- oracles
@@ -104,6 +109,30 @@ def oracle_matmul(a: list[list], b: list[list], cols: int) -> list[list[Fraction
     ]
 
 
+def oracle_is_functorial(v: Presheaf) -> bool:
+    """Whether every two-step restriction composite is path independent.
+
+    For each simplex rho with at least three vertices and each pair of
+    positions x < y, the composites from rho minus both vertices through rho
+    minus one of them are dense ``oracle_matmul`` products of the
+    restriction rows.
+    """
+    for rho in v.base.simplices:
+        if len(rho) < 3:
+            continue
+        for x, y in combinations(range(len(rho)), 2):
+            sigma = tuple(w for k, w in enumerate(rho) if k not in (x, y))
+            composites = []
+            for skip in (x, y):
+                tau = tuple(w for k, w in enumerate(rho) if k != skip)
+                outer = v.restrictions[(tau, rho)].to_rows()
+                inner = v.restrictions[(sigma, tau)].to_rows()
+                composites.append(oracle_matmul(outer, inner, v.dim(sigma)))
+            if composites[0] != composites[1]:
+                return False
+    return True
+
+
 def oracle_minor_gcd(rows: list[list[int]], size: int) -> int:
     """gcd of all size x size minors (0 when there are none)."""
     import math
@@ -182,8 +211,8 @@ def oracle_layered_report(d: SncDivisor, r: int, flavor: str) -> snc.CohomologyR
     """The report of one (form degree, flavor) family, every layer ranked.
 
     Layers q = 0..top are built as the library builds them, and each one,
-    identically zero or not, goes through ``cech_complex`` (functoriality
-    and d.d checked) and Bareiss ranks.  The totals and summands follow the
+    identically zero or not, goes through ``cech_complex`` (d.d checked)
+    and Bareiss ranks.  The totals and summands follow the
     paper's sum over p + q = k, up to the last nonzero layer.
     """
     delta = snc.dual_complex(d)
@@ -311,28 +340,11 @@ def nonfunctorial_q1_document() -> dict:
 
     The q = 1 restrictions are explicit and not path independent: from (0,)
     or (1,) into (0, 1, 2) the route through (0, 1) gives 2, the other
-    route 1.  Every other layer is constant or zero.
+    route 1.  Every other layer is constant or zero.  The document is
+    written by ``scripts/make_inputs.py``.
     """
-    strata = [list(t) for size in (1, 2, 3) for t in combinations(range(3), size)]
-    tables = []
-    for t in strata:
-        tables.append({"tuple": t, "r": 0, "q": 0, "dim": 1, "restriction": "constant"})
-        row = {"tuple": t, "r": 0, "q": 1, "dim": 1}
-        if len(t) > 1:
-            faces = [t[:k] + t[k + 1 :] for k in range(len(t))]
-            row["restriction"] = {
-                "matrices": {",".join(map(str, f)): [[2 if f == [0, 1] else 1]] for f in faces}
-            }
-        tables.append(row)
-        for q in range(2, 3 - (len(t) - 1) + 1):
-            tables.append({"tuple": t, "r": 0, "q": q, "dim": 0})
-    return {
-        "schema_version": 1,
-        "kind": "divisor",
-        "components": [{"name": f"S{i}", "dim": 3} for i in range(3)],
-        "strata": strata,
-        "tables": tables,
-    }
+    with open(os.path.join(DATA, "nonfunctorial_q1.json"), encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def disguised_rays(rng: random.Random, rays) -> list[list[int]]:

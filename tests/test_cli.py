@@ -6,9 +6,11 @@ import subprocess
 import sys
 from itertools import combinations
 
+import pytest
+
 from dualcech import cli
 
-from helpers import disguised_rays, nonfunctorial_q1_document, schema_errors
+from helpers import disguised_rays, schema_errors
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 INPUTS = os.path.join(ROOT, "inputs")
@@ -399,13 +401,21 @@ def test_toric_projective_boundaries_at_depth(capsys, tmp_path):
         assert report["result"]["sheaf_euler_characteristic"] == 1
 
 
-def test_nonfunctorial_higher_layer_exits_1(capsys, tmp_path):
-    path = tmp_path / "nonfunctorial.json"
-    path.write_text(json.dumps(nonfunctorial_q1_document()))
-    code = cli.main(["snc-cohomology", str(path), "--json"])
+@pytest.mark.parametrize(
+    "command, path, cell",
+    [
+        ("snc-cohomology", os.path.join(ROOT, "tests", "data", "nonfunctorial_q1.json"), "(1,) -> (0, 1, 2)"),
+        ("presheaf-cohomology", input_path("nonfunctorial_presheaf.json"), "(0,) -> (0, 1, 2)"),
+        ("rational-check", input_path("nonfunctorial_rational_check.json"), "(0,) -> (0, 1, 2)"),
+    ],
+    ids=["snc-cohomology", "presheaf-cohomology", "rational-check"],
+)
+def test_nonfunctorial_higher_layer_exits_1(capsys, command, path, cell):
+    code = cli.main([command, path, "--json"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "restriction composites (1,) -> (0, 1, 2) disagree" in captured.err
+    assert f"restriction composites {cell} disagree" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_snapshot_unchanged():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from dualcech import presheaf, simplicial
 from dualcech.errors import (
     BaseMismatch,
+    CompositionNonzero,
     FunctorialityViolation,
     IncompatibleSection,
     NonSplitExtension,
@@ -14,7 +15,7 @@ from dualcech.errors import (
 )
 from dualcech.exactla import RationalMatrix
 
-from helpers import random_complex, random_presheaf
+from helpers import conjugate_presheaf, oracle_is_functorial, random_complex, random_presheaf
 
 
 def hollow_triangle():
@@ -77,7 +78,8 @@ def test_missing_restriction_refused():
         presheaf.make_presheaf(base, {s: 1 for s in base.simplices}, {})
 
 
-def test_functoriality_violation_detected():
+def nonfunctorial_triangle():
+    """A filled triangle whose composites (0,) -> (0, 1, 2) give 2 and 1."""
     base = simplicial.from_facets(3, [(0, 1, 2)])
     dims = {s: 1 for s in base.simplices}
     restrictions = {}
@@ -87,8 +89,21 @@ def test_functoriality_violation_detected():
             if sigma:
                 restrictions[(sigma, tau)] = RationalMatrix.identity(1)
     restrictions[((0,), (0, 1))] = RationalMatrix.from_rows([[2]])
-    v = presheaf.make_presheaf(base, dims, restrictions)
+    return base, dims, restrictions
+
+
+def test_functoriality_violation_detected():
+    base, dims, restrictions = nonfunctorial_triangle()
     with pytest.raises(FunctorialityViolation):
+        v = presheaf.make_presheaf(base, dims, restrictions)
+        presheaf.cech_complex(v)
+
+
+def test_unchecked_presheaf_refused_by_cech_complex():
+    # built around make_presheaf: the d.d check of the Cech complex is the guard
+    v = presheaf.Presheaf(*nonfunctorial_triangle())
+    assert not oracle_is_functorial(v)
+    with pytest.raises(CompositionNonzero):
         presheaf.cech_complex(v)
 
 
@@ -193,6 +208,24 @@ def test_cech_complex_of_random_presheaf_is_valid(seed):
     v = random_presheaf(rng, base)
     complex_ = presheaf.cech_complex(v)
     assert sum(complex_.space_dims) == sum(v.dims.values())
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_unchecked_constructions_are_functorial_by_oracle(seed):
+    # constant, zero, direct-sum and split-quotient presheaves skip
+    # check_functoriality; the oracle confirms they need no check
+    rng = random.Random(seed)
+    base = random_complex(rng, max_vertices=5)
+    for d in (0, 1, 2):
+        assert oracle_is_functorial(presheaf.constant_presheaf(base, d))
+    v = random_presheaf(rng, base, summands=2)
+    w = random_presheaf(rng, base, summands=2)
+    assert oracle_is_functorial(presheaf.direct_sum(v, w))
+    planted = presheaf.direct_sum(presheaf.constant_presheaf(base, 1), random_presheaf(rng, base, summands=2))
+    twisted, changes = conjugate_presheaf(rng, planted)
+    unit = {s: [changes[s].entry(i, 0) for i in range(changes[s].rows)] for s in base.simplices}
+    _, quotient = presheaf.split_constant(twisted, unit)
+    assert oracle_is_functorial(quotient)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -21,6 +21,7 @@ from dualcech.snc import DERHAM, SHEAF, TableEntry
 from helpers import (
     elliptic_triangle_divisor,
     nonfunctorial_q1_document,
+    oracle_is_functorial,
     oracle_layered_report,
     pn_hyperplanes_divisor,
     three_lines_divisor,
@@ -398,6 +399,31 @@ def test_zero_layer_skip_matches_every_layer_ranked():
         zero_layers += sum(snc.build_presheaf(d, 0, q).is_zero() for q in range(bound + 1))
     # every structure-sheaf report, three_lines_p2's forms and deRham reports, and skipped layers
     assert reports >= 18 and zero_layers > 0
+
+
+def test_unchecked_layers_are_functorial_by_oracle():
+    # the constant q = 0 layers and the all-zero layers skip
+    # check_functoriality; the oracle confirms every layer built is functorial
+    docs = []
+    for path in sorted(glob.glob(os.path.join(INPUTS, "*.json"))):
+        with open(path, encoding="utf-8") as handle:
+            docs.append(json.load(handle))
+    docs.append(nonfunctorial_q1_document())
+    constant = zero = 0
+    for doc in docs:
+        if doc["kind"] != "divisor":
+            continue
+        d = formats.parse_divisor(doc)
+        bound = max(snc.stratum_dim_bound(d, t) for t in d.strata)
+        for flavor, r_top, q_top in ((SHEAF, bound, bound), (DERHAM, 0, 2 * bound)):
+            for r in range(r_top + 1):
+                for q in range(q_top + 1):
+                    v = _outcome(snc.build_presheaf, d, r, q, flavor)
+                    if isinstance(v, presheaf.Presheaf):
+                        assert oracle_is_functorial(v), (doc, flavor, r, q)
+                        constant += q == 0 and r == 0
+                        zero += v.is_zero()
+    assert constant > 0 and zero > 0
 
 
 def test_zero_layer_skip_keeps_functoriality_check():
