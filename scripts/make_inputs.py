@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -276,6 +277,89 @@ def one_row_bicomplex() -> dict:
     }
 
 
+def d3_staircase_bicomplex() -> dict:
+    """A staircase (0,2) -> (1,2) <- (1,1) -> (2,1) <- (2,0) -> (3,0) of identities.
+
+    The gap-0 and gap-1 steps cancel on E1 and E2, leaving one-dimensional
+    E2 entries at (0,2) and (3,0) joined by the only nonzero higher
+    differential, a d_3; the limit page is zero.
+    """
+    one = [[1]]
+    return {
+        "kind": "bicomplex",
+        "schema_version": 1,
+        "dims": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]],
+        "horizontal": [
+            {"p": 0, "q": 2, "matrix": one},
+            {"p": 1, "q": 1, "matrix": one},
+            {"p": 2, "q": 0, "matrix": one},
+        ],
+        "vertical": [
+            {"p": 1, "q": 1, "matrix": one},
+            {"p": 2, "q": 0, "matrix": one},
+        ],
+    }
+
+
+def rational_bicomplex() -> dict:
+    """The hollow triangle's cochains tensored with Q^2 -> Q by [1 1], in rational bases.
+
+    E1 is three-dimensional at (0,0) and (1,0), E2 = Einf is one-dimensional
+    there.  Each cell's basis is then changed by elementary matrices
+    I + c e_ij with c in {1/2, -3/2, 2/3}: a map leaving the cell loses c
+    times column i from column j, a map entering it gains c times row j in
+    row i.
+    """
+    triangle = [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
+    eye3 = [[int(i == j) for j in range(3)] for i in range(3)]
+
+    def kron(a, b):
+        return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+    # cells (p, q): p from the triangle, q from Q^2 -> Q; verticals carry (-1)^p
+    horizontal = {(0, 0): kron(triangle, [[1, 0], [0, 1]]), (0, 1): kron(triangle, [[1]])}
+    vertical = {(0, 0): kron(eye3, [[1, 1]]), (1, 0): kron(eye3, [[-1, -1]])}
+    maps = {**{("h", p, q): m for (p, q), m in horizontal.items()}, **{("v", p, q): m for (p, q), m in vertical.items()}}
+    changes = [((0, 0), 0, 3, "1/2"), ((1, 0), 5, 1, "-3/2"), ((0, 1), 2, 0, "2/3"), ((1, 1), 1, 2, "1/2")]
+    for cell, i, j, c in changes:
+        c = Fraction(c)
+        for (kind, p, q), m in maps.items():
+            if (p, q) == cell:  # leaving
+                for row in m:
+                    row[j] -= c * row[i]
+            if (p + (kind == "h"), q + (kind == "v")) == cell:  # entering
+                m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+
+    def entry(x):
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    def encoded(kind):
+        return [
+            {"p": p, "q": q, "matrix": [[entry(x) for x in row] for row in m]}
+            for (k, p, q), m in sorted(maps.items())
+            if k == kind
+        ]
+
+    return {
+        "kind": "bicomplex",
+        "schema_version": 1,
+        "dims": [[6, 6], [3, 3]],
+        "horizontal": encoded("h"),
+        "vertical": encoded("v"),
+    }
+
+
+def bad_entry_bicomplex() -> dict:
+    """A boolean matrix entry, refused with its JSON pointer."""
+    return {
+        "kind": "bicomplex",
+        "schema_version": 1,
+        "dims": [[1, 1]],
+        "horizontal": [{"p": 0, "q": 0, "matrix": [[True]]}],
+    }
+
+
 def vertex_presheaf_triangle() -> dict:
     """Hollow triangle with one-dimensional vertex spaces and zero edge spaces."""
     return {
@@ -348,6 +432,9 @@ def main() -> None:
     )
     write("bicomplex_d2.json", nonzero_d2_bicomplex())
     write("bicomplex_row.json", one_row_bicomplex())
+    write("bicomplex_d3.json", d3_staircase_bicomplex())
+    write("bicomplex_rational.json", rational_bicomplex())
+    write("bicomplex_bad_entry.json", bad_entry_bicomplex())
     write("vertex_presheaf_triangle.json", vertex_presheaf_triangle())
     write("nonfunctorial_presheaf.json", nonfunctorial_presheaf())
     write("nonfunctorial_rational_check.json", nonfunctorial_rational_check())

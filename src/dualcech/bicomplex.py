@@ -5,23 +5,35 @@ differentials move right, vertical ones move up, and the two must
 anticommute; a valid bicomplex therefore has a total complex with
 differential (horizontal + vertical).
 
-Only pages 0, 1, 2 and infinity are exposed.  Degeneration at the second
-page is tested by comparing E2 against Einf, which detects any nonzero
-higher differential without ever computing one.
+Every page is read off one filtered reduction of the total complex.  The
+column filtration F^p (the cells with column >= p) is preserved by the
+total differential, and the persistence pairing of each d_m under it
+matches a cell sigma of degree m with a cell tau of degree m + 1 at gap
+p(tau) - p(sigma) >= 0 (see ``_pairing``).  E_r^{p,q} counts the cells at
+(p, q) that are unpaired or end a pair of gap >= r; the pairs of gap r are
+the ranks of d_r, and Einf counts the unpaired cells alone.  Only pages 0,
+1, 2 and infinity are exposed.  Degeneration at the second page is tested
+by comparing E2 against Einf, so it fails exactly when some pair has gap
+>= 2, a nonzero higher differential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import exactla
 from .errors import InvalidBicomplex
-from .exactla import RationalMatrix, kernel_basis, rank
+# kernel_basis and rank are unused here; perfbench/spans.py traces them as names bound in this module
+from .exactla import RationalMatrix, kernel_basis, rank  # noqa: F401
 from .presheaf import CochainComplex
 
 INFINITY = math.inf
+
+# a basis vector of the (p, q) entry: (p, q, index)
+_Cell = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -34,6 +46,15 @@ class Bicomplex:
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
+
+    # derived once per bicomplex and shared by every page and total_cohomology
+    @cached_property
+    def _total(self) -> CochainComplex:
+        return total_complex(self)
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[_Cell, _Cell], ...]:
+        return _pairing(self)
 
 
 @dataclass(frozen=True)
@@ -157,95 +178,89 @@ def total_complex(b: Bicomplex) -> CochainComplex:
 
 
 def total_cohomology(b: Bicomplex) -> list[int]:
-    return total_complex(b).cohomology()
+    return b._total.cohomology()
 
 
-def _vertical_in(b: Bicomplex, p: int, q: int) -> RationalMatrix:
-    if q > 0:
-        return b.vertical[(p, q - 1)]
-    return RationalMatrix.zeros(b.dim(p, 0), 0)
+def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
+    """The persistence pairing of the total complex under the column filtration.
+
+    Each total degree m lists its cells (p, q, k), k indexing a basis of
+    the (p, q) entry, in the order of ``total_complex``: by p ascending, so
+    index order refines p order.  The columns of d_m are taken largest
+    index first, and the pivot of each is its live row of smallest index,
+    so of smallest p (Zomorodian-Carlsson, *Computing persistent homology*,
+    2005).  That is ``_eliminate`` on the transpose of d_m, walking the
+    rows of d_m by index and pivoting each on the holder of largest index.
+    A column sigma only gains multiples of columns taken before it, so it
+    stays d_m of a cochain in the subcomplex F^p(sigma), and its pivot tau
+    pairs with it at gap p(tau) - p(sigma) >= 0.  The pairs do not depend
+    on how the elimination goes: let B(tau, sigma) be the block of d_m on
+    the rows up to tau and the columns taken up to sigma; (sigma, tau) is
+    a pair exactly when rank B(tau, sigma) - rank B(tau-, sigma) -
+    rank B(tau, sigma-) + rank B(tau-, sigma-) = 1, with tau- the row
+    before tau and sigma- the column taken before sigma, and adding a
+    column to one taken after it keeps every such rank.
+
+    Clearing (Chen-Kerber, *Persistent homology computation with a twist*,
+    2011): the cells tau paired in d_m are dropped as columns of d_{m+1}.
+    The reduced column of their partner sigma is a*tau (a != 0) plus rows
+    of larger index, and d_{m+1} kills it, so d_{m+1}(tau) is a
+    combination of the columns of d_{m+1} at cells of larger index, all
+    taken before tau.  Column tau would reduce to zero, and deleting it
+    changes the rank of no block B: neither the pairs nor the ranks change.
+    """
+    tc = b._total
+    cells = [
+        [(p, q, k) for p, q in _antidiagonal(b, m) for k in range(b.dim(p, q))]
+        for m in range(len(tc.space_dims))
+    ]
+    pairs = []
+    cleared: set[int] = set()
+    for m, d in enumerate(tc.differentials):
+        live = [i for i in range(d.cols) if i not in cleared]
+        pivots = exactla._eliminate(
+            d.take_columns(live).transpose(), order=(lambda j: j, lambda i: -i)
+        )
+        cleared = {c for c, _, _ in pivots}
+        pairs.extend((cells[m][live[r]], cells[m + 1][c]) for c, r, _ in pivots)
+    return tuple(pairs)
+
+
+def _page_dims(b: Bicomplex, r: int | float) -> dict[tuple[int, int], int]:
+    """E_r^{p,q}: the cells at (p, q) that are unpaired or end a pair of gap >= r."""
+    dims = {(p, q): b.dim(p, q) for p in range(b.width + 1) for q in range(b.height + 1)}
+    for sigma, tau in b._pairs:
+        if tau[0] - sigma[0] < r:
+            dims[sigma[:2]] -= 1
+            dims[tau[:2]] -= 1
+    return dims
 
 
 def page(b: Bicomplex, r: int) -> SpectralPage:
-    """Page E0 (raw dims), E1 (vertical cohomology) or E2 (horizontal cohomology of E1)."""
+    """Page E0 (raw dims), E1 (vertical cohomology) or E2 (horizontal cohomology of E1).
+
+    Read off the filtered pairing of ``_pairing`` (with clearing, which
+    leaves it unchanged): E_r^{p,q} counts the cells at (p, q) that are
+    unpaired or end a pair of gap at least r.  A pair of gap r is one rank
+    of d_r, so it is on E_r and gone from E_{r+1}; the pairs of gap 0 are
+    the vertical differential.
+    """
     if r not in (0, 1, 2):
         raise InvalidBicomplex(f"only pages 0, 1, 2 and infinity are computed, not {r}")
-    grid = [(p, q) for p in range(b.width + 1) for q in range(b.height + 1)]
-    if r == 0:
-        return SpectralPage(0, {pos: b.dim(*pos) for pos in grid})
-    if r == 1:
-        dims = {}
-        for p, q in grid:
-            dims[(p, q)] = exactla.homology_dim(_vertical_in(b, p, q), b.vertical[(p, q)])
-        return SpectralPage(1, dims)
-    # E2: the differential induced by the horizontal maps on vertical
-    # cohomology, evaluated on kernel bases of the vertical maps.  The rank
-    # of the induced map Z_p/B_p -> Z_{p+1}/B_{p+1} is
-    # rank([delta K_p | V_{p+1}]) - rank(V_{p+1}).
-    kernels = {(p, q): kernel_basis(b.vertical[(p, q)]) for p, q in grid}
-    e1 = {
-        (p, q): kernels[(p, q)].cols - rank(_vertical_in(b, p, q))
-        for p, q in grid
-    }
-    induced_rank = {}
-    for p, q in grid:
-        if p == b.width:
-            induced_rank[(p, q)] = 0
-            continue
-        image = b.horizontal[(p, q)] @ kernels[(p, q)]
-        below = _vertical_in(b, p + 1, q)
-        induced_rank[(p, q)] = rank(image.hstack(below)) - rank(below)
-    dims = {}
-    for p, q in grid:
-        incoming = induced_rank[(p - 1, q)] if p > 0 else 0
-        dims[(p, q)] = e1[(p, q)] - induced_rank[(p, q)] - incoming
-    return SpectralPage(2, dims)
+    return SpectralPage(r, _page_dims(b, r))
 
 
 def page_infinity(b: Bicomplex) -> SpectralPage:
     """Graded pieces of the column filtration on total cohomology.
 
-    For each total degree m the filtration by p' >= p gives nested images
-    inside H^m(total); the (p, m - p) entry is the drop between steps p and
-    p + 1.  The antidiagonal sums are checked against an independently
-    computed total cohomology before returning.
+    These are the cells left unpaired by the filtered pairing of
+    ``_pairing``, which clearing leaves unchanged.  The antidiagonal sums
+    are checked against the total cohomology, ranked independently with
+    the default pivot order, before returning.
     """
-    tc = total_complex(b)
-    totals = tc.cohomology()
-    top = b.width + b.height
-    dims = {(p, q): 0 for p in range(b.width + 1) for q in range(b.height + 1)}
-    for m in range(top + 1):
-        positions = _antidiagonal(b, m)
-        offsets = []
-        start = 0
-        for pos in positions:
-            offsets.append((pos, start, start + b.dim(*pos)))
-            start += b.dim(*pos)
-        dim_m = start
-        d_prev = tc.differentials[m - 1] if m > 0 else RationalMatrix.zeros(dim_m, 0)
-        d_out = tc.differentials[m] if m < top else RationalMatrix.zeros(0, dim_m)
-        rank_prev = rank(d_prev)
-        graded = []
-        for cut in range(b.width + 2):
-            cols = [
-                c
-                for (pos, lo, hi) in offsets
-                if pos[0] >= cut
-                for c in range(lo, hi)
-            ]
-            if not cols:
-                graded.append(0)
-                continue
-            sub_kernel = kernel_basis(d_out.take_columns(cols))
-            embedded = RationalMatrix.from_entries(
-                dim_m,
-                sub_kernel.cols,
-                {(cols[i], j): v for i, j, v in sub_kernel.nonzero_entries()},
-            )
-            graded.append(rank(embedded.hstack(d_prev)) - rank_prev)
-        for p, q in positions:
-            dims[(p, q)] = graded[p] - graded[p + 1]
-        if sum(graded[p] - graded[p + 1] for p, _ in positions) != totals[m]:
+    dims = _page_dims(b, INFINITY)
+    for m, total in enumerate(total_cohomology(b)):
+        if sum(dims[pos] for pos in _antidiagonal(b, m)) != total:
             raise InvalidBicomplex(
                 f"filtration pieces in total degree {m} do not sum to the total cohomology"
             )

@@ -4,8 +4,10 @@ Every quantity in this package is ultimately a dimension, so a single
 rounding error would falsify a theorem check.  There is no floating point
 anywhere: the API takes and returns arbitrary-precision
 ``fractions.Fraction`` entries, and the two inner loops run on Python
-``int``s.  Rank, kernels and inverses come from one sparse elimination,
-``_eliminate``; Smith normal form is the only other reduction.
+``int``s.  Rank, kernels, inverses and the filtered pairing behind the
+spectral pages come from one sparse elimination, ``_eliminate``, with a
+fill-reducing pivot order or a fixed one; Smith normal form is the only
+other reduction.
 
 ``_eliminate`` first scales each row by a positive rational to integers
 with no common factor, which leaves the row space unchanged, and then
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .errors import CompositionNonzero, ShapeMismatch
+from .errors import ShapeMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -231,19 +233,30 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[int, dict[int, int]]]:
-    """Sparse fraction-free elimination; returns the pivot rows as (pivot column, row).
+def _eliminate(
+    m: RationalMatrix,
+    pivot_limit: int | None = None,
+    order: tuple[Callable[[int], object], Callable[[int], object]] | None = None,
+) -> list[tuple[int, int, dict[int, int]]]:
+    """Sparse fraction-free elimination; returns the pivots as (column, row index, row).
 
     Rows are scaled to integers with coprime entries; a row holding ``a``
     in the pivot column becomes ``(p/g)*row - (a/g)*pivot_row`` for the
     pivot value ``p`` and ``g = gcd(a, p)`` signed like ``p``, and is then
-    divided by the gcd of its entries.  Pivots are chosen to keep fill-in
-    low (shortest column, then shortest row, ties broken by index so runs
-    are reproducible).  The pivot rule can only change the running time,
-    never the result.  Each pivot row is zero in the pivot columns of the
-    rows before it, so the rows form a triangular system with the row space
-    of ``m``.  Only columns below ``pivot_limit`` (default: all) hold
-    pivots; rows left with entries in the other columns alone are not
+    divided by the gcd of its entries.  By default pivots are chosen to
+    keep fill-in low (shortest column, then shortest row, ties broken by
+    index so runs are reproducible).  ``order = (column_key, row_key)``
+    fixes the order instead: the columns are walked once, in increasing
+    ``column_key``, and each live one is pivoted on its holder of least
+    ``row_key``.  One forward pass suffices: every live row is zero in the
+    columns already walked, so a pivot row is too, and fill-in lands only
+    in columns after the current pivot.  The pivot rule can change the
+    pivots but not the rank or the row space: each pivot row is zero in
+    the pivot columns of the rows before it, so the rows form a triangular
+    system with the row space of ``m``.  A pivot reports the index in ``m``
+    of the row it came from, which was changed only by positive scaling
+    and by adding multiples of earlier pivot rows.  Only columns below ``pivot_limit`` (default: all)
+    hold pivots; rows left with entries in the other columns alone are not
     returned.
     """
     limit = m.cols if pivot_limit is None else pivot_limit
@@ -254,10 +267,17 @@ def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[
         for j in row:
             if j < limit:
                 cols.setdefault(j, set()).add(i)
-    pivots: list[tuple[int, dict[int, int]]] = []
+    if order is not None:
+        column_key, row_key = order
+        walk = iter(sorted(cols, key=column_key))
+    pivots: list[tuple[int, int, dict[int, int]]] = []
     while cols:
-        c = min(cols, key=lambda j: (len(cols[j]), j))
-        r = min(cols[c], key=lambda i: (len(rows[i]), i))
+        if order is None:
+            c = min(cols, key=lambda j: (len(cols[j]), j))
+            r = min(cols[c], key=lambda i: (len(rows[i]), i))
+        else:
+            c = next(j for j in walk if j in cols)
+            r = min(cols[c], key=row_key)
         pivot_row = rows.pop(r)
         p = pivot_row[c]
         for j in pivot_row:
@@ -292,7 +312,7 @@ def _eliminate(m: RationalMatrix, pivot_limit: int | None = None) -> list[tuple[
                 rows[i] = _primitive(row)
             else:
                 del rows[i]
-        pivots.append((c, pivot_row))
+        pivots.append((c, r, pivot_row))
     return pivots
 
 
@@ -304,17 +324,17 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()}
 
 
-def _back_substitute(pivots: list[tuple[int, dict[int, int]]], ncols: int) -> RationalMatrix:
+def _back_substitute(pivots: list[tuple[int, int, dict[int, int]]], ncols: int) -> RationalMatrix:
     """Null space of triangular pivot rows, one kernel vector per free column.
 
     Kernel vector k is 1 at the k-th free column, 0 at the other free
     columns, and solves each pivot row for its pivot column, last row first.
     """
-    pivot_cols = {c for c, _ in pivots}
+    pivot_cols = {c for c, _, _ in pivots}
     free = [j for j in range(ncols) if j not in pivot_cols]
     # solution[j][k]: coordinate j of kernel vector k
     solution = {f: {k: _ONE} for k, f in enumerate(free)}
-    for c, row in reversed(pivots):
+    for c, _, row in reversed(pivots):
         acc: dict[int, Fraction] = {}
         for j, v in row.items():
             if j != c:
@@ -346,17 +366,6 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
         raise ShapeMismatch("matrix is singular")
     kernel = _back_substitute(pivots, 2 * n)
     return RationalMatrix._of_fractions(n, n, {(i, k): v for (i, k), v in kernel._entries.items() if i < n})
-
-
-def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
-    """dim ker(d_out) - rank(d_in) for two composable maps with d_out . d_in = 0."""
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatch(
-            f"joint dimension mismatch: d_in lands in dim {d_in.rows}, d_out leaves dim {d_out.cols}"
-        )
-    if not (d_out @ d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in is not the zero map")
-    return (d_in.rows - rank(d_out)) - rank(d_in)
 
 
 def block_matrix(

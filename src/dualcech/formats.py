@@ -13,6 +13,7 @@ inputs always produce byte-identical JSON.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Mapping
 
 from . import bicomplex as bicomplex_mod
@@ -77,8 +78,9 @@ def _rational(value, path):
 
 
 def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
+    """A dense JSON matrix, kept sparse; a plain ``int`` needs no parsing and a zero no entry."""
     data = _list(value, path)
-    parsed = []
+    entries = {}
     width = None
     for i, row in enumerate(data):
         row = _list(row, f"{path}/{i}")
@@ -86,15 +88,21 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
             width = len(row)
         elif len(row) != width:
             raise SchemaError(f"{path}/{i}", "ragged matrix rows")
-        parsed.append([_rational(x, f"{path}/{i}/{j}") for j, x in enumerate(row)])
+        for j, x in enumerate(row):
+            if type(x) is int:  # not bool, which _rational refuses
+                if x:
+                    entries[(i, j)] = Fraction(x)
+            else:
+                x = _rational(x, f"{path}/{i}/{j}")
+                if x:
+                    entries[(i, j)] = x
     if cols is not None and width is not None and width != cols:
         raise SchemaError(path, f"expected {cols} columns, got {width}")
     if cols is None:
         cols = width if width is not None else 0
-    matrix = RationalMatrix.from_rows(parsed, cols=cols)
-    if rows is not None and matrix.rows != rows:
-        raise SchemaError(path, f"expected {rows} rows, got {matrix.rows}")
-    return matrix
+    if rows is not None and len(data) != rows:
+        raise SchemaError(path, f"expected {rows} rows, got {len(data)}")
+    return RationalMatrix._of_fractions(len(data), cols, entries)
 
 
 def _vertex_tuple(value, path) -> Simplex:

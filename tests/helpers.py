@@ -18,7 +18,10 @@ from itertools import combinations
 from math import comb, lcm
 
 from dualcech import exactla, presheaf, simplicial, snc
-from dualcech.bicomplex import Bicomplex, make_bicomplex
+from dualcech.bicomplex import _antidiagonal as antidiagonal
+from dualcech.bicomplex import INFINITY, Bicomplex, SpectralPage, make_bicomplex, total_complex
+from dualcech.errors import CompositionNonzero, InvalidBicomplex, SchemaError, ShapeMismatch
+from dualcech.formats import _list, _rational
 from dualcech.exactla import RationalMatrix
 from dualcech.localmodel import LocalModelSpec, quotient_basis
 from dualcech.presheaf import CochainComplex, Presheaf
@@ -283,6 +286,145 @@ def oracle_sheaf_cech_complex(spec: LocalModelSpec, degree: int) -> OracleCochai
             RationalMatrix.from_entries(space_dims[p + 2], space_dims[p + 1], entries)
         )
     return OracleCochainComplex(tuple(space_dims), tuple(differentials))
+
+
+# ------------------------------------------------- spectral page oracles
+#
+# The page computations the library used before the filtered pairing:
+# E1 and E2 from kernel bases of the vertical maps, Einf from the nested
+# images of the column filtration.  They use the library's rank and
+# kernel_basis under the default pivot order, never the filtered order or
+# the pairing they check.
+
+
+def oracle_homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
+    """dim ker(d_out) - rank(d_in) for two composable maps with d_out . d_in = 0."""
+    if d_out.cols != d_in.rows:
+        raise ShapeMismatch(
+            f"joint dimension mismatch: d_in lands in dim {d_in.rows}, d_out leaves dim {d_out.cols}"
+        )
+    if not (d_out @ d_in).is_zero():
+        raise CompositionNonzero("d_out . d_in is not the zero map")
+    return (d_in.rows - exactla.rank(d_out)) - exactla.rank(d_in)
+
+
+def _vertical_in(b: Bicomplex, p: int, q: int) -> RationalMatrix:
+    if q > 0:
+        return b.vertical[(p, q - 1)]
+    return RationalMatrix.zeros(b.dim(p, 0), 0)
+
+
+def oracle_page(b: Bicomplex, r: int) -> SpectralPage:
+    """Page E0 (raw dims), E1 (vertical cohomology) or E2 (horizontal cohomology of E1)."""
+    if r not in (0, 1, 2):
+        raise InvalidBicomplex(f"only pages 0, 1, 2 and infinity are computed, not {r}")
+    grid = [(p, q) for p in range(b.width + 1) for q in range(b.height + 1)]
+    if r == 0:
+        return SpectralPage(0, {pos: b.dim(*pos) for pos in grid})
+    if r == 1:
+        dims = {}
+        for p, q in grid:
+            dims[(p, q)] = oracle_homology_dim(_vertical_in(b, p, q), b.vertical[(p, q)])
+        return SpectralPage(1, dims)
+    # E2: the differential induced by the horizontal maps on vertical
+    # cohomology, evaluated on kernel bases of the vertical maps.  The rank
+    # of the induced map Z_p/B_p -> Z_{p+1}/B_{p+1} is
+    # rank([delta K_p | V_{p+1}]) - rank(V_{p+1}).
+    kernels = {(p, q): exactla.kernel_basis(b.vertical[(p, q)]) for p, q in grid}
+    e1 = {
+        (p, q): kernels[(p, q)].cols - exactla.rank(_vertical_in(b, p, q))
+        for p, q in grid
+    }
+    induced_rank = {}
+    for p, q in grid:
+        if p == b.width:
+            induced_rank[(p, q)] = 0
+            continue
+        image = b.horizontal[(p, q)] @ kernels[(p, q)]
+        below = _vertical_in(b, p + 1, q)
+        induced_rank[(p, q)] = exactla.rank(image.hstack(below)) - exactla.rank(below)
+    dims = {}
+    for p, q in grid:
+        incoming = induced_rank[(p - 1, q)] if p > 0 else 0
+        dims[(p, q)] = e1[(p, q)] - induced_rank[(p, q)] - incoming
+    return SpectralPage(2, dims)
+
+
+def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
+    """Graded pieces of the column filtration on total cohomology.
+
+    For each total degree m the filtration by p' >= p gives nested images
+    inside H^m(total); the (p, m - p) entry is the drop between steps p and
+    p + 1.  The antidiagonal sums are checked against an independently
+    computed total cohomology before returning.
+    """
+    tc = total_complex(b)
+    totals = tc.cohomology()
+    top = b.width + b.height
+    dims = {(p, q): 0 for p in range(b.width + 1) for q in range(b.height + 1)}
+    for m in range(top + 1):
+        positions = antidiagonal(b, m)
+        offsets = []
+        start = 0
+        for pos in positions:
+            offsets.append((pos, start, start + b.dim(*pos)))
+            start += b.dim(*pos)
+        dim_m = start
+        d_prev = tc.differentials[m - 1] if m > 0 else RationalMatrix.zeros(dim_m, 0)
+        d_out = tc.differentials[m] if m < top else RationalMatrix.zeros(0, dim_m)
+        rank_prev = exactla.rank(d_prev)
+        graded = []
+        for cut in range(b.width + 2):
+            cols = [
+                c
+                for (pos, lo, hi) in offsets
+                if pos[0] >= cut
+                for c in range(lo, hi)
+            ]
+            if not cols:
+                graded.append(0)
+                continue
+            sub_kernel = exactla.kernel_basis(d_out.take_columns(cols))
+            embedded = RationalMatrix.from_entries(
+                dim_m,
+                sub_kernel.cols,
+                {(cols[i], j): v for i, j, v in sub_kernel.nonzero_entries()},
+            )
+            graded.append(exactla.rank(embedded.hstack(d_prev)) - rank_prev)
+        for p, q in positions:
+            dims[(p, q)] = graded[p] - graded[p + 1]
+        if sum(graded[p] - graded[p + 1] for p, _ in positions) != totals[m]:
+            raise InvalidBicomplex(
+                f"filtration pieces in total degree {m} do not sum to the total cohomology"
+            )
+    return SpectralPage(INFINITY, dims)
+
+
+def oracle_matrix(value, path, rows=None, cols=None) -> RationalMatrix:
+    """``formats._matrix`` as it was before its fast path for plain integers.
+
+    Every entry goes through ``_rational`` and the matrix through
+    ``RationalMatrix.from_rows``; the error paths and messages are the
+    reference the fast path must keep.
+    """
+    data = _list(value, path)
+    parsed = []
+    width = None
+    for i, row in enumerate(data):
+        row = _list(row, f"{path}/{i}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise SchemaError(f"{path}/{i}", "ragged matrix rows")
+        parsed.append([_rational(x, f"{path}/{i}/{j}") for j, x in enumerate(row)])
+    if cols is not None and width is not None and width != cols:
+        raise SchemaError(path, f"expected {cols} columns, got {width}")
+    if cols is None:
+        cols = width if width is not None else 0
+    matrix = RationalMatrix.from_rows(parsed, cols=cols)
+    if rows is not None and matrix.rows != rows:
+        raise SchemaError(path, f"expected {rows} rows, got {matrix.rows}")
+    return matrix
 
 
 # ------------------------------------------------------ divisor builders
@@ -562,6 +704,95 @@ def random_bicomplex(
         for (p, q), mat in vertical.items()
     }
     return make_bicomplex(draft.dims, horizontal, vertical)
+
+
+def simplex_boundary_cochains(a: int) -> CochainComplex:
+    """Constant-coefficient Cech cochains of the boundary of the simplex on
+    ``a`` vertices, a sphere of dimension a - 2."""
+    boundary = simplicial.from_facets(a, list(combinations(range(a), a - 1)))
+    return presheaf.cech_complex(presheaf.constant_presheaf(boundary, 1))
+
+
+def direct_sum_bicomplex(a: Bicomplex, b: Bicomplex) -> Bicomplex:
+    """Cellwise direct sum, ``a``'s basis first; the maps are block diagonal."""
+    width, height = max(a.width, b.width), max(a.height, b.height)
+    dims = {(p, q): a.dim(p, q) + b.dim(p, q) for p in range(width + 1) for q in range(height + 1)}
+
+    def summed(kind, dp, dq):
+        out = {}
+        for p, q in dims:
+            target = (p + dp, q + dq)
+            if target in dims:
+                blocks = {
+                    (k, k): getattr(x, kind)[(p, q)]
+                    for k, x in enumerate((a, b))
+                    if (p, q) in getattr(x, kind)
+                }
+                out[(p, q)] = exactla.block_matrix(
+                    [a.dim(*target), b.dim(*target)], [a.dim(p, q), b.dim(p, q)], blocks
+                )
+        return out
+
+    return make_bicomplex(dims, summed("horizontal", 1, 0), summed("vertical", 0, 1))
+
+
+def conjugate_bicomplex(rng: random.Random, b: Bicomplex) -> Bicomplex:
+    """Change basis in every cell by elementary matrices I + c e_ij.
+
+    The multipliers include halves, so the maps get "p/q" entries; the
+    result is isomorphic to ``b`` and has the same pages.
+    """
+    changes, inverses = {}, {}
+    for cell, n in b.dims.items():
+        change = inverse = RationalMatrix.identity(n)
+        for _ in range(max(1, n // 4) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = Fraction(rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]))
+            unit = {(k, k): 1 for k in range(n)}
+            change = RationalMatrix.from_entries(n, n, {**unit, (i, j): c}) @ change
+            inverse = inverse @ RationalMatrix.from_entries(n, n, {**unit, (i, j): -c})
+        changes[cell], inverses[cell] = change, inverse
+
+    def moved(maps, dp, dq):
+        return {
+            (p, q): changes[(p + dp, q + dq)] @ m @ inverses[(p, q)]
+            for (p, q), m in maps.items()
+            if not m.is_zero()
+        }
+
+    return make_bicomplex(dict(b.dims), moved(b.horizontal, 1, 0), moved(b.vertical, 0, 1))
+
+
+def zigzag_bicomplex() -> Bicomplex:
+    """Cells (0,1) -> (1,1) <- (1,0) -> (2,0) joined by identities: a nonzero d_2."""
+    one = RationalMatrix.identity(1)
+    return make_bicomplex(
+        {(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): 1},
+        horizontal={(0, 1): one, (1, 0): one},
+        vertical={(1, 0): one},
+    )
+
+
+def bicomplex_document(b: Bicomplex) -> dict:
+    """A ``bicomplex`` input document; integers stay integers, other entries become "p/q"."""
+
+    def entry(x: Fraction):
+        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    def encoded(maps):
+        return [
+            {"p": p, "q": q, "matrix": [[entry(x) for x in row] for row in m.to_rows()]}
+            for (p, q), m in sorted(maps.items())
+            if not m.is_zero()
+        ]
+
+    return {
+        "kind": "bicomplex",
+        "schema_version": 1,
+        "dims": [[b.dim(p, q) for p in range(b.width + 1)] for q in range(b.height + 1)],
+        "horizontal": encoded(b.horizontal),
+        "vertical": encoded(b.vertical),
+    }
 
 
 # ------------------------------------------------------- schema validation

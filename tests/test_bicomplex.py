@@ -12,11 +12,20 @@ from dualcech.bicomplex import (
     page,
     page_infinity,
     total_cohomology,
+    total_complex,
 )
 from dualcech.errors import InvalidBicomplex
 from dualcech.exactla import RationalMatrix
 
-from helpers import random_bicomplex, random_cochain_complex, tensor_bicomplex
+from helpers import (
+    conjugate_bicomplex,
+    oracle_page,
+    oracle_page_infinity,
+    oracle_rank,
+    random_bicomplex,
+    random_cochain_complex,
+    tensor_bicomplex,
+)
 
 ONE = RationalMatrix.identity(1)
 
@@ -209,3 +218,44 @@ def test_single_row_or_column_always_degenerates(seed):
     else:
         b = random_bicomplex(rng, max_width=0)
     assert degenerates_at_two(b)
+
+
+def _drawn_bicomplex(seed):
+    """A random block-sum bicomplex, a tensor product, or either with "p/q" entries."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind in (0, 2):
+        b = random_bicomplex(rng)
+    else:
+        b = tensor_bicomplex(random_cochain_complex(rng), random_cochain_complex(rng))
+    return conjugate_bicomplex(rng, b) if kind >= 2 else b
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=80)
+def test_pages_match_kernel_basis_oracle(seed):
+    b = _drawn_bicomplex(seed)
+    for r in (0, 1, 2):
+        assert page(b, r) == oracle_page(b, r)
+    assert page_infinity(b) == oracle_page_infinity(b)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60)
+def test_filtered_pairs_are_a_partial_matching_with_nonnegative_gaps(seed):
+    b = _drawn_bicomplex(seed)
+    pairs = b._pairs
+    ends = [cell for pair in pairs for cell in pair]
+    assert len(ends) == len(set(ends))
+    for sigma, tau in pairs:
+        assert tau[0] - sigma[0] >= 0
+        assert sum(tau[:2]) == sum(sigma[:2]) + 1
+        assert 0 <= sigma[2] < b.dim(*sigma[:2]) and 0 <= tau[2] < b.dim(*tau[:2])
+    # the pairs leaving degree m number rank d_m, and the pairs of gap 0
+    # leaving (p, q) number the rank of the vertical map there
+    tc = total_complex(b)
+    for m, d in enumerate(tc.differentials):
+        assert sum(1 for sigma, _ in pairs if sum(sigma[:2]) == m) == oracle_rank(d.to_rows())
+    for (p, q), v in b.vertical.items():
+        gap0 = sum(1 for sigma, tau in pairs if sigma[:2] == (p, q) and tau[0] == p)
+        assert gap0 == oracle_rank(v.to_rows())

@@ -10,7 +10,16 @@ import pytest
 
 from dualcech import cli
 
-from helpers import disguised_rays, schema_errors
+from helpers import (
+    bicomplex_document,
+    conjugate_bicomplex,
+    direct_sum_bicomplex,
+    disguised_rays,
+    schema_errors,
+    simplex_boundary_cochains,
+    tensor_bicomplex,
+    zigzag_bicomplex,
+)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 INPUTS = os.path.join(ROOT, "inputs")
@@ -237,6 +246,53 @@ def test_degeneration_success(capsys):
     code, report = run_json(capsys, "degeneration", input_path("bicomplex_row.json"))
     assert code == 0
     assert report["result"]["degenerates_at_second_page"] is True
+
+
+def test_degeneration_d3_staircase_exits_2(capsys):
+    code, report = run_json(capsys, "degeneration", input_path("bicomplex_d3.json"))
+    assert code == 2
+    assert report["result"]["E2"] == [[0, 0, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]]
+    assert report["result"]["Einf"] == [[0] * 4] * 3
+
+
+def test_bicomplex_pages_with_rational_entries(capsys):
+    code, report = run_json(capsys, "bicomplex-pages", input_path("bicomplex_rational.json"))
+    assert code == 0
+    pages = report["result"]["pages"]
+    assert [pages[k] for k in ("E0", "E1", "E2", "Einf")] == [
+        [[6, 6], [3, 3]],
+        [[3, 3], [0, 0]],
+        [[1, 1], [0, 0]],
+        [[1, 1], [0, 0]],
+    ]
+
+
+def test_boolean_matrix_entry_exits_1_with_its_path(capsys):
+    assert cli.main(["degeneration", input_path("bicomplex_bad_entry.json")]) == 1
+    assert "/horizontal/0/matrix/0/0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b, zigzag", [(5, 5, False), (6, 5, False), (6, 5, True)])
+def test_degeneration_on_disguised_sphere_products(capsys, tmp_path, a, b, zigzag):
+    # the tensor product of the Cech cochains of two simplex boundaries has
+    # E2 = E_inf = the Kunneth product of two sphere cohomologies; a zigzag
+    # summand adds one nonzero d_2, whose two ends sit on E2 only
+    bi = tensor_bicomplex(simplex_boundary_cochains(a), simplex_boundary_cochains(b))
+    if zigzag:
+        bi = direct_sum_bicomplex(bi, zigzag_bicomplex())
+    bi = conjugate_bicomplex(random.Random(f"{a}x{b}{zigzag}"), bi)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(bicomplex_document(bi)))
+    code, report = run_json(capsys, "degeneration", str(path))
+    sphere = lambda n: [1 if k in (0, n - 2) else 0 for k in range(n - 1)]  # noqa: E731
+    kunneth = [[x * y for x in sphere(a) + [0] * (bi.width + 2 - a)] for y in sphere(b)]
+    result = report["result"]
+    assert result["Einf"] == kunneth
+    if zigzag:
+        kunneth[1][0] += 1
+        kunneth[0][2] += 1
+    assert result["E2"] == kunneth
+    assert (code, result["degenerates_at_second_page"]) == ((2, False) if zigzag else (0, True))
 
 
 def test_rational_check_obstruction_exit_code(capsys):

