@@ -10,6 +10,7 @@ flagged rationality obstruction).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bicomplex as bicomplex_mod
@@ -323,7 +324,14 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    It holds no state from any input: ``parse_args`` returns a fresh
+    namespace on every call, and help and usage errors go to the streams
+    current at that call.
+    """
     parser = argparse.ArgumentParser(
         prog="dualcech",
         description=(

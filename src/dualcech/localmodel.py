@@ -26,22 +26,40 @@ component order, and its homology depends only on s = |S(a)|.  So the
 homology in degree k is the sum over s of (number of degree-k monomials with
 |S(a)| = s) times the homology of one block on s vertices: a model needs at
 most one block per s, not a matrix over all strata in every degree.
+
+The counts come from a generating function, not from listing monomials.
+Give x^a the weight u^|S(a)| t^|a|.  Both exponents are sums over
+coordinates (|S(a)| counts the components with a_i < r_i, |a| adds up
+every a_i), so the weight is a product of one weight per coordinate, and
+summing it over all a factors into one series per coordinate:
+
+    component of multiplicity r:  sum_{a >= 0} u^[a < r] t^a
+                                    = u (1 + t + ... + t^{r-1}) + t^r / (1 - t)
+    free coordinate:              sum_{a >= 0} t^a = 1 / (1 - t)
+
+The coefficient of u^s t^k in the product is the number of degree-k
+monomials with |S(a)| = s.  Those with s = 0 are divisible by the product
+of the powers and vanish in every quotient; s >= 1 is exactly the basis of
+the whole configuration.  ``_survivor_table`` multiplies the component
+factors in one at a time, truncated above t^K (the term t^j of a factor
+sends the coefficient at t^i to t^(i+j), with one more u when j < r, so each
+step is a prefix sum), and then convolves with the n - m free coordinates,
+whose degree-j coefficient C(j + n - m - 1, j) counts the monomials of
+degree j in n - m variables.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from math import comb
 from typing import Iterator, Sequence
 
 from . import simplicial
 from .errors import InvalidInput
 from .exactla import RationalMatrix
 from .presheaf import CochainComplex
-
-ALL = "all"
-ANY = "any"
 
 
 @dataclass(frozen=True)
@@ -82,68 +100,6 @@ def make_local_model(
     return LocalModelSpec(ambient, components, multiplicities, degree_bound)
 
 
-def _monomials(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors of n variables summing to ``total``, lexicographically ascending."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    a = [0] * n
-    a[-1] = total
-    while True:
-        yield tuple(a)
-        # successor: take the last nonzero a[j] with j >= 1, move one unit
-        # of it to a[j - 1] and the rest to a[-1]
-        j = next((j for j in range(n - 1, 0, -1) if a[j]), 0)
-        if j == 0:
-            return
-        rest = a[j] - 1
-        a[j] = 0
-        a[j - 1] += 1
-        a[-1] = rest
-
-
-@dataclass(frozen=True)
-class MonomialQuotientBasis:
-    ambient: int
-    degree: int
-    mode: str  # ALL: survive every constraint; ANY: survive at least one
-    constraints: tuple[tuple[int, int], ...]  # (1-based coordinate, multiplicity)
-    exponents: tuple[tuple[int, ...], ...]
-
-    def contains(self, exponent: Sequence[int]) -> bool:
-        if len(exponent) != self.ambient or sum(exponent) != self.degree:
-            return False
-        checks = (exponent[i - 1] < r for i, r in self.constraints)
-        return all(checks) if self.mode == ALL else any(checks)
-
-
-def quotient_basis(
-    spec: LocalModelSpec, stratum: Sequence[int] | None, degree: int
-) -> MonomialQuotientBasis:
-    """Monomial basis of one graded piece.
-
-    ``stratum`` is an ascending tuple of component indices; ``None`` means
-    the whole configuration (quotient by the product of the powers).
-    """
-    if degree > spec.degree_bound:
-        raise InvalidInput(f"degree {degree} exceeds the bound {spec.degree_bound}")
-    if stratum is None:
-        mode = ANY
-        constraints = tuple(zip(spec.components, spec.multiplicities))
-    else:
-        stratum = tuple(stratum)
-        if any(i not in spec.components for i in stratum) or not stratum:
-            raise InvalidInput(f"stratum {stratum} is not a tuple of component indices")
-        if any(a >= b for a, b in zip(stratum, stratum[1:])):
-            raise InvalidInput(f"stratum {stratum} is not strictly ascending")
-        mode = ALL
-        constraints = tuple((i, spec.multiplicity_of(i)) for i in stratum)
-    probe = MonomialQuotientBasis(spec.ambient, degree, mode, constraints, ())
-    exponents = tuple(a for a in _monomials(spec.ambient, degree) if probe.contains(a))
-    return MonomialQuotientBasis(spec.ambient, degree, mode, constraints, exponents)
-
-
 @dataclass(frozen=True)
 class ExactnessVerdict:
     exact: bool
@@ -171,12 +127,34 @@ def simplex_block(s: int) -> CochainComplex:
     return CochainComplex((1, *simplex.counts()), (augmentation, *coboundaries))
 
 
+def _survivor_table(spec: LocalModelSpec) -> list[Counter[int]]:
+    """For each degree k <= K, the number of degree-k monomials with |S(a)| = s >= 1,
+    keyed by s: the coefficients of the module docstring's product."""
+    top = spec.degree_bound
+    poly = [[1] + [0] * top]  # poly[s][k], the coefficient of u^s t^k
+    for r in spec.multiplicities:
+        grown = [[0] * (top + 1) for _ in range(len(poly) + 1)]
+        for s, row in enumerate(poly):
+            prefix = [0, *accumulate(row)]
+            for k in range(top + 1):
+                low = max(k + 1 - r, 0)  # a = k - i >= r exactly for i < low
+                grown[s][k] += prefix[low]
+                grown[s + 1][k] += prefix[k + 1] - prefix[low]
+        poly = grown
+    free = spec.ambient - len(spec.components)
+    series = [comb(j + free - 1, j) if free else int(j == 0) for j in range(top + 1)]
+    table = []
+    for k in range(top + 1):
+        counts = (sum(row[i] * series[k - i] for i in range(k + 1)) for row in poly)
+        table.append(Counter({s: count for s, count in enumerate(counts) if s and count}))
+    return table
+
+
 def survivor_counts(spec: LocalModelSpec, degree: int) -> Counter[int]:
     """Number of degree-``degree`` monomials x^a with |S(a)| = s, keyed by s >= 1."""
-    bounds = [(i - 1, r) for i, r in zip(spec.components, spec.multiplicities)]
-    return Counter(
-        sum(a[i] < r for i, r in bounds) for a in quotient_basis(spec, None, degree).exponents
-    )
+    if not 0 <= degree <= spec.degree_bound:
+        raise InvalidInput(f"degree {degree} is outside 0..{spec.degree_bound}")
+    return _survivor_table(spec)[degree]
 
 
 def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
@@ -190,9 +168,9 @@ def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
     joints = len(spec.components) + 1
     block_homology: dict[int, list[int]] = {}
     table = []
-    for degree in range(spec.degree_bound + 1):
+    for counts in _survivor_table(spec):
         row = [0] * joints
-        for s, count in survivor_counts(spec, degree).items():
+        for s, count in counts.items():
             if s not in block_homology:
                 block_homology[s] = simplex_block(s).cohomology()
             for joint, h in enumerate(block_homology[s]):

@@ -201,6 +201,12 @@ def build_presheaf(d: SncDivisor, r: int, q: int, flavor: str = SHEAF) -> Preshe
     if flavor == DERHAM and r != 0:
         raise InvalidInput("derham layers have no form degree; pass r=0")
     delta = dual_complex(d)
+    layer = _layer(d, delta, r, q, flavor)
+    return constant_presheaf(delta, 0) if layer is None else layer
+
+
+def _layer(d: SncDivisor, delta: SimplicialComplex, r: int, q: int, flavor: str) -> Presheaf | None:
+    """The (r, q) presheaf on ``delta``, or None when every table dimension is zero."""
     if q == 0 and (flavor == DERHAM or r == 0):
         # degree-0 cohomology of a connected irreducible stratum is the
         # constants, so this layer is the constant presheaf by fiat
@@ -213,7 +219,7 @@ def build_presheaf(d: SncDivisor, r: int, q: int, flavor: str = SHEAF) -> Preshe
         return constant_presheaf(delta, 1)
     dims = {t: table_dim(d, t, flavor, r, q) for t in d.strata}
     if not any(dims.values()):
-        return constant_presheaf(delta, 0)
+        return None
     # make_presheaf fills in the zero maps into or out of a zero space
     restrictions: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
     for tau in sorted(d.strata):
@@ -233,25 +239,27 @@ def _max_stratum_bound(d: SncDivisor) -> int:
     return max((stratum_dim_bound(d, t) for t in d.strata), default=0)
 
 
-def _assemble(d: SncDivisor, layers: Sequence[tuple[int, Presheaf, str]]) -> CohomologyReport:
+def _assemble(d: SncDivisor, r: int, flavor: str, q_top: int) -> CohomologyReport:
+    """Totals and summands of the layers q = 0..q_top of one (r, flavor) family.
+
+    An all-zero layer is never built: it has 0 groups in every degree, so
+    no check on it can fail.  A nonzero layer is the constant q = 0
+    presheaf, functorial by construction, or came through make_presheaf,
+    which checked its shapes and functoriality; the CochainComplex of
+    presheaf_cohomology checks d.d.
+    """
     delta = dual_complex(d)
+    layers = [_layer(d, delta, r, q, flavor) for q in range(q_top + 1)]
     if delta.dim < 0:
         return CohomologyReport((), ())
-    # a zero layer has 0 groups in every degree, so no check on it can fail.
-    # A nonzero layer is the constant q = 0 presheaf, functorial by
-    # construction, or came through make_presheaf, which checked its shapes
-    # and functoriality; the CochainComplex of presheaf_cohomology checks d.d.
+    q_eff = max((q for q, v in enumerate(layers) if v is not None), default=0)
     zero = [0] * (delta.dim + 1)
-    cohomology = {q: zero if v.is_zero() else presheaf_cohomology(v) for q, v, _ in layers}
-    q_eff = max((q for q, v, _ in layers if not v.is_zero()), default=0)
-    top = delta.dim + q_eff
     summands = []
-    for q, v, label in layers:
-        if q > q_eff:
-            continue
-        for p, h in enumerate(cohomology[q]):
-            summands.append(Summand(p, q, h, label))
-    totals = [0] * (top + 1)
+    for q, v in enumerate(layers[: q_eff + 1]):
+        h = zero if v is None else presheaf_cohomology(v)
+        label = f"derham q={q}" if flavor == DERHAM else f"sheaf r={r} q={q}"
+        summands.extend(Summand(p, q, dim, label) for p, dim in enumerate(h))
+    totals = [0] * (delta.dim + q_eff + 1)
     for s in summands:
         totals[s.p + s.q] += s.dim
     return CohomologyReport(tuple(totals), tuple(summands))
@@ -259,30 +267,18 @@ def _assemble(d: SncDivisor, layers: Sequence[tuple[int, Presheaf, str]]) -> Coh
 
 def structure_sheaf_cohomology(d: SncDivisor) -> CohomologyReport:
     """Global structure-sheaf cohomology assembled from stratum tables and incidence."""
-    q_top = _max_stratum_bound(d)
-    layers = [
-        (q, build_presheaf(d, 0, q, SHEAF), f"sheaf r=0 q={q}") for q in range(q_top + 1)
-    ]
-    return _assemble(d, layers)
+    return _assemble(d, 0, SHEAF, _max_stratum_bound(d))
 
 
 def reduced_forms_cohomology(d: SncDivisor, r: int) -> CohomologyReport:
     """Cohomology of reduced r-forms; r = 0 coincides with the structure sheaf."""
     if r < 0:
         raise InvalidInput("form degree must be nonnegative")
-    q_top = _max_stratum_bound(d)
-    layers = [
-        (q, build_presheaf(d, r, q, SHEAF), f"sheaf r={r} q={q}") for q in range(q_top + 1)
-    ]
-    return _assemble(d, layers)
+    return _assemble(d, r, SHEAF, _max_stratum_bound(d))
 
 
 def derham_cohomology(d: SncDivisor) -> CohomologyReport:
-    q_top = 2 * _max_stratum_bound(d)
-    layers = [
-        (q, build_presheaf(d, 0, q, DERHAM), f"derham q={q}") for q in range(q_top + 1)
-    ]
-    return _assemble(d, layers)
+    return _assemble(d, 0, DERHAM, 2 * _max_stratum_bound(d))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's own elimination code.  Ranks
 come from fraction-free Bareiss elimination over the integers, Betti
 numbers from chain boundary matrices (the homology route, not the cochain
 route the library uses), monomial counts from inclusion-exclusion,
-local-model homology from the full Cech matrix over every stratum at once,
+monomial quotient bases and survivor-set counts from listing every
+monomial, local-model homology from the full Cech matrix over every
+stratum at once,
 and presheaf functoriality from triple-loop products of the restrictions.
 """
 
@@ -13,17 +15,26 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from typing import Iterator, Sequence
 
 from dualcech import exactla, presheaf, simplicial, snc
 from dualcech.bicomplex import _antidiagonal as antidiagonal
 from dualcech.bicomplex import INFINITY, Bicomplex, SpectralPage, make_bicomplex, total_complex
-from dualcech.errors import CompositionNonzero, InvalidBicomplex, SchemaError, ShapeMismatch
+from dualcech.errors import (
+    CompositionNonzero,
+    InvalidBicomplex,
+    InvalidInput,
+    SchemaError,
+    ShapeMismatch,
+)
 from dualcech.formats import _list, _rational
 from dualcech.exactla import RationalMatrix
-from dualcech.localmodel import LocalModelSpec, quotient_basis
+from dualcech.localmodel import LocalModelSpec
 from dualcech.presheaf import CochainComplex, Presheaf
 from dualcech.simplicial import SimplicialComplex
 from dualcech.snc import DERHAM, SHEAF, SncDivisor, TableEntry
@@ -196,6 +207,80 @@ def oracle_monomial_count(n: int, degree: int, constraints, mode: str) -> int:
             shift = sum(bound for _, bound in chosen)
             total += (-1) ** size * monomials(degree - shift)
     return total
+
+
+ALL = "all"
+ANY = "any"
+
+
+def _monomials(n: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of n variables summing to ``total``, lexicographically ascending."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    a = [0] * n
+    a[-1] = total
+    while True:
+        yield tuple(a)
+        # successor: take the last nonzero a[j] with j >= 1, move one unit
+        # of it to a[j - 1] and the rest to a[-1]
+        j = next((j for j in range(n - 1, 0, -1) if a[j]), 0)
+        if j == 0:
+            return
+        rest = a[j] - 1
+        a[j] = 0
+        a[j - 1] += 1
+        a[-1] = rest
+
+
+@dataclass(frozen=True)
+class MonomialQuotientBasis:
+    ambient: int
+    degree: int
+    mode: str  # ALL: survive every constraint; ANY: survive at least one
+    constraints: tuple[tuple[int, int], ...]  # (1-based coordinate, multiplicity)
+    exponents: tuple[tuple[int, ...], ...]
+
+    def contains(self, exponent: Sequence[int]) -> bool:
+        if len(exponent) != self.ambient or sum(exponent) != self.degree:
+            return False
+        checks = (exponent[i - 1] < r for i, r in self.constraints)
+        return all(checks) if self.mode == ALL else any(checks)
+
+
+def quotient_basis(
+    spec: LocalModelSpec, stratum: Sequence[int] | None, degree: int
+) -> MonomialQuotientBasis:
+    """Monomial basis of one graded piece, every monomial of the degree listed and tested.
+
+    ``stratum`` is an ascending tuple of component indices; ``None`` means
+    the whole configuration (quotient by the product of the powers).
+    """
+    if degree > spec.degree_bound:
+        raise InvalidInput(f"degree {degree} exceeds the bound {spec.degree_bound}")
+    if stratum is None:
+        mode = ANY
+        constraints = tuple(zip(spec.components, spec.multiplicities))
+    else:
+        stratum = tuple(stratum)
+        if any(i not in spec.components for i in stratum) or not stratum:
+            raise InvalidInput(f"stratum {stratum} is not a tuple of component indices")
+        if any(a >= b for a, b in zip(stratum, stratum[1:])):
+            raise InvalidInput(f"stratum {stratum} is not strictly ascending")
+        mode = ALL
+        constraints = tuple((i, spec.multiplicity_of(i)) for i in stratum)
+    probe = MonomialQuotientBasis(spec.ambient, degree, mode, constraints, ())
+    exponents = tuple(a for a in _monomials(spec.ambient, degree) if probe.contains(a))
+    return MonomialQuotientBasis(spec.ambient, degree, mode, constraints, exponents)
+
+
+def oracle_survivor_counts(spec: LocalModelSpec, degree: int) -> Counter[int]:
+    """|S(a)| over the listed basis of the whole configuration, counted per value."""
+    bounds = [(i - 1, r) for i, r in zip(spec.components, spec.multiplicities)]
+    return Counter(
+        sum(a[i] < r for i, r in bounds) for a in quotient_basis(spec, None, degree).exponents
+    )
 
 
 class OracleCochainComplex(CochainComplex):

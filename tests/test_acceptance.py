@@ -97,6 +97,20 @@ def test_acceptance_4_local_model_sweep_ambient_5():
           f"through degree 8 in {elapsed:.1f}s")
 
 
+def test_acceptance_4_local_model_sweep_ambient_6():
+    start = time.perf_counter()
+    count = 0
+    for spec in localmodel.sweep_specs(max_ambient=6, multiplicity_values=(1, 2, 3), degree_bound=12):
+        verdict = localmodel.verify_exactness(spec)
+        assert verdict.exact, f"not exact: {spec}"
+        count += 1
+    elapsed = time.perf_counter() - start
+    assert count == 5454
+    assert elapsed < 60.0
+    print(f"ACCEPTANCE 4 PASS: all {count} local models up to ambient 6 exact "
+          f"through degree 12 in {elapsed:.1f}s")
+
+
 def test_acceptance_5_constant_presheaf_identification():
     rng = random.Random(51)
     checked = 0

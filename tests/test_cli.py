@@ -316,6 +316,24 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["no-such-command", "x.json"]) == 1
 
 
+def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    lemma = input_path("lm_2_1_1.json")
+    code, report = run_json(capsys, "verify-lemma31", lemma, "--degree-bound", "3")
+    assert code == 0 and report["options"] == {"degree_bound": 3}
+    code, report = run_json(capsys, "verify-lemma31", lemma)
+    assert code == 0 and report["options"] == {}
+    assert report["result"]["degree_bound"] == 6
+    assert cli.main(["verify-lemma31", lemma, "--degree-bound", "three"]) == 1
+    assert "usage: dualcech verify-lemma31" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dualcech")
+    reused = run_cli(capsys, "toric", input_path("p1xp1_fan.json"), "--json")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_cli(capsys, "toric", input_path("p1xp1_fan.json"), "--json") == reused
+
+
 def test_toric_incomplete_fan_still_computes(capsys, tmp_path):
     doc = {
         "kind": "fan",

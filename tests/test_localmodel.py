@@ -1,12 +1,19 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualcech import localmodel, presheaf, simplicial
 from dualcech.errors import InvalidInput
-from dualcech.localmodel import make_local_model, quotient_basis, verify_exactness
+from dualcech.localmodel import make_local_model, verify_exactness
 
-from helpers import oracle_monomial_count, oracle_sheaf_cech_complex
+from helpers import (
+    _monomials,
+    oracle_monomial_count,
+    oracle_sheaf_cech_complex,
+    oracle_survivor_counts,
+    quotient_basis,
+)
 
 
 def test_default_degree_bound():
@@ -100,6 +107,30 @@ def test_degree_above_bound_rejected():
         quotient_basis(spec, None, 3)
 
 
+def test_survivor_counts_above_bound_rejected():
+    spec = make_local_model(3, [1, 3], [2, 1], degree_bound=4)
+    assert localmodel.survivor_counts(spec, 4) == oracle_survivor_counts(spec, 4)
+    with pytest.raises(InvalidInput):
+        localmodel.survivor_counts(spec, 5)
+
+
+@st.composite
+def local_model_specs(draw):
+    """Ambient <= 7 with some coordinates free, multiplicities <= 4, degree bound <= 10."""
+    ambient = draw(st.integers(1, 7))
+    components = draw(st.sets(st.integers(1, ambient), min_size=1))
+    multiplicities = draw(st.lists(st.integers(1, 4), min_size=len(components), max_size=len(components)))
+    return make_local_model(ambient, sorted(components), multiplicities, draw(st.integers(0, 10)))
+
+
+@given(local_model_specs())
+@example(make_local_model(7, [2, 5, 6], [4, 1, 3], degree_bound=10))
+@settings(max_examples=150)
+def test_survivor_counts_match_enumeration(spec):
+    for k in range(spec.degree_bound + 1):
+        assert localmodel.survivor_counts(spec, k) == oracle_survivor_counts(spec, k), (spec, k)
+
+
 def test_bad_component_indices_rejected():
     with pytest.raises(InvalidInput):
         make_local_model(2, [2, 1], [1, 1])
@@ -117,7 +148,7 @@ def test_monomials_are_lexicographic():
     for n in range(5):
         for k in range(5):
             expected = sorted(a for a in product(range(k + 1), repeat=n) if sum(a) == k)
-            assert list(localmodel._monomials(n, k)) == expected
+            assert list(_monomials(n, k)) == expected
 
 
 def test_split_matches_full_cech_oracle():
