@@ -205,7 +205,9 @@ def build_presheaf(d: SncDivisor, r: int, q: int, flavor: str = SHEAF) -> Preshe
     return constant_presheaf(delta, 0) if layer is None else layer
 
 
-def _layer(d: SncDivisor, delta: SimplicialComplex, r: int, q: int, flavor: str) -> Presheaf | None:
+def _layer(
+    d: SncDivisor, delta: SimplicialComplex, r: int, q: int, flavor: str
+) -> Presheaf | None:
     """The (r, q) presheaf on ``delta``, or None when every table dimension is zero."""
     if q == 0 and (flavor == DERHAM or r == 0):
         # degree-0 cohomology of a connected irreducible stratum is the

@@ -119,7 +119,8 @@ def local_model_specs(draw):
     """Ambient <= 7 with some coordinates free, multiplicities <= 4, degree bound <= 10."""
     ambient = draw(st.integers(1, 7))
     components = draw(st.sets(st.integers(1, ambient), min_size=1))
-    multiplicities = draw(st.lists(st.integers(1, 4), min_size=len(components), max_size=len(components)))
+    size = len(components)
+    multiplicities = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
     return make_local_model(ambient, sorted(components), multiplicities, draw(st.integers(0, 10)))
 
 
