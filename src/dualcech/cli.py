@@ -23,23 +23,6 @@ from .errors import (
     SchemaError,
 )
 
-COMMANDS = (
-    "dual-complex",
-    "betti",
-    "integral",
-    "presheaf-cohomology",
-    "snc-cohomology",
-    "forms",
-    "derham",
-    "hodge",
-    "euler",
-    "toric",
-    "verify-lemma31",
-    "bicomplex-pages",
-    "degeneration",
-    "rational-check",
-)
-
 
 def _require_kind(doc: dict, command: str, *kinds: str) -> None:
     if doc["kind"] not in kinds:
@@ -275,6 +258,7 @@ HANDLERS = {
     "degeneration": cmd_degeneration,
     "rational-check": cmd_rational_check,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 def _render_value(value, indent=""):

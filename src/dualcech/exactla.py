@@ -5,8 +5,8 @@ rounding error would falsify a theorem check.  There is no floating point
 anywhere: the API takes and returns arbitrary-precision
 ``fractions.Fraction`` entries, and the two inner loops run on Python
 ``int``s.  Rank, kernels, inverses and the filtered pairing behind the
-spectral pages come from one sparse elimination, ``_eliminate``, with a
-fill-reducing pivot order or a fixed one; Smith normal form is the only
+spectral pages come from one sparse elimination, ``_eliminate``, which
+walks the columns once in a fixed order; Smith normal form is the only
 other reduction.
 
 ``_eliminate`` first scales each row by a positive rational to integers
@@ -235,7 +235,6 @@ class RationalMatrix:
 
 def _eliminate(
     m: RationalMatrix,
-    pivot_limit: int | None = None,
     order: tuple[Callable[[int], object], Callable[[int], object]] | None = None,
 ) -> list[tuple[int, int, dict[int, int]]]:
     """Sparse fraction-free elimination; returns the pivots as (column, row index, row).
@@ -243,49 +242,43 @@ def _eliminate(
     Rows are scaled to integers with coprime entries; a row holding ``a``
     in the pivot column becomes ``(p/g)*row - (a/g)*pivot_row`` for the
     pivot value ``p`` and ``g = gcd(a, p)`` signed like ``p``, and is then
-    divided by the gcd of its entries.  By default pivots are chosen to
-    keep fill-in low (shortest column, then shortest row, ties broken by
-    index so runs are reproducible).  ``order = (column_key, row_key)``
-    fixes the order instead: the columns are walked once, in increasing
-    ``column_key``, and each live one is pivoted on its holder of least
-    ``row_key``.  One forward pass suffices: every live row is zero in the
-    columns already walked, so a pivot row is too, and fill-in lands only
-    in columns after the current pivot.  The pivot rule can change the
-    pivots but not the rank or the row space: each pivot row is zero in
-    the pivot columns of the rows before it, so the rows form a triangular
-    system with the row space of ``m``.  A pivot reports the index in ``m``
-    of the row it came from, which was changed only by positive scaling
-    and by adding multiples of earlier pivot rows.  Only columns below ``pivot_limit`` (default: all)
-    hold pivots; rows left with entries in the other columns alone are not
-    returned.
+    divided by the gcd of its entries.  The columns are walked once, in
+    increasing ``column_key``, and each live one is pivoted on its holder
+    of least ``row_key``, for ``order = (column_key, row_key)``.  By
+    default the column key is (column length in ``m``, index), fixed
+    before the walk, and the row key is (current row length, index), which
+    keeps fill-in low and runs reproducible.  One forward pass suffices:
+    every live row is zero in the columns already walked, so a pivot row
+    is too, and fill-in lands only in columns after the current pivot.
+    The order can change the pivots but not the rank or the row space:
+    each pivot row is zero in the pivot columns of the rows before it, so
+    the rows form a triangular system with the row space of ``m``.  A
+    pivot reports the index in ``m`` of the row it came from, which was
+    changed only by positive scaling and by adding multiples of earlier
+    pivot rows.
     """
-    limit = m.cols if pivot_limit is None else pivot_limit
     rows, _ = _integer_rows(m)
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         row = rows[i] = _primitive(row)
         for j in row:
-            if j < limit:
-                cols.setdefault(j, set()).add(i)
-    if order is not None:
-        column_key, row_key = order
-        walk = iter(sorted(cols, key=column_key))
+            cols.setdefault(j, set()).add(i)
+    column_key, row_key = order or (
+        lambda j: (len(cols[j]), j),  # read by ``sorted`` before the walk starts
+        lambda i: (len(rows[i]), i),
+    )
     pivots: list[tuple[int, int, dict[int, int]]] = []
-    while cols:
-        if order is None:
-            c = min(cols, key=lambda j: (len(cols[j]), j))
-            r = min(cols[c], key=lambda i: (len(rows[i]), i))
-        else:
-            c = next(j for j in walk if j in cols)
-            r = min(cols[c], key=row_key)
+    for c in sorted(cols, key=column_key):
+        if c not in cols:
+            continue
+        r = min(cols[c], key=row_key)
         pivot_row = rows.pop(r)
         p = pivot_row[c]
         for j in pivot_row:
-            holders = cols.get(j)
-            if holders is not None:
-                holders.discard(r)
-                if not holders:
-                    del cols[j]
+            holders = cols[j]
+            holders.discard(r)
+            if not holders:
+                del cols[j]
         for i in list(cols.get(c, ())):
             row = rows[i]
             a = row[c]
@@ -299,13 +292,12 @@ def _eliminate(
                 if new == 0:
                     if j in row:
                         del row[j]
-                        holders = cols.get(j)
-                        if holders is not None:
-                            holders.discard(i)
-                            if not holders:
-                                del cols[j]
+                        holders = cols[j]
+                        holders.discard(i)
+                        if not holders:
+                            del cols[j]
                 else:
-                    if j < limit and j not in row:
+                    if j not in row:
                         cols.setdefault(j, set()).add(i)
                     row[j] = new
             if row:
@@ -357,12 +349,16 @@ def kernel_basis(m: RationalMatrix) -> RationalMatrix:
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
-    """m^-1, read off the kernel of [m | -I]: kernel vector k is (m^-1 e_k, e_k)."""
+    """m^-1, read off the kernel of [m | -I]: kernel vector k is (m^-1 e_k, e_k).
+
+    Walking the columns by index puts all n pivots in m's own columns
+    exactly when m is nonsingular.
+    """
     if m.rows != m.cols:
         raise ShapeMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
-    pivots = _eliminate(m.hstack(-RationalMatrix.identity(n)), pivot_limit=n)
-    if len(pivots) != n:
+    pivots = _eliminate(m.hstack(-RationalMatrix.identity(n)), order=(lambda j: j, lambda i: i))
+    if any(c >= n for c, _, _ in pivots):
         raise ShapeMismatch("matrix is singular")
     kernel = _back_substitute(pivots, 2 * n)
     return RationalMatrix._of_fractions(n, n, {(i, k): v for (i, k), v in kernel._entries.items() if i < n})

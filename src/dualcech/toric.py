@@ -92,8 +92,7 @@ def make_fan(dim: int, rays, cones) -> Fan:
     for cone in _maximal_cones(fan):
         if len(cone) > dim:
             raise InvalidInput(f"cone {sorted(cone)} has more rays than the ambient dimension")
-        factors = exactla.smith_normal_form(_ray_matrix(fan, cone))
-        if len(factors) != len(cone):
+        if exactla.rank(_ray_matrix(fan, cone)) != len(cone):
             raise InvalidInput(f"cone {sorted(cone)} is not simplicial")
     return fan
 

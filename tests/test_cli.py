@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import importlib.util
+import io
 import json
 import os
 import random
@@ -7,6 +10,8 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcech import cli
 
@@ -504,3 +509,52 @@ def test_cli_snapshot_unchanged():
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want
+
+
+# small replacement values: wrong types, edge numbers and the presheaf
+# shorthands, none large enough to make any document allocate much
+FUZZ_VALUES = (
+    0, 1, -1, 2, 10, "1/2", "0", "x", "", None, True, False, 1.5,
+    [], [0], [[1]], {}, "constant", "identity", "zero",
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    docs = {}
+    for name in sorted(os.listdir(INPUTS)):
+        with open(input_path(name), encoding="utf-8") as f:
+            docs[name] = json.load(f)
+    return docs, tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def _slots(value, out):
+    """Every (container, key) slot below ``value``, parents before children."""
+    if isinstance(value, (dict, list)):
+        for key, child in list(value.items() if isinstance(value, dict) else enumerate(value)):
+            out.append((value, key))
+            _slots(child, out)
+    return out
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_cli_survives_mutated_documents(fuzz_inputs, data):
+    docs, path = fuzz_inputs
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, key = data.draw(st.sampled_from(_slots(doc, [(None, None)])))
+        action = data.draw(st.sampled_from(("delete", "replace", "duplicate")))
+        if container is None:
+            doc = data.draw(st.sampled_from(FUZZ_VALUES))
+        elif action == "delete":
+            del container[key]
+        elif action == "duplicate" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        else:
+            container[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in cli.COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, str(path), "--json"])
+        assert code in (0, 1, 2), (command, doc)

@@ -150,16 +150,23 @@ def test_rank_matches_oracle(data):
     assert exactla.rank(m) == oracle_rank(data)
 
 
-@given(small_int_matrix(max_dim=6), st.randoms(use_true_random=False))
-def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd):
+@given(small_int_matrix(max_dim=6), st.randoms(use_true_random=False), st.booleans())
+def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd, default):
     m = RationalMatrix.from_rows(data)
-    column_key = list(range(m.cols))
-    row_key = list(range(m.rows))
-    rnd.shuffle(column_key)
-    rnd.shuffle(row_key)
-    pivots = exactla._eliminate(m, order=(column_key.__getitem__, row_key.__getitem__))
+    if default:
+        # order=None walks the columns by (length in m, index)
+        column_key = [(sum(1 for row in data if row[j]), j) for j in range(m.cols)]
+        order = None
+    else:
+        column_key = list(range(m.cols))
+        row_key = list(range(m.rows))
+        rnd.shuffle(column_key)
+        rnd.shuffle(row_key)
+        order = (column_key.__getitem__, row_key.__getitem__)
+    pivots = exactla._eliminate(m, order=order)
     assert len(pivots) == oracle_rank(data)
     assert len({r for _, r, _ in pivots}) == len(pivots)
+    assert len({c for c, _, _ in pivots}) == len(pivots)
     # columns are pivoted in walk order, and each pivot row is zero in the
     # columns walked before its own
     walked = [column_key[c] for c, _, _ in pivots]
