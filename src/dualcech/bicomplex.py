@@ -28,7 +28,7 @@ from . import exactla
 from .errors import InvalidBicomplex
 # kernel_basis and rank are unused here; perfbench/spans.py traces them as names bound in this module
 from .exactla import RationalMatrix, kernel_basis, rank  # noqa: F401
-from .presheaf import CochainComplex
+from .simplicial import CochainComplex
 
 INFINITY = math.inf
 
@@ -201,29 +201,23 @@ def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
     before tau and sigma- the column taken before sigma, and adding a
     column to one taken after it keeps every such rank.
 
-    Clearing (Chen-Kerber, *Persistent homology computation with a twist*,
-    2011): the cells tau paired in d_m are dropped as columns of d_{m+1}.
-    The reduced column of their partner sigma is a*tau (a != 0) plus rows
-    of larger index, and d_{m+1} kills it, so d_{m+1}(tau) is a
-    combination of the columns of d_{m+1} at cells of larger index, all
-    taken before tau.  Column tau would reduce to zero, and deleting it
-    changes the rank of no block B: neither the pairs nor the ranks change.
+    ``exactla._cleared_pivots`` clears: the cells paired in d_m are
+    dropped as columns of d_{m+1}, which keeps every rank.  Under this
+    order it keeps the pairs as well.  The reduced column of the partner
+    sigma of a cleared tau is a*tau (a != 0) plus rows of larger index,
+    and d_{m+1} kills it, so d_{m+1}(tau) is a combination of the columns
+    of d_{m+1} at cells of larger index, all taken before tau.  Column tau
+    would reduce to zero, and deleting it changes the rank of no block B.
     """
     tc = b._total
     cells = [
         [(p, q, k) for p, q in _antidiagonal(b, m) for k in range(b.dim(p, q))]
         for m in range(len(tc.space_dims))
     ]
-    pairs = []
-    cleared: set[int] = set()
-    for m, d in enumerate(tc.differentials):
-        live = [i for i in range(d.cols) if i not in cleared]
-        pivots = exactla._eliminate(
-            d.take_columns(live).transpose(), order=(lambda j: j, lambda i: -i)
-        )
-        cleared = {c for c, _, _ in pivots}
-        pairs.extend((cells[m][live[r]], cells[m + 1][c]) for c, r, _ in pivots)
-    return tuple(pairs)
+    by_degree = exactla._cleared_pivots(tc.differentials, order=(lambda j: j, lambda i: -i))
+    return tuple(
+        (cells[m][j], cells[m + 1][i]) for m, pivots in enumerate(by_degree) for i, j in pivots
+    )
 
 
 def _page_dims(b: Bicomplex, r: int | float) -> dict[tuple[int, int], int]:

@@ -7,7 +7,10 @@ anywhere: the API takes and returns arbitrary-precision
 ``int``s.  Rank, kernels, inverses and the filtered pairing behind the
 spectral pages come from one sparse elimination, ``_eliminate``, which
 walks the columns once in a fixed order; Smith normal form is the only
-other reduction.
+other reduction.  A cochain complex is ranked degree by degree in
+``_cleared_pivots``, the one clearing loop: it serves both the cohomology
+of ``CochainComplex`` and the filtered pairing, and it is sound because
+``CochainComplex`` checked d.d = 0 when the complex was built.
 
 ``_eliminate`` first scales each row by a positive rational to integers
 with no common factor, which leaves the row space unchanged, and then
@@ -314,6 +317,39 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     if g == 1:
         return row
     return {j: v // g for j, v in row.items()}
+
+
+def _cleared_pivots(
+    differentials: Sequence[RationalMatrix],
+    order: tuple[Callable[[int], object], Callable[[int], object]] | None = None,
+) -> list[list[tuple[int, int]]]:
+    """The pivots (row, column) of each d_m of a cochain complex, with clearing.
+
+    Degree m eliminates the transpose of d_m restricted to its live
+    columns, under ``order`` (the live columns keep their relative order),
+    and the rows of d_m that pivot are dropped as columns of d_{m+1}
+    (Chen-Kerber, *Persistent homology computation with a twist*, 2011;
+    Bauer-Kerber-Reininghaus, *Clear and compress*, 2014).  So
+    ``len(pivots[m])`` is rank d_m for any order, provided
+    d_{m+1} d_m = 0, which the caller must know.  Let R be the pivoted
+    rows of d_m and C the columns used.  The pivot rows of the transpose
+    are an invertible lower-triangular combination of its rows C, and on
+    the columns R they are triangular with a nonzero diagonal, so
+    d_m[R, C] is invertible.  Restricted to the columns C,
+    d_{m+1} d_m = 0 reads d_{m+1}[:, R] d_m[R, C] = -d_{m+1}[:, ~R] d_m[~R, C]:
+    the columns R of d_{m+1} lie in the span of its other columns, and
+    dropping them keeps its rank.
+    """
+    out = []
+    cleared: set[int] = set()
+    for d in differentials:
+        live = [j for j in range(d.cols) if j not in cleared]
+        position = {j: k for k, j in enumerate(live)}
+        entries = {(position[j], i): v for (i, j), v in d._entries.items() if j in position}
+        pivots = _eliminate(RationalMatrix._of_fractions(len(live), d.rows, entries), order)
+        cleared = {c for c, _, _ in pivots}
+        out.append([(c, live[r]) for c, r, _ in pivots])
+    return out
 
 
 def _back_substitute(pivots: list[tuple[int, int, dict[int, int]]], ncols: int) -> RationalMatrix:

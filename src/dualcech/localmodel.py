@@ -59,7 +59,7 @@ from typing import Iterator, Sequence
 from . import simplicial
 from .errors import InvalidInput
 from .exactla import RationalMatrix
-from .presheaf import CochainComplex
+from .simplicial import CochainComplex
 
 
 @dataclass(frozen=True)

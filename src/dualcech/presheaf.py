@@ -14,8 +14,10 @@ sections, explicit divisor tables); it checks shapes and then
 functoriality.  ``constant_presheaf``, the zero presheaf, ``direct_sum`` and
 the quotient of ``split_constant`` are functorial by construction, as their
 docstrings say, and are not checked again.  ``cech_complex`` only assembles
-matrices; ``CochainComplex`` still checks d.d, which refuses any
-non-functorial ``Presheaf`` built directly, without ``make_presheaf``.
+matrices.  ``CochainComplex``, defined in ``simplicial`` and re-exported
+here, still checks d.d, which refuses any non-functorial ``Presheaf`` built
+directly, without ``make_presheaf``; its ``cohomology`` ranks the
+differentials in the one cleared reduction of ``exactla``.
 
 Summands inside each cochain group are ordered lexicographically by
 vertex tuple, so all matrices here are reproducible.
@@ -29,7 +31,6 @@ from typing import Mapping, Sequence
 from . import exactla
 from .errors import (
     BaseMismatch,
-    CompositionNonzero,
     FunctorialityViolation,
     IncompatibleSection,
     NonSplitExtension,
@@ -38,7 +39,7 @@ from .errors import (
     ZeroSection,
 )
 from .exactla import RationalMatrix
-from .simplicial import Simplex, SimplicialComplex
+from .simplicial import CochainComplex, Simplex, SimplicialComplex  # re-exported
 
 
 @dataclass(frozen=True)
@@ -128,45 +129,6 @@ def check_functoriality(v: Presheaf) -> None:
                     raise FunctorialityViolation(
                         f"restriction composites {sigma} -> {rho} disagree"
                     )
-
-
-@dataclass(frozen=True)
-class CochainComplex:
-    """Spaces C^0..C^top with differentials C^p -> C^{p+1} squaring to zero."""
-
-    space_dims: tuple[int, ...]
-    differentials: tuple[RationalMatrix, ...]
-
-    def __post_init__(self):
-        n = len(self.space_dims)
-        if len(self.differentials) != max(n - 1, 0):
-            raise ShapeMismatch(
-                f"{n} spaces need {max(n - 1, 0)} differentials, got {len(self.differentials)}"
-            )
-        for p, d in enumerate(self.differentials):
-            if d.cols != self.space_dims[p] or d.rows != self.space_dims[p + 1]:
-                raise ShapeMismatch(
-                    f"differential {p} is {d.rows}x{d.cols}, expected "
-                    f"{self.space_dims[p + 1]}x{self.space_dims[p]}"
-                )
-        for p in range(len(self.differentials) - 1):
-            if not (self.differentials[p + 1] @ self.differentials[p]).is_zero():
-                raise CompositionNonzero(f"differentials {p} and {p + 1} do not compose to zero")
-
-    def cohomology(self) -> list[int]:
-        n = len(self.space_dims)
-        if n == 0:
-            return []
-        ranks = [exactla.rank(d) for d in self.differentials]
-        out = []
-        for p in range(n):
-            rank_out = ranks[p] if p < n - 1 else 0
-            rank_in = ranks[p - 1] if p > 0 else 0
-            out.append(self.space_dims[p] - rank_out - rank_in)
-        return out
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** p * d for p, d in enumerate(self.space_dims))
 
 
 def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:

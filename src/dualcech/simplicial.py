@@ -1,8 +1,15 @@
-"""Finite abstract simplicial complexes and constant-coefficient cohomology.
+"""Finite abstract simplicial complexes, cochain complexes and their cohomology.
 
 A simplex is a strictly ascending tuple of 0-based vertex indices; the
 global vertex order orients every simplex, and the k-th face of a simplex
 carries the sign (-1)^k in every coboundary matrix built here.
+
+``CochainComplex`` is the one door to cohomology over the rationals: its
+constructor checks the shapes and d.d = 0, once, and ``cohomology`` ranks
+the differentials in one cleared reduction (``exactla._cleared_pivots``),
+which is sound because of that check.  Betti numbers are the cohomology of
+the coboundary complex, and Cech complexes of presheaves and total
+complexes of bicomplexes go through the same class.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import exactla
-from .errors import BadTuple, CompositionNonzero
+from .errors import BadTuple, CompositionNonzero, ShapeMismatch
 from .exactla import RationalMatrix
 
 Simplex = tuple[int, ...]
@@ -50,6 +57,38 @@ class SimplicialComplex:
         return out
 
 
+@dataclass(frozen=True)
+class CochainComplex:
+    """Spaces C^0..C^top with differentials C^p -> C^{p+1} squaring to zero."""
+
+    space_dims: tuple[int, ...]
+    differentials: tuple[RationalMatrix, ...]
+
+    def __post_init__(self):
+        n = len(self.space_dims)
+        if len(self.differentials) != max(n - 1, 0):
+            raise ShapeMismatch(
+                f"{n} spaces need {max(n - 1, 0)} differentials, got {len(self.differentials)}"
+            )
+        for p, d in enumerate(self.differentials):
+            if d.cols != self.space_dims[p] or d.rows != self.space_dims[p + 1]:
+                raise ShapeMismatch(
+                    f"differential {p} is {d.rows}x{d.cols}, expected "
+                    f"{self.space_dims[p + 1]}x{self.space_dims[p]}"
+                )
+        for p in range(len(self.differentials) - 1):
+            if not (self.differentials[p + 1] @ self.differentials[p]).is_zero():
+                raise CompositionNonzero(f"differentials {p} and {p + 1} do not compose to zero")
+
+    def cohomology(self) -> list[int]:
+        # ranks[p] is the rank of the differential into C^p, ranks[p + 1] of the one out of it
+        ranks = [0, *(len(pivots) for pivots in exactla._cleared_pivots(self.differentials)), 0]
+        return [dim - ranks[p] - ranks[p + 1] for p, dim in enumerate(self.space_dims)]
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** p * d for p, d in enumerate(self.space_dims))
+
+
 def from_facets(vertex_count: int, facets: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Smallest complex containing the given facets (face closure)."""
     simplices: set[Simplex] = set()
@@ -79,17 +118,8 @@ def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
 
 def betti_numbers(k: SimplicialComplex) -> list[int]:
     """Dimensions of cohomology with rational coefficients, degrees 0..dim."""
-    d = k.dim
-    if d < 0:
-        return []
-    counts = k.counts()
-    diffs = [coboundary_matrix(k, p) for p in range(d)]
-    for p in range(d - 1):
-        if not (diffs[p + 1] @ diffs[p]).is_zero():
-            raise CompositionNonzero(f"coboundaries {p} and {p + 1} do not compose to zero")
-    # ranks[p] is the rank of the coboundary into C^p, ranks[p + 1] of the one out of it
-    ranks = [0] + [exactla.rank(m) for m in diffs] + [0]
-    return [counts[p] - ranks[p] - ranks[p + 1] for p in range(d + 1)]
+    coboundaries = tuple(coboundary_matrix(k, p) for p in range(k.dim))
+    return CochainComplex(tuple(k.counts()), coboundaries).cohomology()
 
 
 def integral_cohomology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:

@@ -116,7 +116,12 @@ def test_acceptance_5_constant_presheaf_identification():
     checked = 0
     while checked < 100:
         base = random_complex(rng, max_vertices=8)
-        via_presheaf = presheaf.presheaf_cohomology(presheaf.constant_presheaf(base, 1))
+        constant = presheaf.constant_presheaf(base, 1)
+        cech = presheaf.cech_complex(constant)
+        assert list(cech.differentials) == [
+            simplicial.coboundary_matrix(base, p) for p in range(base.dim)
+        ]
+        via_presheaf = presheaf.presheaf_cohomology(constant)
         assert via_presheaf == oracle_betti(base)
         assert via_presheaf == simplicial.betti_numbers(base)
         checked += 1

@@ -546,7 +546,7 @@ def test_cli_survives_mutated_documents(fuzz_inputs, data):
         container, key = data.draw(st.sampled_from(_slots(doc, [(None, None)])))
         action = data.draw(st.sampled_from(("delete", "replace", "duplicate")))
         if container is None:
-            doc = data.draw(st.sampled_from(FUZZ_VALUES))
+            doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
         elif action == "delete":
             del container[key]
         elif action == "duplicate" and isinstance(container, list):

@@ -15,7 +15,13 @@ from dualcech.errors import (
 )
 from dualcech.exactla import RationalMatrix
 
-from helpers import conjugate_presheaf, oracle_is_functorial, random_complex, random_presheaf
+from helpers import (
+    OracleCochainComplex,
+    conjugate_presheaf,
+    oracle_is_functorial,
+    random_complex,
+    random_presheaf,
+)
 
 
 def hollow_triangle():
@@ -260,3 +266,5 @@ def test_euler_characteristic_matches_cohomology(seed):
     assert complex_.euler_characteristic() == sum(
         (-1) ** p * h for p, h in enumerate(cohomology)
     )
+    oracle = OracleCochainComplex(complex_.space_dims, complex_.differentials)
+    assert cohomology == oracle.cohomology()
