@@ -14,6 +14,9 @@ the parent first in the first pair of each workload, so a drift in the
 machine's speed weighs on both sides alike.  Workloads take consecutive
 seeds.  The output holds ``description``, ``parent_commit`` and ``runs``,
 one entry per run in the order run, with the run's end-to-end metrics.
+At the end it prints one line per workload and end-to-end metric: the
+parent's median, the change's median, and how many pairs the change won,
+judged by the metric's ``better`` in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import json
 import subprocess
 from pathlib import Path
+from statistics import median
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -42,6 +46,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     }
 
 
+def summary(runs: list[dict], better: dict[str, str]) -> list[str]:
+    """Per workload and metric: both medians and the pairs the change won, tied pairs not won."""
+    pairs: dict[str, dict[int, dict[str, dict]]] = {}
+    for run in runs:
+        pairs.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run["metrics"]
+    lines = []
+    for workload, by_seed in pairs.items():
+        for name, direction in better.items():
+            parent = [sides["parent"][name] for sides in by_seed.values()]
+            change = [sides["change"][name] for sides in by_seed.values()]
+            won = sum(c < a if direction == "lower" else c > a for a, c in zip(parent, change))
+            lines.append(
+                f"{workload} {name}: parent {median(parent):.6g}, change {median(change):.6g}, "
+                f"change won {won}/{len(parent)} pairs"
+            )
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -53,7 +75,8 @@ def main() -> None:
     parser.add_argument("--description", required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
     runs = []
     seed = args.seed
@@ -66,6 +89,7 @@ def main() -> None:
             seed += 1
     bench = {"description": args.description, "parent_commit": args.parent_commit, "runs": runs}
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    print("\n".join(summary(runs, {m["name"]: m["better"] for m in benchmark["end_to_end"]})))
 
 
 if __name__ == "__main__":

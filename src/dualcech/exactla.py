@@ -4,13 +4,14 @@ Every quantity in this package is ultimately a dimension, so a single
 rounding error would falsify a theorem check.  There is no floating point
 anywhere: the API takes and returns arbitrary-precision
 ``fractions.Fraction`` entries, and the two inner loops run on Python
-``int``s.  Rank, kernels, inverses and the filtered pairing behind the
-spectral pages come from one sparse elimination, ``_eliminate``, which
-walks the columns once in a fixed order; Smith normal form is the only
-other reduction.  A cochain complex is ranked degree by degree in
+``int``s.  Rank, kernels and the filtered pairing behind the spectral
+pages come from one sparse elimination, ``_eliminate``, which walks the
+columns once in a fixed order; Smith normal form is the only other
+reduction.  A cochain complex is ranked degree by degree in
 ``_cleared_pivots``, the one clearing loop: it serves both the cohomology
 of ``CochainComplex`` and the filtered pairing, and it is sound because
-``CochainComplex`` checked d.d = 0 when the complex was built.
+d.d = 0 is known wherever a ``CochainComplex`` is built (its docstring
+lists the builders).
 
 ``_eliminate`` first scales each row by a positive rational to integers
 with no common factor, which leaves the row space unchanged, and then
@@ -20,10 +21,10 @@ entries.  Each row so stays a positive multiple of the row that rational
 elimination would hold, with the same zero pattern, so the pivots, the
 rank and the row space of the triangular system are the same.  Kernel
 vectors are read off that system with the free coordinates fixed to a unit
-vector; such a vector is unique, so the kernel basis (and the inverse read
-off it) does not depend on the scaling.  A product multiplies the integer
-numerators of both operands over their common denominators and forms one
-``Fraction`` per nonzero entry of the result.
+vector; such a vector is unique, so the kernel basis does not depend on
+the scaling.  A product multiplies the integer numerators of both
+operands over their common denominators and forms one ``Fraction`` per
+nonzero entry of the result.
 
 Matrices are conceptually dense and row-major.  Internally only nonzero
 entries are stored, which keeps the differentials of large combinatorial
@@ -200,16 +201,6 @@ class RationalMatrix:
                     entries[(i, j)] = Fraction(n) if d == 1 else Fraction(n, d)
         return RationalMatrix._of_fractions(self.rows, other.cols, entries)
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise ShapeMismatch(
-                f"cannot stack {self.rows}x{self.cols} beside {other.rows}x{other.cols}"
-            )
-        entries = dict(self._entries)
-        for (i, j), value in other._entries.items():
-            entries[(i, j + self.cols)] = value
-        return RationalMatrix._of_fractions(self.rows, self.cols + other.cols, entries)
-
     def take_columns(self, indices: Sequence[int]) -> "RationalMatrix":
         position = {c: new for new, c in enumerate(indices)}
         entries = {}
@@ -331,11 +322,12 @@ def _cleared_pivots(
     (Chen-Kerber, *Persistent homology computation with a twist*, 2011;
     Bauer-Kerber-Reininghaus, *Clear and compress*, 2014).  So
     ``len(pivots[m])`` is rank d_m for any order, provided
-    d_{m+1} d_m = 0, which the caller must know.  Let R be the pivoted
-    rows of d_m and C the columns used.  The pivot rows of the transpose
-    are an invertible lower-triangular combination of its rows C, and on
-    the columns R they are triangular with a nonzero diagonal, so
-    d_m[R, C] is invertible.  Restricted to the columns C,
+    d_{m+1} d_m = 0, which the caller must know (the docstring of
+    ``simplicial.CochainComplex`` lists the builders that do).  Let R be
+    the pivoted rows of d_m and C the columns used.  The pivot rows of
+    the transpose are an invertible lower-triangular combination of its
+    rows C, and on the columns R they are triangular with a nonzero
+    diagonal, so d_m[R, C] is invertible.  Restricted to the columns C,
     d_{m+1} d_m = 0 reads d_{m+1}[:, R] d_m[R, C] = -d_{m+1}[:, ~R] d_m[~R, C]:
     the columns R of d_{m+1} lie in the span of its other columns, and
     dropping them keeps its rank.
@@ -382,22 +374,6 @@ def rank(m: RationalMatrix) -> int:
 def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     """Matrix whose columns form a basis of the null space of ``m``."""
     return _back_substitute(_eliminate(m), m.cols)
-
-
-def inverse(m: RationalMatrix) -> RationalMatrix:
-    """m^-1, read off the kernel of [m | -I]: kernel vector k is (m^-1 e_k, e_k).
-
-    Walking the columns by index puts all n pivots in m's own columns
-    exactly when m is nonsingular.
-    """
-    if m.rows != m.cols:
-        raise ShapeMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
-    n = m.rows
-    pivots = _eliminate(m.hstack(-RationalMatrix.identity(n)), order=(lambda j: j, lambda i: i))
-    if any(c >= n for c, _, _ in pivots):
-        raise ShapeMismatch("matrix is singular")
-    kernel = _back_substitute(pivots, 2 * n)
-    return RationalMatrix._of_fractions(n, n, {(i, k): v for (i, k), v in kernel._entries.items() if i < n})
 
 
 def block_matrix(

@@ -14,10 +14,11 @@ sections, explicit divisor tables); it checks shapes and then
 functoriality.  ``constant_presheaf``, the zero presheaf, ``direct_sum`` and
 the quotient of ``split_constant`` are functorial by construction, as their
 docstrings say, and are not checked again.  ``cech_complex`` only assembles
-matrices.  ``CochainComplex``, defined in ``simplicial`` and re-exported
-here, still checks d.d, which refuses any non-functorial ``Presheaf`` built
-directly, without ``make_presheaf``; its ``cohomology`` ranks the
-differentials in the one cleared reduction of ``exactla``.
+matrices, and d.d = 0 is not checked a second time: it follows from
+functoriality.  A ``Presheaf`` built directly, around ``make_presheaf``,
+is the caller's to vouch for.  ``CochainComplex``, defined in
+``simplicial`` and re-exported here, ranks the differentials in the one
+cleared reduction of ``exactla``.
 
 Summands inside each cochain group are ordered lexicographically by
 vertex tuple, so all matrices here are reproducible.
@@ -146,9 +147,9 @@ def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:
 def cech_complex(v: Presheaf) -> CochainComplex:
     """Block cochain complex of a presheaf with the alternating-sign differential.
 
-    Only assembles matrices: functoriality was checked where the
-    restrictions entered, and ``CochainComplex`` refuses a non-functorial
-    presheaf through its d.d check.
+    Only assembles matrices.  The differential squares to zero because v
+    is functorial: checked by ``make_presheaf`` where the restrictions
+    entered, or true by construction.
     """
     base = v.base
     top = base.dim
@@ -222,8 +223,14 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, 
     checked compatible (R_{tau,rho} u_tau = u_rho) before anything else, so
     the composite sigma -> tau -> rho is
     P_rho R_{tau,rho} (I - u_tau pi_tau) R_{sigma,tau} E_sigma
-    = P_rho R_{tau,rho} R_{sigma,tau} E_sigma.  A non-functorial v is
-    refused by the d.d check of its own Cech complex below.
+    = P_rho R_{tau,rho} R_{sigma,tau} E_sigma.  v itself is not checked
+    again: it came through ``make_presheaf`` or is one of this module's
+    constructions, functorial by construction.
+
+    With ``lead`` the first nonzero coordinate of u, E embeds the other
+    coordinates and P x = (x_j - (x_lead / u_lead) u_j) for j != lead,
+    the coordinates off ``lead`` of x - (x_lead / u_lead) u; so P u = 0
+    and P E = I.
     """
     base = v.base
     units = {s: _unit_column(v, unit, s) for s in sorted(base.simplices)}
@@ -237,16 +244,12 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, 
     for s, u in units.items():
         d = v.dim(s)
         lead = min(i for i in range(d) if u.entry(i, 0) != 0)
-        embed = RationalMatrix.from_entries(
-            d, d - 1, {(i, k): 1 for k, i in enumerate(j for j in range(d) if j != lead)}
-        )
-        change = u.hstack(embed)
-        inv = exactla.inverse(change)
-        proj = RationalMatrix.from_entries(
-            d - 1, d, {(i - 1, j): inv.entry(i, j) for i in range(1, d) for j in range(d)}
-        )
-        embeddings[s] = embed
-        projections[s] = proj
+        others = [j for j in range(d) if j != lead]
+        embeddings[s] = RationalMatrix.from_entries(d, d - 1, {(j, k): 1 for k, j in enumerate(others)})
+        projections[s] = RationalMatrix.from_entries(d - 1, d, {
+            **{(k, j): 1 for k, j in enumerate(others)},
+            **{(k, lead): -u.entry(j, 0) / u.entry(lead, 0) for k, j in enumerate(others)},
+        })
     q_dims = {s: v.dim(s) - 1 for s in base.simplices}
     q_restrictions = {
         pair: projections[pair[1]] @ v.restrictions[pair] @ embeddings[pair[0]]

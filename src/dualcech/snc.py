@@ -247,8 +247,9 @@ def _assemble(d: SncDivisor, r: int, flavor: str, q_top: int) -> CohomologyRepor
     An all-zero layer is never built: it has 0 groups in every degree, so
     no check on it can fail.  A nonzero layer is the constant q = 0
     presheaf, functorial by construction, or came through make_presheaf,
-    which checked its shapes and functoriality; the CochainComplex of
-    presheaf_cohomology checks d.d.
+    which checked its shapes and functoriality; either way its Cech
+    differential squares to zero, and presheaf_cohomology ranks it
+    without checking that again.
     """
     delta = dual_complex(d)
     layers = [_layer(d, delta, r, q, flavor) for q in range(q_top + 1)]

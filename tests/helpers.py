@@ -7,7 +7,8 @@ route the library uses), monomial counts from inclusion-exclusion,
 monomial quotient bases and survivor-set counts from listing every
 monomial, local-model homology from the full Cech matrix over every
 stratum at once,
-and presheaf functoriality from triple-loop products of the restrictions.
+presheaf functoriality and the d.d = 0 of ``OracleCochainComplex`` from
+triple-loop products, and inverses from dense Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -115,12 +116,41 @@ def oracle_matmul(a: list[list], b: list[list], cols: int) -> list[list[Fraction
     """Dense product of rational matrices given as rows, by a triple loop.
 
     ``b`` has one row per column of ``a`` and ``cols`` columns; ``cols``
-    is passed because ``b`` may have no rows to read it from.
+    is passed because ``b`` may have no rows to read it from.  The zero
+    entries of each row of ``a`` are skipped, which leaves every sum the same.
     """
-    return [
-        [sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0)) for j in range(cols)]
-        for row in a
-    ]
+    out = []
+    for row in a:
+        terms = [(Fraction(x), b[k]) for k, x in enumerate(row) if x != 0]
+        out.append([sum((x * Fraction(b_row[j]) for x, b_row in terms), Fraction(0)) for j in range(cols)])
+    return out
+
+
+def oracle_inverse(m: RationalMatrix) -> RationalMatrix:
+    """m^-1 by dense Gauss-Jordan elimination of [m | I] over ``Fraction``s.
+
+    Raises ``ShapeMismatch`` for a matrix that is not square or is singular.
+    """
+    if m.rows != m.cols:
+        raise ShapeMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
+    n = m.rows
+    a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.to_rows())]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            raise ShapeMismatch("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            factor = a[i][col]
+            if i != col and factor != 0:
+                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+    return RationalMatrix.from_rows([row[n:] for row in a], cols=n)
+
+
+def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[a | b], for two matrices with the same number of rows."""
+    return exactla.block_matrix([a.rows], [a.cols, b.cols], {(0, 0): a, (0, 1): b})
 
 
 def oracle_is_functorial(v: Presheaf) -> bool:
@@ -284,7 +314,20 @@ def oracle_survivor_counts(spec: LocalModelSpec, degree: int) -> Counter[int]:
 
 
 class OracleCochainComplex(CochainComplex):
-    """A cochain complex whose cohomology comes from Bareiss ranks."""
+    """A cochain complex whose d.d = 0 is checked and whose cohomology comes from Bareiss ranks.
+
+    The library's ``CochainComplex`` checks shapes only and relies on its
+    builders for d.d = 0; here every product of consecutive differentials
+    is multiplied out by ``oracle_matmul``, not ``RationalMatrix.__matmul__``,
+    and a nonzero one raises ``CompositionNonzero``.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        for p in range(len(self.differentials) - 1):
+            inner, outer = self.differentials[p], self.differentials[p + 1]
+            if any(any(row) for row in oracle_matmul(outer.to_rows(), inner.to_rows(), inner.cols)):
+                raise CompositionNonzero(f"differentials {p} and {p + 1} do not compose to zero")
 
     def cohomology(self) -> list[int]:
         ranks = [oracle_rank(d.to_rows()) for d in self.differentials]
@@ -295,13 +338,19 @@ class OracleCochainComplex(CochainComplex):
         ]
 
 
+def oracle_checked(c: CochainComplex) -> OracleCochainComplex:
+    """``c`` again as an ``OracleCochainComplex``, so its d.d is checked by ``oracle_matmul``."""
+    return OracleCochainComplex(c.space_dims, c.differentials)
+
+
 def oracle_layered_report(d: SncDivisor, r: int, flavor: str) -> snc.CohomologyReport:
     """The report of one (form degree, flavor) family, every layer ranked.
 
     Layers q = 0..top are built as the library builds them, and each one,
-    identically zero or not, goes through ``cech_complex`` (d.d checked)
-    and Bareiss ranks.  The totals and summands follow the
-    paper's sum over p + q = k, up to the last nonzero layer.
+    identically zero or not, goes through ``cech_complex`` and then
+    ``OracleCochainComplex``, which checks d.d by ``oracle_matmul`` and
+    ranks by Bareiss.  The totals and summands follow the paper's sum over
+    p + q = k, up to the last nonzero layer.
     """
     delta = snc.dual_complex(d)
     if delta.dim < 0:
@@ -311,8 +360,7 @@ def oracle_layered_report(d: SncDivisor, r: int, flavor: str) -> snc.CohomologyR
     layers = []
     for q in range(top + 1):
         v = snc.build_presheaf(d, r, q, flavor)
-        c = presheaf.cech_complex(v)
-        h = OracleCochainComplex(c.space_dims, c.differentials).cohomology()
+        h = oracle_checked(presheaf.cech_complex(v)).cohomology()
         label = f"derham q={q}" if flavor == DERHAM else f"sheaf r={r} q={q}"
         layers.append((q, v.is_zero(), h, label))
     q_eff = max((q for q, zero, _, _ in layers if not zero), default=0)
@@ -427,7 +475,7 @@ def oracle_page(b: Bicomplex, r: int) -> SpectralPage:
             continue
         image = b.horizontal[(p, q)] @ kernels[(p, q)]
         below = _vertical_in(b, p + 1, q)
-        induced_rank[(p, q)] = exactla.rank(image.hstack(below)) - exactla.rank(below)
+        induced_rank[(p, q)] = exactla.rank(hstack(image, below)) - exactla.rank(below)
     dims = {}
     for p, q in grid:
         incoming = induced_rank[(p - 1, q)] if p > 0 else 0
@@ -475,7 +523,7 @@ def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
                 sub_kernel.cols,
                 {(cols[i], j): v for i, j, v in sub_kernel.nonzero_entries()},
             )
-            graded.append(exactla.rank(embedded.hstack(d_prev)) - rank_prev)
+            graded.append(exactla.rank(hstack(embedded, d_prev)) - rank_prev)
         for p, q in positions:
             dims[(p, q)] = graded[p] - graded[p + 1]
         if sum(graded[p] - graded[p + 1] for p, _ in positions) != totals[m]:
@@ -617,7 +665,7 @@ def conjugate_presheaf(rng: random.Random, v: Presheaf) -> tuple[Presheaf, dict]
     changes = {s: random_unimodular(rng, v.dim(s)) for s in v.base.simplices}
     restrictions = {}
     for (sigma, tau), mat in v.restrictions.items():
-        restrictions[(sigma, tau)] = changes[tau] @ mat @ exactla.inverse(changes[sigma])
+        restrictions[(sigma, tau)] = changes[tau] @ mat @ oracle_inverse(changes[sigma])
     return Presheaf(v.base, dict(v.dims), restrictions), changes
 
 
@@ -679,7 +727,7 @@ def random_cochain_complex(rng: random.Random, max_length: int = 3, cap: int = 3
     ]
     changes = [random_unimodular(rng, d, shears=2) for d in dims]
     diffs = [
-        changes[p + 1] @ diffs[p] @ exactla.inverse(changes[p]) for p in range(length - 1)
+        changes[p + 1] @ diffs[p] @ oracle_inverse(changes[p]) for p in range(length - 1)
     ]
     return presheaf.CochainComplex(tuple(dims), tuple(diffs))
 
@@ -779,7 +827,7 @@ def random_bicomplex(
     horizontal = build(draft.horizontal, lambda p, q: (p + 1, q))
     vertical = build(draft.vertical, lambda p, q: (p, q + 1))
     changes = {cell: random_unimodular(rng, d, shears=2) for cell, d in draft.dims.items()}
-    inverses = {cell: exactla.inverse(mat) for cell, mat in changes.items()}
+    inverses = {cell: oracle_inverse(mat) for cell, mat in changes.items()}
     horizontal = {
         (p, q): changes[(p + 1, q)] @ mat @ inverses[(p, q)]
         for (p, q), mat in horizontal.items()

@@ -16,6 +16,7 @@ from dualcech.errors import HodgeMismatch
 from dualcech.exactla import RationalMatrix
 
 from helpers import (
+    OracleCochainComplex,
     conjugate_presheaf,
     elliptic_triangle_divisor,
     oracle_betti,
@@ -135,6 +136,8 @@ def test_acceptance_6_spectral_convergence():
     while checked < 100:
         b = random_bicomplex(rng, max_width=3, max_height=3, cap=4)
         totals = bicomplex.total_cohomology(b)
+        tc = bicomplex.total_complex(b)
+        assert totals == OracleCochainComplex(tc.space_dims, tc.differentials).cohomology()
         e2 = bicomplex.page(b, 2)
         einf = bicomplex.page_infinity(b)
         for m in range(b.width + b.height + 1):

@@ -9,6 +9,7 @@ from dualcech.localmodel import make_local_model, verify_exactness
 
 from helpers import (
     _monomials,
+    oracle_checked,
     oracle_monomial_count,
     oracle_sheaf_cech_complex,
     oracle_survivor_counts,
@@ -153,7 +154,8 @@ def test_monomials_are_lexicographic():
 
 
 def test_split_matches_full_cech_oracle():
-    blocks = {s: localmodel.simplex_block(s) for s in range(1, 4)}
+    # every block up to s = 6 has d.d = 0 by oracle_matmul
+    blocks = {s: oracle_checked(localmodel.simplex_block(s)) for s in range(1, 7)}
     for spec in localmodel.sweep_specs(max_ambient=3, degree_bound=6):
         joints = len(spec.components) + 1
         table = []

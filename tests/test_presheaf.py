@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +19,13 @@ from dualcech.exactla import RationalMatrix
 from helpers import (
     OracleCochainComplex,
     conjugate_presheaf,
+    hstack,
+    oracle_checked,
+    oracle_inverse,
     oracle_is_functorial,
     random_complex,
     random_presheaf,
+    random_unimodular,
 )
 
 
@@ -106,11 +111,16 @@ def test_functoriality_violation_detected():
 
 
 def test_unchecked_presheaf_refused_by_cech_complex():
-    # built around make_presheaf: the d.d check of the Cech complex is the guard
-    v = presheaf.Presheaf(*nonfunctorial_triangle())
+    # make_presheaf is the door that refuses the data; a Presheaf built
+    # around it gets a Cech complex whose d.d the oracle finds nonzero
+    base, dims, restrictions = nonfunctorial_triangle()
+    with pytest.raises(FunctorialityViolation):
+        presheaf.make_presheaf(base, dims, restrictions)
+    v = presheaf.Presheaf(base, dims, restrictions)
     assert not oracle_is_functorial(v)
+    complex_ = presheaf.cech_complex(v)
     with pytest.raises(CompositionNonzero):
-        presheaf.cech_complex(v)
+        OracleCochainComplex(complex_.space_dims, complex_.differentials)
 
 
 def test_direct_sum_dimension_additivity():
@@ -190,6 +200,37 @@ def test_split_constant_incompatible_section_rejected():
         presheaf.split_constant(v, unit)
 
 
+@given(
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=4).filter(any),
+    st.integers(0, 2**31 - 1),
+)
+def test_split_projection_matches_inverse_oracle(u0, seed):
+    # one edge, stalks changed by random bases C_s, unit u_s = C_s u0: the
+    # quotient restriction P_tau R E_sigma fixes P_tau, because the image of
+    # R E_sigma and u_tau span the stalk; P must be the last rows of
+    # [u | E]^-1, the projection along u onto the coordinates off lead
+    rng = random.Random(seed)
+    d = len(u0)
+    base = simplicial.from_facets(2, [(0, 1)])
+    changes = {s: random_unimodular(rng, d) for s in base.simplices}
+    restrictions = {(s, (0, 1)): changes[(0, 1)] @ oracle_inverse(changes[s]) for s in [(0,), (1,)]}
+    v = presheaf.make_presheaf(base, {s: d for s in base.simplices}, restrictions)
+    units = {s: changes[s] @ RationalMatrix.column(u0) for s in base.simplices}
+    _, quotient = presheaf.split_constant(v, {s: [u.entry(i, 0) for i in range(d)] for s, u in units.items()})
+    embeddings, projections = {}, {}
+    for s, u in units.items():
+        lead = min(i for i in range(d) if u.entry(i, 0) != 0)
+        embeddings[s] = RationalMatrix.from_entries(
+            d, d - 1, {(j, k): 1 for k, j in enumerate(j for j in range(d) if j != lead)}
+        )
+        inv = oracle_inverse(hstack(u, embeddings[s]))
+        projections[s] = RationalMatrix.from_entries(
+            d - 1, d, {(i - 1, j): inv.entry(i, j) for i in range(1, d) for j in range(d)}
+        )
+    for (sigma, tau), mat in quotient.restrictions.items():
+        assert mat == projections[tau] @ v.restrictions[(sigma, tau)] @ embeddings[sigma]
+
+
 def test_split_constant_detects_nonsplit_extension():
     # a twisted extension of the constant presheaf over a circle; the unit
     # section is preserved but no complement exists
@@ -219,19 +260,24 @@ def test_cech_complex_of_random_presheaf_is_valid(seed):
 @given(st.integers(0, 2**31 - 1))
 def test_unchecked_constructions_are_functorial_by_oracle(seed):
     # constant, zero, direct-sum and split-quotient presheaves skip
-    # check_functoriality; the oracle confirms they need no check
+    # check_functoriality; the oracle confirms they need no check, and
+    # OracleCochainComplex checks d.d of each Cech complex by oracle_matmul
     rng = random.Random(seed)
     base = random_complex(rng, max_vertices=5)
     for d in (0, 1, 2):
         assert oracle_is_functorial(presheaf.constant_presheaf(base, d))
+        oracle_checked(presheaf.cech_complex(presheaf.constant_presheaf(base, d)))
     v = random_presheaf(rng, base, summands=2)
     w = random_presheaf(rng, base, summands=2)
     assert oracle_is_functorial(presheaf.direct_sum(v, w))
+    oracle_checked(presheaf.cech_complex(v))
+    oracle_checked(presheaf.cech_complex(presheaf.direct_sum(v, w)))
     planted = presheaf.direct_sum(presheaf.constant_presheaf(base, 1), random_presheaf(rng, base, summands=2))
     twisted, changes = conjugate_presheaf(rng, planted)
     unit = {s: [changes[s].entry(i, 0) for i in range(changes[s].rows)] for s in base.simplices}
     _, quotient = presheaf.split_constant(twisted, unit)
     assert oracle_is_functorial(quotient)
+    oracle_checked(presheaf.cech_complex(quotient))
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from dualcech import simplicial
 from dualcech.errors import BadTuple
 
-from helpers import oracle_betti, random_complex
+from helpers import OracleCochainComplex, oracle_betti, random_complex
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -90,6 +90,9 @@ def test_integral_cohomology_projective_plane():
 def test_betti_against_boundary_matrix_oracle(seed):
     k = random_complex(random.Random(seed), max_vertices=6)
     assert simplicial.betti_numbers(k) == oracle_betti(k)
+    # the coboundaries square to zero by construction; the oracle checks it
+    coboundaries = tuple(simplicial.coboundary_matrix(k, p) for p in range(k.dim))
+    OracleCochainComplex(tuple(k.counts()), coboundaries)
 
 
 @given(st.integers(0, 2**31 - 1))
