@@ -19,6 +19,7 @@ from .errors import (
     CheckFailed,
     HodgeMismatch,
     InputError,
+    InvalidInput,
     NecessaryConditionFailed,
     SchemaError,
 )
@@ -194,6 +195,8 @@ def cmd_bicomplex_pages(doc, args):
     _require_kind(doc, "bicomplex-pages", "bicomplex")
     b = formats.parse_bicomplex(doc)
     max_page = args.max_page if args.max_page is not None else 3
+    if max_page < 0:
+        raise InvalidInput("max page must be nonnegative")
     pages = {}
     for r in range(min(max_page, 2) + 1):
         pages[f"E{r}"] = _grid(bicomplex_mod.page(b, r), b.width, b.height)

@@ -2,9 +2,11 @@
 
 Every quantity in this package is ultimately a dimension, so a single
 rounding error would falsify a theorem check.  There is no floating point
-anywhere: the API takes and returns arbitrary-precision
-``fractions.Fraction`` entries, and the two inner loops run on Python
-``int``s.  Rank, kernels and the filtered pairing behind the spectral
+anywhere.  A ``RationalMatrix`` stores integer numerators over one
+positive common denominator, and every operation inside this module works
+on those Python ``int``s; ``fractions.Fraction`` appears only at the API,
+which takes ints, ``Fraction``s or 'p/q' strings and returns ``Fraction``
+entries.  Rank, kernels and the filtered pairing behind the spectral
 pages come from one sparse elimination, ``_eliminate``, which walks the
 columns once in a fixed order; Smith normal form is the only other
 reduction.  A cochain complex is ranked degree by degree in
@@ -13,18 +15,18 @@ of ``CochainComplex`` and the filtered pairing, and it is sound because
 d.d = 0 is known wherever a ``CochainComplex`` is built (its docstring
 lists the builders).
 
-``_eliminate`` first scales each row by a positive rational to integers
-with no common factor, which leaves the row space unchanged, and then
-eliminates fraction-free: a row is replaced by an integer combination
-``s*row - t*pivot_row`` with ``s > 0`` and divided by the gcd of its
-entries.  Each row so stays a positive multiple of the row that rational
-elimination would hold, with the same zero pattern, so the pivots, the
-rank and the row space of the triangular system are the same.  Kernel
-vectors are read off that system with the free coordinates fixed to a unit
-vector; such a vector is unique, so the kernel basis does not depend on
-the scaling.  A product multiplies the integer numerators of both
-operands over their common denominators and forms one ``Fraction`` per
-nonzero entry of the result.
+``_eliminate`` reads the numerators, which are the matrix scaled by its
+positive denominator, divides each row by the gcd of its entries, which
+leaves the row space unchanged, and then eliminates fraction-free: a row
+is replaced by an integer combination ``s*row - t*pivot_row`` with
+``s > 0`` and divided by the gcd of its entries.  Each row so stays a
+positive multiple of the row that rational elimination would hold, with
+the same zero pattern, so the pivots, the rank and the row space of the
+triangular system are the same.  Kernel vectors are read off that system
+with the free coordinates fixed to a unit vector; such a vector is
+unique, so the kernel basis does not depend on the scaling.  A product
+multiplies the numerators of both operands over the product of their
+denominators, and a sum adds them over the lcm of the denominators.
 
 Matrices are conceptually dense and row-major.  Internally only nonzero
 entries are stored, which keeps the differentials of large combinatorial
@@ -44,17 +46,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _integer_rows(m: RationalMatrix) -> tuple[dict[int, dict[int, int]], int]:
-    """The nonzero rows of ``m`` as integer numerators over the common denominator."""
-    d = lcm(*(v.denominator for v in m._entries.values()))
+def _by_row(entries: Mapping[tuple[int, int], int]) -> dict[int, dict[int, int]]:
+    """The entries grouped by row: row index -> column index -> value."""
     rows: dict[int, dict[int, int]] = {}
-    if d == 1:
-        for (i, j), v in m._entries.items():
-            rows.setdefault(i, {})[j] = v.numerator
-    else:
-        for (i, j), v in m._entries.items():
-            rows.setdefault(i, {})[j] = v.numerator * (d // v.denominator)
-    return rows, d
+    for (i, j), v in entries.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
 
 
 def as_fraction(value) -> Fraction:
@@ -76,29 +73,45 @@ class RationalMatrix:
     Zero-row and zero-column matrices are first class; they represent maps
     to or from the zero space and save every caller from special-casing
     empty complexes.
+
+    Entry (i, j) is ``_entries[(i, j)] / _den``: ``_entries`` holds the
+    nonzero integer numerators and ``_den > 0`` is one common denominator,
+    in lowest terms, gcd(``_den``, every numerator) = 1.  The form is
+    canonical, so equal matrices have equal ``_den`` and ``_entries``.
+    The constructor takes ``_den`` as the lcm of the reduced denominators
+    of its entries, which is already lowest terms: for a prime p dividing
+    ``_den``, the entry whose denominator holds the highest power of p has
+    a numerator that p does not divide.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_entries", "_den")
 
-    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], Fraction]):
+    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], object]):
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative matrix shape {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        data = {}
+        values = {}
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatch(f"entry ({i},{j}) outside {rows}x{cols} matrix")
-            value = as_fraction(value)
-            if value != 0:
-                data[(i, j)] = value
-        self._entries = data
+            if type(value) is not int:
+                value = as_fraction(value)
+            if value:
+                values[(i, j)] = value
+        den = lcm(*(v.denominator for v in values.values()))
+        self.rows, self.cols = rows, cols
+        self._entries = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self._den = den
 
     @classmethod
-    def _of_fractions(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> "RationalMatrix":
-        """Wrap nonzero in-bounds ``Fraction`` entries without checking them again."""
+    def _of(cls, rows: int, cols: int, entries: dict[tuple[int, int], int], den: int = 1) -> "RationalMatrix":
+        """Wrap nonzero in-bounds numerators over ``den > 0``, dividing out their common factor with ``den``."""
+        if den != 1:
+            g = gcd(den, *entries.values())
+            if g != 1:
+                den //= g
+                entries = {k: v // g for k, v in entries.items()}
         m = object.__new__(cls)
-        m.rows, m.cols, m._entries = rows, cols, entries
+        m.rows, m.cols, m._entries, m._den = rows, cols, entries, den
         return m
 
     @classmethod
@@ -123,7 +136,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "RationalMatrix":
@@ -136,7 +149,7 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        return self._entries.get((i, j), _ZERO)
+        return Fraction(self._entries.get((i, j), 0), self._den)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         return self.entry(*key)
@@ -144,51 +157,50 @@ class RationalMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         out = [[_ZERO] * self.cols for _ in range(self.rows)]
         for (i, j), value in self._entries.items():
-            out[i][j] = value
+            out[i][j] = Fraction(value, self._den)
         return out
 
     def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
-        return [(i, j, v) for (i, j), v in sorted(self._entries.items())]
+        return [(i, j, Fraction(v, self._den)) for (i, j), v in sorted(self._entries.items())]
 
     def is_zero(self) -> bool:
         return not self._entries
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of_fractions(self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()})
+        return RationalMatrix._of(self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()}, self._den)
 
     def scaled(self, factor) -> "RationalMatrix":
-        factor = as_fraction(factor)
+        if type(factor) is not int:
+            factor = as_fraction(factor)
         if factor == 0:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix._of_fractions(self.rows, self.cols, {k: factor * v for k, v in self._entries.items()})
-
-    def __neg__(self) -> "RationalMatrix":
-        return self.scaled(-1)
+        n, d = factor.numerator, factor.denominator
+        return RationalMatrix._of(self.rows, self.cols, {k: n * v for k, v in self._entries.items()}, self._den * d)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        entries = dict(self._entries)
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        entries = {k: s * v for k, v in self._entries.items()}
         for key, value in other._entries.items():
-            total = entries.get(key, _ZERO) + value
+            total = entries.get(key, 0) + t * value
             if total == 0:
                 entries.pop(key, None)
             else:
                 entries[key] = total
-        return RationalMatrix._of_fractions(self.rows, self.cols, entries)
+        return RationalMatrix._of(self.rows, self.cols, entries, den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        left, da = _integer_rows(self)
-        right, db = _integer_rows(other)
-        d = da * db
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i, row in left.items():
+        right = _by_row(other._entries)
+        entries: dict[tuple[int, int], int] = {}
+        for i, row in _by_row(self._entries).items():
             acc: dict[int, int] = {}
             for k, a in row.items():
                 right_row = right.get(k)
@@ -198,8 +210,8 @@ class RationalMatrix:
                     acc[j] = acc.get(j, 0) + a * b
             for j, n in acc.items():
                 if n:
-                    entries[(i, j)] = Fraction(n) if d == 1 else Fraction(n, d)
-        return RationalMatrix._of_fractions(self.rows, other.cols, entries)
+                    entries[(i, j)] = n
+        return RationalMatrix._of(self.rows, other.cols, entries, self._den * other._den)
 
     def take_columns(self, indices: Sequence[int]) -> "RationalMatrix":
         position = {c: new for new, c in enumerate(indices)}
@@ -207,7 +219,7 @@ class RationalMatrix:
         for (i, j), value in self._entries.items():
             if j in position:
                 entries[(i, position[j])] = value
-        return RationalMatrix._of_fractions(self.rows, len(indices), entries)
+        return RationalMatrix._of(self.rows, len(indices), entries, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -215,6 +227,7 @@ class RationalMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
+            and self._den == other._den
             and self._entries == other._entries
         )
 
@@ -233,7 +246,8 @@ def _eliminate(
 ) -> list[tuple[int, int, dict[int, int]]]:
     """Sparse fraction-free elimination; returns the pivots as (column, row index, row).
 
-    Rows are scaled to integers with coprime entries; a row holding ``a``
+    The rows are the numerators of ``m``, each divided by the gcd of its
+    entries, so integers with coprime entries; a row holding ``a``
     in the pivot column becomes ``(p/g)*row - (a/g)*pivot_row`` for the
     pivot value ``p`` and ``g = gcd(a, p)`` signed like ``p``, and is then
     divided by the gcd of its entries.  The columns are walked once, in
@@ -251,7 +265,7 @@ def _eliminate(
     changed only by positive scaling and by adding multiples of earlier
     pivot rows.
     """
-    rows, _ = _integer_rows(m)
+    rows = _by_row(m._entries)
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         row = rows[i] = _primitive(row)
@@ -338,7 +352,8 @@ def _cleared_pivots(
         live = [j for j in range(d.cols) if j not in cleared]
         position = {j: k for k, j in enumerate(live)}
         entries = {(position[j], i): v for (i, j), v in d._entries.items() if j in position}
-        pivots = _eliminate(RationalMatrix._of_fractions(len(live), d.rows, entries), order)
+        # the numerators alone: a positive scaling changes no pivot
+        pivots = _eliminate(RationalMatrix._of(len(live), d.rows, entries), order)
         cleared = {c for c, _, _ in pivots}
         out.append([(c, live[r]) for c, r, _ in pivots])
     return out
@@ -363,7 +378,7 @@ def _back_substitute(pivots: list[tuple[int, int, dict[int, int]]], ncols: int) 
         pivot_value = row[c]
         solution[c] = {k: x / pivot_value for k, x in acc.items() if x != 0}
     entries = {(j, k): x for j, coords in solution.items() for k, x in coords.items()}
-    return RationalMatrix._of_fractions(ncols, len(free), entries)
+    return RationalMatrix(ncols, len(free), entries)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -381,24 +396,29 @@ def block_matrix(
     col_dims: Sequence[int],
     blocks: Mapping[tuple[int, int], RationalMatrix],
 ) -> RationalMatrix:
-    """Assemble a matrix from blocks; absent blocks are zero."""
+    """Assemble a matrix from blocks; absent blocks are zero.
+
+    The numerators of each block are brought over the lcm of the block
+    denominators.
+    """
     row_off = [0]
     for d in row_dims:
         row_off.append(row_off[-1] + d)
     col_off = [0]
     for d in col_dims:
         col_off.append(col_off[-1] + d)
-    entries: dict[tuple[int, int], Fraction] = {}
+    den = lcm(*(block._den for block in blocks.values()))
+    entries: dict[tuple[int, int], int] = {}
     for (bi, bj), block in blocks.items():
         if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
             raise ShapeMismatch(
                 f"block ({bi},{bj}) is {block.rows}x{block.cols}, "
                 f"expected {row_dims[bi]}x{col_dims[bj]}"
             )
-        ri, ci = row_off[bi], col_off[bj]
+        ri, ci, s = row_off[bi], col_off[bj], den // block._den
         for (i, j), value in block._entries.items():
-            entries[(ri + i, ci + j)] = value
-    return RationalMatrix._of_fractions(row_off[-1], col_off[-1], entries)
+            entries[(ri + i, ci + j)] = s * value
+    return RationalMatrix._of(row_off[-1], col_off[-1], entries, den)
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
@@ -428,9 +448,10 @@ def smith_normal_form(m: RationalMatrix) -> list[int]:
     nr, nc = m.rows, m.cols
     a = [[0] * nc for _ in range(nr)]
     for (i, j), value in m._entries.items():
-        if value.denominator != 1:
-            raise TypeError(f"Smith normal form needs integer entries, got {value} at ({i},{j})")
-        a[i][j] = value.numerator
+        # in lowest terms some entry is fractional exactly when the denominator is not 1
+        if value % m._den:
+            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
+        a[i][j] = value
     factors: list[int] = []
     t = 0
     while True:

@@ -13,7 +13,6 @@ inputs always produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping
 
 from . import bicomplex as bicomplex_mod
@@ -78,7 +77,11 @@ def _rational(value, path):
 
 
 def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
-    """A dense JSON matrix, kept sparse; a plain ``int`` needs no parsing and a zero no entry."""
+    """A dense JSON matrix, kept sparse; a plain ``int`` needs no parsing and a zero no entry.
+
+    The entries go to the ``RationalMatrix`` constructor as they are, ints
+    and ``Fraction``s mixed; it brings them over one common denominator.
+    """
     data = _list(value, path)
     entries = {}
     width = None
@@ -89,20 +92,17 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
         elif len(row) != width:
             raise SchemaError(f"{path}/{i}", "ragged matrix rows")
         for j, x in enumerate(row):
-            if type(x) is int:  # not bool, which _rational refuses
-                if x:
-                    entries[(i, j)] = Fraction(x)
-            else:
+            if type(x) is not int:  # bool is no int here, and _rational refuses it
                 x = _rational(x, f"{path}/{i}/{j}")
-                if x:
-                    entries[(i, j)] = x
+            if x:
+                entries[(i, j)] = x
     if cols is not None and width is not None and width != cols:
         raise SchemaError(path, f"expected {cols} columns, got {width}")
     if cols is None:
         cols = width if width is not None else 0
     if rows is not None and len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows, got {len(data)}")
-    return RationalMatrix._of_fractions(len(data), cols, entries)
+    return RationalMatrix(len(data), cols, entries)
 
 
 def _vertex_tuple(value, path) -> Simplex:

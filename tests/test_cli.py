@@ -238,6 +238,8 @@ def test_bicomplex_pages_max_page(capsys):
     )
     assert code == 0
     assert sorted(report["result"]["pages"]) == ["E0", "E1"]
+    # a negative page is refused, like a negative --form-degree or --degree-bound
+    assert run_cli(capsys, "bicomplex-pages", input_path("bicomplex_d2.json"), "--max-page", "-1") == (1, "")
 
 
 def test_degeneration_failure_exit_code(capsys):

@@ -271,6 +271,38 @@ def test_results_have_fraction_entries(drawn, integral):
         assert _all_fractions(oracle_inverse(ma))
 
 
+def _agrees(m: RationalMatrix, dense: list[list[Fraction]], cols: int) -> bool:
+    """``m`` holds ``dense``, entry for entry and as a matrix built from it afresh."""
+    return m.to_rows() == dense and m == RationalMatrix.from_rows(dense, cols=cols)
+
+
+@given(composable_pair(), st.data())
+def test_matrix_algebra_matches_dense_oracle(drawn, data):
+    # the storage is canonical, so == must agree with entrywise equality
+    # however a matrix was built
+    a, b, c = drawn
+    r, k = len(a), len(b)
+    e = [[data.draw(_ENTRY) for _ in range(k)] for _ in range(r)]
+    f = data.draw(_ENTRY.filter(bool))
+    indices = data.draw(st.lists(st.integers(0, k - 1), unique=True)) if k else []
+    ma, me = RationalMatrix.from_rows(a, cols=k), RationalMatrix.from_rows(e, cols=k)
+    mb = RationalMatrix.from_rows(b, cols=c)
+    assert (ma == me) == (a == e)
+    assert _agrees(ma + me, [[x + y for x, y in zip(u, v)] for u, v in zip(a, e)], k)
+    assert _agrees(ma.scaled(f), [[f * x for x in row] for row in a], k)
+    assert _agrees(ma.scaled(2), [[2 * x for x in row] for row in a], k)
+    assert _agrees(ma.transpose(), [[a[i][j] for i in range(r)] for j in range(k)], r)
+    assert _agrees(ma.take_columns(indices), [[row[j] for j in indices] for row in a], len(indices))
+    product = oracle_matmul(a, b, c)
+    dense = [row + p for row, p in zip(a, product)] + [[Fraction(0)] * k + row for row in b]
+    blocks = {(0, 0): ma, (1, 1): mb, (0, 1): ma @ mb}
+    assert _agrees(exactla.block_matrix([r, k], [k, c], blocks), dense, k + c)
+    assert (ma + me) + me.scaled(-1) == ma
+    assert ma.scaled(f).scaled(1 / f) == ma
+    assert ma.scaled(0) == RationalMatrix.zeros(r, k)
+    assert ma + ma == ma.scaled(2)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_hilbert_matrix_rank_and_inverse(n):
     # entries 1/(i+j+1) clear to large integers, and the inverse has
