@@ -196,8 +196,9 @@ def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
     index order refines p order.  The columns of d_m are taken largest
     index first, and the pivot of each is its live row of smallest index,
     so of smallest p (Zomorodian-Carlsson, *Computing persistent homology*,
-    2005).  That is ``_eliminate`` on the transpose of d_m, walking the
-    rows of d_m by index and pivoting each on the holder of largest index.
+    2005).  That is the one rule of ``_eliminate``, on the transpose of
+    d_m: it walks the rows of d_m by index and pivots each on the holder
+    of largest index.
     A column sigma only gains multiples of columns taken before it, so it
     stays d_m of a cochain in the subcomplex F^p(sigma), and its pivot tau
     pairs with it at gap p(tau) - p(sigma) >= 0.  The pairs do not depend
@@ -221,7 +222,7 @@ def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
         [(p, q, k) for p, q in _antidiagonal(b, m) for k in range(b.dim(p, q))]
         for m in range(len(tc.space_dims))
     ]
-    by_degree = exactla._cleared_pivots(tc.differentials, order=(lambda j: j, lambda i: -i))
+    by_degree = exactla._cleared_pivots(tc.differentials)
     return tuple(
         (cells[m][j], cells[m + 1][i]) for m, pivots in enumerate(by_degree) for i, j in pivots
     )

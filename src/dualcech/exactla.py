@@ -7,13 +7,15 @@ positive common denominator, and every operation inside this module works
 on those Python ``int``s; ``fractions.Fraction`` appears only at the API,
 which takes ints, ``Fraction``s or 'p/q' strings and returns ``Fraction``
 entries.  Rank, kernels and the filtered pairing behind the spectral
-pages come from one sparse elimination, ``_eliminate``, which walks the
-columns once in a fixed order; Smith normal form is the only other
-reduction.  A cochain complex is ranked degree by degree in
-``_cleared_pivots``, the one clearing loop: it serves both the cohomology
-of ``CochainComplex`` and the filtered pairing, and it is sound because
-d.d = 0 is known wherever a ``CochainComplex`` is built (its docstring
-lists the builders).
+pages come from one sparse elimination, ``_eliminate``, with one pivot
+rule: it walks the columns once by index and pivots each on its holder
+of largest row index.  The filtered pairing needs that order, and rank,
+row space and clearing hold under any order, so no caller chooses one.
+Smith normal form is the only other reduction.  A cochain complex is
+ranked degree by degree in ``_cleared_pivots``, the one clearing loop:
+it serves both the cohomology of ``CochainComplex`` and the filtered
+pairing, and it is sound because d.d = 0 is known wherever a
+``CochainComplex`` is built (its docstring lists the builders).
 
 ``_eliminate`` reads the numerators, which are the matrix scaled by its
 positive denominator, divides each row by the gcd of its entries, which
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ShapeMismatch
 
@@ -214,11 +216,14 @@ class RationalMatrix:
         return RationalMatrix._of(self.rows, other.cols, entries, self._den * other._den)
 
     def take_columns(self, indices: Sequence[int]) -> "RationalMatrix":
-        position = {c: new for new, c in enumerate(indices)}
+        """Column ``indices[k]`` of ``self`` as column k; a column asked for twice is copied twice."""
+        positions: dict[int, list[int]] = {}
+        for new, c in enumerate(indices):
+            positions.setdefault(c, []).append(new)
         entries = {}
         for (i, j), value in self._entries.items():
-            if j in position:
-                entries[(i, position[j])] = value
+            for new in positions.get(j, ()):
+                entries[(i, new)] = value
         return RationalMatrix._of(self.rows, len(indices), entries, self._den)
 
     def __eq__(self, other) -> bool:
@@ -240,30 +245,24 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def _eliminate(
-    m: RationalMatrix,
-    order: tuple[Callable[[int], object], Callable[[int], object]] | None = None,
-) -> list[tuple[int, int, dict[int, int]]]:
+def _eliminate(m: RationalMatrix) -> list[tuple[int, int, dict[int, int]]]:
     """Sparse fraction-free elimination; returns the pivots as (column, row index, row).
 
     The rows are the numerators of ``m``, each divided by the gcd of its
     entries, so integers with coprime entries; a row holding ``a``
     in the pivot column becomes ``(p/g)*row - (a/g)*pivot_row`` for the
     pivot value ``p`` and ``g = gcd(a, p)`` signed like ``p``, and is then
-    divided by the gcd of its entries.  The columns are walked once, in
-    increasing ``column_key``, and each live one is pivoted on its holder
-    of least ``row_key``, for ``order = (column_key, row_key)``.  By
-    default the column key is (column length in ``m``, index), fixed
-    before the walk, and the row key is (current row length, index), which
-    keeps fill-in low and runs reproducible.  One forward pass suffices:
-    every live row is zero in the columns already walked, so a pivot row
-    is too, and fill-in lands only in columns after the current pivot.
-    The order can change the pivots but not the rank or the row space:
-    each pivot row is zero in the pivot columns of the rows before it, so
-    the rows form a triangular system with the row space of ``m``.  A
-    pivot reports the index in ``m`` of the row it came from, which was
-    changed only by positive scaling and by adding multiples of earlier
-    pivot rows.
+    divided by the gcd of its entries.  The columns are walked once, by
+    index, and each live one is pivoted on its holder of largest row
+    index, the order ``bicomplex._pairing`` needs for the filtered
+    pairing.  One forward pass suffices: every live row is zero in the
+    columns already walked, so a pivot row is too, and fill-in lands only
+    in columns after the current pivot.  The rank and the row space do
+    not depend on the order, only the pivots can: each pivot row is zero
+    in the pivot columns of the rows before it, so the rows form a
+    triangular system with the row space of ``m``.  A pivot reports the
+    index in ``m`` of the row it came from, which was changed only by
+    positive scaling and by adding multiples of earlier pivot rows.
     """
     rows = _by_row(m._entries)
     cols: dict[int, set[int]] = {}
@@ -271,15 +270,11 @@ def _eliminate(
         row = rows[i] = _primitive(row)
         for j in row:
             cols.setdefault(j, set()).add(i)
-    column_key, row_key = order or (
-        lambda j: (len(cols[j]), j),  # read by ``sorted`` before the walk starts
-        lambda i: (len(rows[i]), i),
-    )
     pivots: list[tuple[int, int, dict[int, int]]] = []
-    for c in sorted(cols, key=column_key):
+    for c in sorted(cols):
         if c not in cols:
             continue
-        r = min(cols[c], key=row_key)
+        r = max(cols[c])
         pivot_row = rows.pop(r)
         p = pivot_row[c]
         for j in pivot_row:
@@ -324,19 +319,17 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()}
 
 
-def _cleared_pivots(
-    differentials: Sequence[RationalMatrix],
-    order: tuple[Callable[[int], object], Callable[[int], object]] | None = None,
-) -> list[list[tuple[int, int]]]:
+def _cleared_pivots(differentials: Sequence[RationalMatrix]) -> list[list[tuple[int, int]]]:
     """The pivots (row, column) of each d_m of a cochain complex, with clearing.
 
     Degree m eliminates the transpose of d_m restricted to its live
-    columns, under ``order`` (the live columns keep their relative order),
-    and the rows of d_m that pivot are dropped as columns of d_{m+1}
+    columns, which keep their relative order: the rows of d_m are walked
+    by index, and each is pivoted on its live column of largest index.
+    The rows of d_m that pivot are dropped as columns of d_{m+1}
     (Chen-Kerber, *Persistent homology computation with a twist*, 2011;
     Bauer-Kerber-Reininghaus, *Clear and compress*, 2014).  So
-    ``len(pivots[m])`` is rank d_m for any order, provided
-    d_{m+1} d_m = 0, which the caller must know (the docstring of
+    ``len(pivots[m])`` is rank d_m, as it would be under any pivot order,
+    provided d_{m+1} d_m = 0, which the caller must know (the docstring of
     ``simplicial.CochainComplex`` lists the builders that do).  Let R be
     the pivoted rows of d_m and C the columns used.  The pivot rows of
     the transpose are an invertible lower-triangular combination of its
@@ -353,7 +346,7 @@ def _cleared_pivots(
         position = {j: k for k, j in enumerate(live)}
         entries = {(position[j], i): v for (i, j), v in d._entries.items() if j in position}
         # the numerators alone: a positive scaling changes no pivot
-        pivots = _eliminate(RationalMatrix._of(len(live), d.rows, entries), order)
+        pivots = _eliminate(RationalMatrix._of(len(live), d.rows, entries))
         cleared = {c for c, _, _ in pivots}
         out.append([(c, live[r]) for c, r, _ in pivots])
     return out

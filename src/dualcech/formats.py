@@ -135,19 +135,17 @@ def parse_presheaf_data(
     spec = _get(doc, "restrictions", path, required=False, default=[])
     restrictions = {}
     if spec in ("identity", "zero"):
-        for tau in sorted(base.simplices):
-            for pos in range(len(tau)):
-                sigma = tau[:pos] + tau[pos + 1 :]
-                if sigma and dims.get(sigma, 0) and dims.get(tau, 0):
-                    if spec == "zero":
-                        restrictions[(sigma, tau)] = RationalMatrix.zeros(dims[tau], dims[sigma])
-                        continue
-                    if dims[sigma] != dims[tau]:
-                        raise SchemaError(
-                            f"{path}/restrictions",
-                            f"'identity' needs equal dims, got {dims[sigma]} -> {dims[tau]}",
-                        )
-                    restrictions[(sigma, tau)] = RationalMatrix.identity(dims[tau])
+        for sigma, tau in base.face_pairs:
+            if dims.get(sigma, 0) and dims.get(tau, 0):
+                if spec == "zero":
+                    restrictions[(sigma, tau)] = RationalMatrix.zeros(dims[tau], dims[sigma])
+                    continue
+                if dims[sigma] != dims[tau]:
+                    raise SchemaError(
+                        f"{path}/restrictions",
+                        f"'identity' needs equal dims, got {dims[sigma]} -> {dims[tau]}",
+                    )
+                restrictions[(sigma, tau)] = RationalMatrix.identity(dims[tau])
     else:
         for i, item in enumerate(_list(spec, f"{path}/restrictions")):
             item = _obj(item, f"{path}/restrictions/{i}")

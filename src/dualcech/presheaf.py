@@ -20,8 +20,12 @@ is the caller's to vouch for.  ``CochainComplex``, defined in
 ``simplicial`` and re-exported here, ranks the differentials in the one
 cleared reduction of ``exactla``.
 
-Summands inside each cochain group are ordered lexicographically by
-vertex tuple, so all matrices here are reproducible.
+The cells and faces come from ``simplicial``: the summands of each
+cochain group follow the level of the base complex, the lexicographic
+order of its simplices, each block of a differential carries the sign of
+its face from ``simplicial._faces``, and every builder visits the
+restrictions in the order of ``SimplicialComplex.face_pairs``.  So all
+matrices here, and the first refused restriction, are reproducible.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     ZeroSection,
 )
 from .exactla import RationalMatrix
-from .simplicial import CochainComplex, Simplex, SimplicialComplex  # re-exported
+from .simplicial import CochainComplex, Simplex, SimplicialComplex, _faces  # CochainComplex re-exported
 
 
 @dataclass(frozen=True)
@@ -54,16 +58,6 @@ class Presheaf:
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
-
-
-def _codim1_pairs(base: SimplicialComplex) -> list[tuple[Simplex, Simplex]]:
-    pairs = []
-    for tau in sorted(base.simplices):
-        if len(tau) < 2:
-            continue
-        for pos in range(len(tau)):
-            pairs.append((tau[:pos] + tau[pos + 1 :], tau))
-    return pairs
 
 
 def make_presheaf(
@@ -89,7 +83,7 @@ def make_presheaf(
             raise ShapeMismatch(f"dimension given for {s}, which is not in the base complex")
     restrictions = dict(restrictions or {})
     full_restrictions: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
-    for sigma, tau in _codim1_pairs(base):
+    for sigma, tau in base.face_pairs:
         ds, dt = full_dims[sigma], full_dims[tau]
         given = restrictions.pop((sigma, tau), None)
         if given is None:
@@ -119,11 +113,11 @@ def check_functoriality(v: Presheaf) -> None:
     for rho in sorted(v.base.simplices):
         if len(rho) < 3:
             continue
-        for x in range(len(rho)):
-            for y in range(x + 1, len(rho)):
-                sigma = tuple(w for k, w in enumerate(rho) if k not in (x, y))
-                tau_x = tuple(w for k, w in enumerate(rho) if k != x)
-                tau_y = tuple(w for k, w in enumerate(rho) if k != y)
+        faces = [tau for tau, _ in _faces(rho)]
+        for x, tau_x in enumerate(faces):
+            for tau_y in faces[x + 1 :]:
+                # tau_y omits a vertex after x, so its face x omits x as well
+                sigma = _faces(tau_y)[x][0]
                 via_x = v.restrictions[(tau_x, rho)] @ v.restrictions[(sigma, tau_x)]
                 via_y = v.restrictions[(tau_y, rho)] @ v.restrictions[(sigma, tau_y)]
                 if via_x != via_y:
@@ -140,7 +134,7 @@ def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:
     """
     ident = RationalMatrix.identity(d)
     dims = {s: d for s in base.simplices}
-    restrictions = {pair: ident for pair in _codim1_pairs(base)}
+    restrictions = {pair: ident for pair in base.face_pairs}
     return Presheaf(base, dims, restrictions)
 
 
@@ -162,10 +156,9 @@ def cech_complex(v: Presheaf) -> CochainComplex:
         index = {s: i for i, s in enumerate(levels[p])}
         blocks: dict[tuple[int, int], RationalMatrix] = {}
         for ti, tau in enumerate(levels[p + 1]):
-            for pos in range(len(tau)):
-                sigma = tau[:pos] + tau[pos + 1 :]
+            for sigma, sign in _faces(tau):
                 mat = v.restrictions[(sigma, tau)]
-                blocks[(ti, index[sigma])] = mat.scaled(-1) if pos % 2 else mat
+                blocks[(ti, index[sigma])] = mat if sign > 0 else mat.scaled(-1)
         differentials.append(exactla.block_matrix(level_dims[p + 1], level_dims[p], blocks))
     return CochainComplex(tuple(sum(d) for d in level_dims), tuple(differentials))
 
@@ -184,7 +177,7 @@ def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
         raise BaseMismatch("direct sum requires a common base complex")
     dims = {s: v.dim(s) + w.dim(s) for s in v.base.simplices}
     restrictions = {}
-    for pair in _codim1_pairs(v.base):
+    for pair in v.base.face_pairs:
         sigma, tau = pair
         restrictions[pair] = exactla.block_matrix(
             [v.dim(tau), w.dim(tau)],
@@ -253,7 +246,7 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, 
     q_dims = {s: v.dim(s) - 1 for s in base.simplices}
     q_restrictions = {
         pair: projections[pair[1]] @ v.restrictions[pair] @ embeddings[pair[0]]
-        for pair in _codim1_pairs(base)
+        for pair in base.face_pairs
     }
     quotient = Presheaf(base, q_dims, q_restrictions)
     total = presheaf_cohomology(v)

@@ -1,8 +1,12 @@
 """Finite abstract simplicial complexes, cochain complexes and their cohomology.
 
-A simplex is a strictly ascending tuple of 0-based vertex indices; the
-global vertex order orients every simplex, and the k-th face of a simplex
-carries the sign (-1)^k in every coboundary matrix built here.
+A simplex is a strictly ascending tuple of 0-based vertex indices.  This
+module owns the order of the cells and their faces, and every builder of
+the package reads it from here: ``SimplicialComplex`` lists its levels
+once, the p-simplices in lexicographic order, which index the cochains of
+degree p, and its ``face_pairs`` once, the codimension-1 inclusions in the
+order every presheaf builder visits them; ``_faces`` states the
+orientation.
 
 ``CochainComplex`` is the one door to cohomology over the rationals: its
 constructor checks the shapes, and ``cohomology`` ranks the differentials
@@ -18,6 +22,7 @@ the same class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -46,18 +51,46 @@ class SimplicialComplex:
     vertex_count: int
     simplices: frozenset[Simplex]
 
+    # derived once per complex and read by every builder
+    @cached_property
+    def _levels(self) -> tuple[tuple[Simplex, ...], ...]:
+        """Level p holds the p-simplices in lexicographic order."""
+        levels: list[list[Simplex]] = [[] for _ in range(max(map(len, self.simplices), default=0))]
+        for s in sorted(self.simplices):
+            levels[len(s) - 1].append(s)
+        return tuple(map(tuple, levels))
+
+    @cached_property
+    def face_pairs(self) -> tuple[tuple[Simplex, Simplex], ...]:
+        """Every codimension-1 inclusion (sigma, tau).
+
+        The taus come in lexicographic order, and the faces of each in
+        position order.
+        """
+        return tuple((sigma, tau) for tau in sorted(self.simplices) for sigma, _ in _faces(tau))
+
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self.simplices), default=0) - 1
+        return len(self._levels) - 1
 
     def p_simplices(self, p: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == p + 1)
+        return list(self._levels[p]) if 0 <= p < len(self._levels) else []
 
     def counts(self) -> list[int]:
-        out = [0] * (self.dim + 1)
-        for s in self.simplices:
-            out[len(s) - 1] += 1
-        return out
+        return [len(level) for level in self._levels]
+
+
+def _faces(tau: Simplex) -> list[tuple[Simplex, int]]:
+    """The codimension-1 faces of ``tau`` with their signs, in position order.
+
+    Face k omits vertex k and carries the sign (-1)^k: this is the
+    orientation of every coboundary and every Cech differential in the
+    package.  A vertex has no faces here, since the empty simplex is not a
+    cell.
+    """
+    if len(tau) < 2:
+        return []
+    return [(tau[:k] + tau[k + 1 :], -1 if k % 2 else 1) for k in range(len(tau))]
 
 
 @dataclass(frozen=True)
@@ -125,11 +158,7 @@ def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
     lower = k.p_simplices(p)
     upper = k.p_simplices(p + 1)
     index = {s: i for i, s in enumerate(lower)}
-    entries: dict[tuple[int, int], int] = {}
-    for ri, tau in enumerate(upper):
-        for pos in range(len(tau)):
-            face = tau[:pos] + tau[pos + 1 :]
-            entries[(ri, index[face])] = -1 if pos % 2 else 1
+    entries = {(ri, index[face]): sign for ri, tau in enumerate(upper) for face, sign in _faces(tau)}
     return RationalMatrix.from_entries(len(upper), len(lower), entries)
 
 

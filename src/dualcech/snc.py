@@ -107,9 +107,8 @@ def make_snc_divisor(
         raise InvalidInput("multiplicities must be positive")
     present = frozenset(simplicial.check_vertex_tuple(t, len(comps)) for t in strata)
     for t in present:
-        for pos in range(len(t)):
-            face = t[:pos] + t[pos + 1 :]
-            if face and face not in present:
+        for face, _ in simplicial._faces(t):
+            if face not in present:
                 raise NotClosed(f"stratum {t} is present but its face {face} is not")
     for i in range(len(comps)):
         if comps and (i,) not in present:
@@ -222,16 +221,10 @@ def _layer(
         return None
     # make_presheaf fills in the zero maps into or out of a zero space
     restrictions: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
-    for tau in sorted(d.strata):
-        if len(tau) < 2:
-            continue
-        for pos in range(len(tau)):
-            sigma = tau[:pos] + tau[pos + 1 :]
-            ds, dt = dims[sigma], dims[tau]
-            if ds and dt:
-                restrictions[(sigma, tau)] = _resolve_restriction(
-                    d, flavor, r, q, sigma, tau, ds, dt
-                )
+    for sigma, tau in delta.face_pairs:
+        ds, dt = dims[sigma], dims[tau]
+        if ds and dt:
+            restrictions[(sigma, tau)] = _resolve_restriction(d, flavor, r, q, sigma, tau, ds, dt)
     return presheaf_mod.make_presheaf(delta, dims, restrictions)
 
 
@@ -400,22 +393,25 @@ def combinatorial_cohomology_check(d: SncDivisor) -> CohomologyReport:
     """When every stratum has vanishing higher cohomology, structure-sheaf
     cohomology is the Betti table of the dual complex; verify and return it.
 
-    Only the hypothesis is verified here.  Under it every layer above
-    q = 0 is identically zero, and the q = 0 layer is
+    Only the hypothesis is verified here: every table row above q = 0
+    that ``structure_sheaf_cohomology`` would read, up to the largest
+    stratum bound, is 0, explicit rows above a stratum's own bound
+    included.  Under it every layer above q = 0 is identically zero, so
+    only the q = 0 layer is assembled, and it is
     ``constant_presheaf(delta, 1)`` on the dual complex delta, whose Cech
     complex is ``coboundary_matrix(delta, p)`` entry for entry: identity
-    restrictions under the same signs (-1)^k.  The assembled totals are
+    restrictions under the same signs from ``simplicial._faces``.  The assembled totals are
     therefore ``betti_numbers(delta)`` by construction, ranked once; a
     second ranking of the same matrices could never disagree.
     """
+    top = _max_stratum_bound(d)
     for t in sorted(d.strata):
-        bound = stratum_dim_bound(d, t)
-        for q in range(1, bound + 1):
+        for q in range(1, top + 1):
             if table_dim(d, t, SHEAF, 0, q) != 0:
                 raise HypothesisViolated(
                     f"stratum {t} has h^{q} = {table_dim(d, t, SHEAF, 0, q)} != 0"
                 )
-    return structure_sheaf_cohomology(d)
+    return _assemble(d, 0, SHEAF, 0)
 
 
 @dataclass(frozen=True)

@@ -151,32 +151,29 @@ def test_rank_matches_oracle(data):
     assert exactla.rank(m) == oracle_rank(data)
 
 
-@given(small_int_matrix(max_dim=6), st.randoms(use_true_random=False), st.booleans())
-def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd, default):
-    m = RationalMatrix.from_rows(data)
-    if default:
-        # order=None walks the columns by (length in m, index)
-        column_key = [(sum(1 for row in data if row[j]), j) for j in range(m.cols)]
-        order = None
-    else:
-        column_key = list(range(m.cols))
-        row_key = list(range(m.rows))
-        rnd.shuffle(column_key)
-        rnd.shuffle(row_key)
-        order = (column_key.__getitem__, row_key.__getitem__)
-    pivots = exactla._eliminate(m, order=order)
+@given(small_int_matrix(max_dim=6), st.randoms(use_true_random=False))
+def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd):
+    # walking a matrix with shuffled rows and columns by index is walking
+    # the original in the shuffled order, so any static order is covered
+    row_order = list(range(len(data)))
+    column_order = list(range(len(data[0])))
+    rnd.shuffle(row_order)
+    rnd.shuffle(column_order)
+    shuffled = [[data[i][j] for j in column_order] for i in row_order]
+    m = RationalMatrix.from_rows(shuffled)
+    pivots = exactla._eliminate(m)
     assert len(pivots) == oracle_rank(data)
     assert len({r for _, r, _ in pivots}) == len(pivots)
     assert len({c for c, _, _ in pivots}) == len(pivots)
     # columns are pivoted in walk order, and each pivot row is zero in the
     # columns walked before its own
-    walked = [column_key[c] for c, _, _ in pivots]
+    walked = [c for c, _, _ in pivots]
     assert walked == sorted(walked)
     for c, _, row in pivots:
-        assert row[c] != 0 and min(column_key[j] for j in row) == column_key[c]
+        assert row[c] != 0 and min(row) == c
     # the pivot rows lie in the row space of m
     dense = [[row.get(j, 0) for j in range(m.cols)] for _, _, row in pivots]
-    assert oracle_rank(data + dense) == len(pivots)
+    assert oracle_rank(shuffled + dense) == len(pivots)
 
 
 @given(small_int_matrix())
@@ -284,7 +281,7 @@ def test_matrix_algebra_matches_dense_oracle(drawn, data):
     r, k = len(a), len(b)
     e = [[data.draw(_ENTRY) for _ in range(k)] for _ in range(r)]
     f = data.draw(_ENTRY.filter(bool))
-    indices = data.draw(st.lists(st.integers(0, k - 1), unique=True)) if k else []
+    indices = data.draw(st.lists(st.integers(0, k - 1))) if k else []
     ma, me = RationalMatrix.from_rows(a, cols=k), RationalMatrix.from_rows(e, cols=k)
     mb = RationalMatrix.from_rows(b, cols=c)
     assert (ma == me) == (a == e)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,3 +115,30 @@ def test_from_facets_idempotent(seed):
     k = random_complex(random.Random(seed), max_vertices=6)
     again = simplicial.from_facets(k.vertex_count, sorted(k.simplices))
     assert again == k
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_cells_and_faces_match_brute_force(seed):
+    k = random_complex(random.Random(seed))
+    top = max((len(s) for s in k.simplices), default=0) - 1
+    by_level = [sorted(s for s in k.simplices if len(s) == p + 1) for p in range(top + 1)]
+    assert k.dim == top
+    assert k.counts() == [len(level) for level in by_level]
+    for p in range(-1, top + 2):
+        assert k.p_simplices(p) == (by_level[p] if 0 <= p <= top else [])
+    for tau in k.simplices:
+        # combinations drop the last position first
+        faces = list(combinations(tau, len(tau) - 1))[::-1] if len(tau) > 1 else []
+        assert simplicial._faces(tau) == [(f, (-1) ** pos) for pos, f in enumerate(faces)]
+    pairs = []
+    for tau in sorted(k.simplices):
+        for drop in range(len(tau) if len(tau) > 1 else 0):
+            pairs.append((tuple(v for pos, v in enumerate(tau) if pos != drop), tau))
+    assert list(k.face_pairs) == pairs
+    # the lists handed out are the caller's to edit
+    for p in range(top + 1):
+        handed_out = k.p_simplices(p)
+        handed_out.clear()
+        handed_out.append((-1,))
+    assert [k.p_simplices(p) for p in range(top + 1)] == by_level
+    assert k.counts() == [len(level) for level in by_level]

@@ -260,15 +260,27 @@ def test_curve_euler_matches_stratum_assembly():
 
 def test_combinatorial_check_hyperplanes():
     for n in (2, 3, 4):
-        report = snc.combinatorial_cohomology_check(pn_hyperplanes_divisor(n))
-        assert list(report.totals) == simplicial.betti_numbers(
-            snc.dual_complex(pn_hyperplanes_divisor(n))
-        )
+        d = pn_hyperplanes_divisor(n)
+        report = snc.combinatorial_cohomology_check(d)
+        assert list(report.totals) == simplicial.betti_numbers(snc.dual_complex(d))
+        assert report == oracle_layered_report(d, 0, SHEAF)
+
+
+def _explicit_row_above_own_bound():
+    # B is a curve, so its own bound is 1, but the surface A lifts the
+    # largest bound to 2 and an explicit h^2 row of B is read there
+    tables = {(t, SHEAF, 0, 0): TableEntry(1, "constant") for t in [(0,), (1,), (0, 1)]}
+    tables[((0,), SHEAF, 0, 1)] = TableEntry(0)
+    tables[((0,), SHEAF, 0, 2)] = TableEntry(0)
+    tables[((1,), SHEAF, 0, 1)] = TableEntry(0)
+    tables[((1,), SHEAF, 0, 2)] = TableEntry(1)
+    return snc.make_snc_divisor([("A", 2), ("B", 1)], [(0,), (1,), (0, 1)], tables)
 
 
 def test_combinatorial_check_rejects_higher_cohomology():
-    with pytest.raises(HypothesisViolated):
-        snc.combinatorial_cohomology_check(elliptic_triangle_divisor())
+    for d in (elliptic_triangle_divisor(), _explicit_row_above_own_bound()):
+        with pytest.raises(HypothesisViolated):
+            snc.combinatorial_cohomology_check(d)
 
 
 def test_combinatorial_check_single_rational_component():
