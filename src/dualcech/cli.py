@@ -1,7 +1,13 @@
 """Command-line interface.
 
-Every command reads one JSON document and writes a report, as aligned text
-by default or as JSON with --json.  Exit codes: 0 on success, 1 on bad
+Every command reads one JSON document of one kind and writes a report, as
+aligned text by default or as JSON with --json.  ``COMMANDS`` is the one
+table of commands: each row names the document kind, the handler and the
+command's one extra option, if it has one.  The kind is checked before
+the document is parsed: ``complex`` for betti and integral, ``presheaf``
+for presheaf-cohomology, ``fan`` for toric, ``localmodel`` for
+verify-lemma31, ``bicomplex`` for bicomplex-pages and degeneration, and
+``divisor`` for the other seven.  Exit codes: 0 on success, 1 on bad
 input, 2 when the computation ran but a verified identity failed (a
 complex that is not exact, a Hodge mismatch, a failed degeneration, a
 flagged rationality obstruction).
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Any, Callable, NamedTuple
 
 from . import bicomplex as bicomplex_mod
 from . import formats, localmodel, presheaf, simplicial, snc, toric
@@ -23,13 +30,6 @@ from .errors import (
     NecessaryConditionFailed,
     SchemaError,
 )
-
-
-def _require_kind(doc: dict, command: str, *kinds: str) -> None:
-    if doc["kind"] not in kinds:
-        raise SchemaError(
-            "/kind", f"command {command!r} expects a document of kind {' or '.join(kinds)}"
-        )
 
 
 def _report_summands(report: snc.CohomologyReport) -> list[dict]:
@@ -51,9 +51,7 @@ def _grid(page: bicomplex_mod.SpectralPage, width: int, height: int) -> list[lis
     return [[page.dim(p, q) for p in range(width + 1)] for q in range(height + 1)]
 
 
-def cmd_dual_complex(doc, args):
-    _require_kind(doc, "dual-complex", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_dual_complex(divisor, doc, args):
     delta = snc.dual_complex(divisor)
     return {
         "dimension": delta.dim,
@@ -63,18 +61,14 @@ def cmd_dual_complex(doc, args):
     }, 0
 
 
-def cmd_betti(doc, args):
-    _require_kind(doc, "betti", "complex")
-    complex_ = formats.parse_complex(doc)
+def cmd_betti(complex_, doc, args):
     return {
         "betti": simplicial.betti_numbers(complex_),
         "euler_characteristic": simplicial.euler_characteristic(complex_),
     }, 0
 
 
-def cmd_integral(doc, args):
-    _require_kind(doc, "integral", "complex")
-    complex_ = formats.parse_complex(doc)
+def cmd_integral(complex_, doc, args):
     rows = [
         {"degree": p, "free_rank": free, "torsion": torsion}
         for p, (free, torsion) in enumerate(simplicial.integral_cohomology(complex_))
@@ -82,9 +76,7 @@ def cmd_integral(doc, args):
     return {"degrees": rows}, 0
 
 
-def cmd_presheaf_cohomology(doc, args):
-    _require_kind(doc, "presheaf-cohomology", "presheaf")
-    v = formats.parse_presheaf(doc)
+def cmd_presheaf_cohomology(v, doc, args):
     complex_ = presheaf.cech_complex(v)
     return {
         "cohomology": complex_.cohomology(),
@@ -92,23 +84,17 @@ def cmd_presheaf_cohomology(doc, args):
     }, 0
 
 
-def cmd_snc_cohomology(doc, args):
-    _require_kind(doc, "snc-cohomology", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_snc_cohomology(divisor, doc, args):
     return _cohomology_result(snc.structure_sheaf_cohomology(divisor)), 0
 
 
-def cmd_forms(doc, args):
-    _require_kind(doc, "forms", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_forms(divisor, doc, args):
     result = _cohomology_result(snc.reduced_forms_cohomology(divisor, args.form_degree))
     result["form_degree"] = args.form_degree
     return result, 0
 
 
-def cmd_derham(doc, args):
-    _require_kind(doc, "derham", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_derham(divisor, doc, args):
     return _cohomology_result(snc.derham_cohomology(divisor)), 0
 
 
@@ -123,9 +109,7 @@ def _hodge_result(table: snc.HodgeTable, match: bool) -> dict:
     }
 
 
-def cmd_hodge(doc, args):
-    _require_kind(doc, "hodge", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_hodge(divisor, doc, args):
     try:
         table = snc.hodge_decomposition(divisor)
     except HodgeMismatch as exc:
@@ -136,9 +120,7 @@ def cmd_hodge(doc, args):
     return _hodge_result(table, match=True), 0
 
 
-def cmd_euler(doc, args):
-    _require_kind(doc, "euler", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_euler(divisor, doc, args):
     delta = snc.dual_complex(divisor)
     return {
         "sheaf_euler_characteristic": snc.sheaf_euler_characteristic(divisor),
@@ -146,9 +128,8 @@ def cmd_euler(doc, args):
     }, 0
 
 
-def cmd_toric(doc, args):
-    _require_kind(doc, "toric", "fan")
-    fan, selected = formats.parse_fan(doc)
+def cmd_toric(fan_and_selected, doc, args):
+    fan, selected = fan_and_selected
     # completeness is informational: the vanishing tables are synthesized
     # either way and projectivity is the caller's assertion
     try:
@@ -168,9 +149,7 @@ def cmd_toric(doc, args):
     }, 0
 
 
-def cmd_verify_lemma31(doc, args):
-    _require_kind(doc, "verify-lemma31", "localmodel")
-    spec = formats.parse_localmodel(doc)
+def cmd_verify_lemma31(spec, doc, args):
     if args.degree_bound is not None:
         spec = localmodel.make_local_model(
             spec.ambient, spec.components, spec.multiplicities, args.degree_bound
@@ -191,9 +170,7 @@ def cmd_verify_lemma31(doc, args):
     return result, 0 if verdict.exact else 2
 
 
-def cmd_bicomplex_pages(doc, args):
-    _require_kind(doc, "bicomplex-pages", "bicomplex")
-    b = formats.parse_bicomplex(doc)
+def cmd_bicomplex_pages(b, doc, args):
     max_page = args.max_page if args.max_page is not None else 3
     if max_page < 0:
         raise InvalidInput("max page must be nonnegative")
@@ -210,9 +187,7 @@ def cmd_bicomplex_pages(doc, args):
     }, 0
 
 
-def cmd_degeneration(doc, args):
-    _require_kind(doc, "degeneration", "bicomplex")
-    b = formats.parse_bicomplex(doc)
+def cmd_degeneration(b, doc, args):
     e2 = bicomplex_mod.page(b, 2)
     einf = bicomplex_mod.page_infinity(b)
     ok = e2.dims == einf.dims
@@ -223,9 +198,7 @@ def cmd_degeneration(doc, args):
     }, 0 if ok else 2
 
 
-def cmd_rational_check(doc, args):
-    _require_kind(doc, "rational-check", "divisor")
-    divisor = formats.parse_divisor(doc)
+def cmd_rational_check(divisor, doc, args):
     if "rational_check" not in doc:
         raise SchemaError("/rational_check", "missing required section for this command")
     claimed, sections_presheaf, unit = formats.parse_rational_check(
@@ -245,23 +218,42 @@ def cmd_rational_check(doc, args):
     return result, 2 if failed else 0
 
 
-HANDLERS = {
-    "dual-complex": cmd_dual_complex,
-    "betti": cmd_betti,
-    "integral": cmd_integral,
-    "presheaf-cohomology": cmd_presheaf_cohomology,
-    "snc-cohomology": cmd_snc_cohomology,
-    "forms": cmd_forms,
-    "derham": cmd_derham,
-    "hodge": cmd_hodge,
-    "euler": cmd_euler,
-    "toric": cmd_toric,
-    "verify-lemma31": cmd_verify_lemma31,
-    "bicomplex-pages": cmd_bicomplex_pages,
-    "degeneration": cmd_degeneration,
-    "rational-check": cmd_rational_check,
+class Command(NamedTuple):
+    """A row of ``COMMANDS``: the document kind a command reads, its handler and its one extra option.
+
+    ``main`` checks the document's kind against ``kind`` before anything is
+    parsed, parses the document with the kind's parser and calls
+    ``handler(parsed, doc, args)``; only ``rational-check`` reads ``doc``,
+    for its ``rational_check`` section.  ``option`` is the flag of an
+    integer option with ``default`` and ``help``; the report's ``options``
+    echo its value unless that is None.
+    """
+
+    kind: str
+    handler: Callable[[Any, dict, argparse.Namespace], tuple[dict, int]]
+    option: str | None = None
+    default: int | None = None
+    help: str | None = None
+
+
+COMMANDS = {
+    "dual-complex": Command("divisor", cmd_dual_complex),
+    "betti": Command("complex", cmd_betti),
+    "integral": Command("complex", cmd_integral),
+    "presheaf-cohomology": Command("presheaf", cmd_presheaf_cohomology),
+    "snc-cohomology": Command("divisor", cmd_snc_cohomology),
+    "forms": Command("divisor", cmd_forms, "--form-degree", 0),
+    "derham": Command("divisor", cmd_derham),
+    "hodge": Command("divisor", cmd_hodge),
+    "euler": Command("divisor", cmd_euler),
+    "toric": Command("fan", cmd_toric),
+    "verify-lemma31": Command("localmodel", cmd_verify_lemma31, "--degree-bound"),
+    "bicomplex-pages": Command(
+        "bicomplex", cmd_bicomplex_pages, "--max-page", help="highest page to print; 3 or more includes the limit page"
+    ),
+    "degeneration": Command("bicomplex", cmd_degeneration),
+    "rational-check": Command("divisor", cmd_rational_check),
 }
-COMMANDS = tuple(HANDLERS)
 
 
 def _render_value(value, indent=""):
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("input", help="path to a JSON input document")
         cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -337,17 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["rational"],
             help="coefficient field (reserved; only 'rational' is implemented)",
         )
-        if name == "verify-lemma31":
-            cmd.add_argument("--degree-bound", type=int, default=None)
-        if name == "forms":
-            cmd.add_argument("--form-degree", type=int, default=0)
-        if name == "bicomplex-pages":
-            cmd.add_argument(
-                "--max-page",
-                type=int,
-                default=None,
-                help="highest page to print; 3 or more includes the limit page",
-            )
+        if command.option is not None:
+            cmd.add_argument(command.option, type=int, default=command.default, help=command.help)
     return parser
 
 
@@ -359,9 +342,14 @@ def main(argv=None) -> int:
         # keep exit code 2 reserved for failed identity checks; argparse
         # usage errors are input errors
         return 0 if exc.code == 0 else 1
+    command = COMMANDS[args.command]
     try:
         doc = formats.load_document(args.input)
-        result, code = HANDLERS[args.command](doc, args)
+        if doc["kind"] != command.kind:
+            raise SchemaError(
+                "/kind", f"command {args.command!r} expects a document of kind {command.kind}"
+            )
+        result, code = command.handler(formats.parse_document(doc), doc, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -372,7 +360,7 @@ def main(argv=None) -> int:
         "schema_version": formats.SCHEMA_VERSION,
         "command": args.command,
         "input": args.input,
-        "options": _echo_options(args),
+        "options": _echo_options(command, args),
         "ok": code == 0,
         "result": result,
     }
@@ -383,17 +371,14 @@ def main(argv=None) -> int:
     return code
 
 
-def _echo_options(args) -> dict:
-    out = {}
-    for key in ("degree_bound", "form_degree", "max_page"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            out[key] = getattr(args, key)
-    return out
+def _echo_options(command: Command, args) -> dict:
+    if command.option is None:
+        return {}
+    key = command.option[2:].replace("-", "_")  # argparse's dest for the flag
+    value = getattr(args, key)
+    return {} if value is None else {key: value}
 
 
 def console_main() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -322,12 +322,13 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _cleared_pivots(differentials: Sequence[RationalMatrix]) -> list[list[tuple[int, int]]]:
     """The pivots (row, column) of each d_m of a cochain complex, with clearing.
 
-    Degree m eliminates the transpose of d_m restricted to its live
-    columns, which keep their relative order: the rows of d_m are walked
-    by index, and each is pivoted on its live column of largest index.
-    The rows of d_m that pivot are dropped as columns of d_{m+1}
-    (Chen-Kerber, *Persistent homology computation with a twist*, 2011;
-    Bauer-Kerber-Reininghaus, *Clear and compress*, 2014).  So
+    Degree m eliminates the transpose of d_m without the entries of its
+    cleared columns, each column keeping its index as a row index: the
+    rows of d_m are walked by index, and each is pivoted on its uncleared
+    column of largest index.  The rows of d_m that pivot are dropped as
+    columns of d_{m+1} (Chen-Kerber, *Persistent homology computation
+    with a twist*, 2011; Bauer-Kerber-Reininghaus, *Clear and compress*,
+    2014).  So
     ``len(pivots[m])`` is rank d_m, as it would be under any pivot order,
     provided d_{m+1} d_m = 0, which the caller must know (the docstring of
     ``simplicial.CochainComplex`` lists the builders that do).  Let R be
@@ -342,13 +343,11 @@ def _cleared_pivots(differentials: Sequence[RationalMatrix]) -> list[list[tuple[
     out = []
     cleared: set[int] = set()
     for d in differentials:
-        live = [j for j in range(d.cols) if j not in cleared]
-        position = {j: k for k, j in enumerate(live)}
-        entries = {(position[j], i): v for (i, j), v in d._entries.items() if j in position}
+        entries = {(j, i): v for (i, j), v in d._entries.items() if j not in cleared}
         # the numerators alone: a positive scaling changes no pivot
-        pivots = _eliminate(RationalMatrix._of(len(live), d.rows, entries))
+        pivots = _eliminate(RationalMatrix._of(d.cols, d.rows, entries))
         cleared = {c for c, _, _ in pivots}
-        out.append([(c, live[r]) for c, r, _ in pivots])
+        out.append([(c, r) for c, r, _ in pivots])
     return out
 
 

@@ -24,7 +24,6 @@ from .exactla import RationalMatrix, as_fraction
 from .simplicial import Simplex
 
 SCHEMA_VERSION = 1
-KINDS = ("complex", "divisor", "fan", "localmodel", "presheaf", "bicomplex")
 
 
 def _get(doc: Mapping, key: str, path: str, required: bool = True, default=None):
@@ -301,6 +300,27 @@ def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex_mod.Bicomplex:
         return out
 
     return bicomplex_mod.make_bicomplex(dims, parse_maps("horizontal"), parse_maps("vertical"))
+
+
+PARSERS = {
+    "complex": parse_complex,
+    "divisor": parse_divisor,
+    "fan": parse_fan,
+    "localmodel": parse_localmodel,
+    "presheaf": parse_presheaf,
+    "bicomplex": parse_bicomplex,
+}
+KINDS = tuple(PARSERS)
+
+
+def parse_document(doc: Mapping):
+    """A loaded document parsed by the parser of its kind.
+
+    Dispatching here rather than through ``PARSERS`` in the caller keeps
+    each parse one call of a module-level name, which the span tracer of
+    ``perfbench/spans.py`` wraps.
+    """
+    return PARSERS[doc["kind"]](doc)
 
 
 def load_document(path: str) -> dict:

@@ -200,14 +200,16 @@ def _unit_column(v: Presheaf, unit: Mapping[Simplex, Sequence], s: Simplex) -> R
     return RationalMatrix.column(vec)
 
 
-def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, Presheaf]:
+def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[tuple[list[int], ...], Presheaf]:
     """Split off the rank-1 constant subpresheaf spanned by a compatible section.
 
-    Returns (1, quotient) where the quotient presheaf has every dimension
-    reduced by one.  The split is only legitimate when cohomology is
-    additive across it, and that identity is verified here by direct
-    computation; inputs whose extension does not split are rejected rather
-    than silently mis-reported.
+    Returns ((total, constant, complement), quotient): the quotient
+    presheaf has every dimension reduced by one, and the three lists are
+    the cohomology of v, of ``constant_presheaf(v.base, 1)`` (the Betti
+    numbers of the base) and of the quotient.  The split is only
+    legitimate when cohomology is additive across it, and that identity
+    is verified here by direct computation; inputs whose extension does
+    not split are rejected rather than silently mis-reported.
 
     The quotient is functorial by construction whenever v is.  Its
     restriction sigma -> tau is P_tau R_{sigma,tau} E_sigma, where E embeds
@@ -258,4 +260,4 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[int, 
             "cohomology is not additive across the unit section: "
             f"total {total}, constant {constant_part}, complement {complement}"
         )
-    return 1, quotient
+    return (total, constant_part, complement), quotient

@@ -35,7 +35,8 @@ from .errors import (
 )
 from .exactla import RationalMatrix
 from .presheaf import Presheaf, constant_presheaf, presheaf_cohomology, split_constant
-from .simplicial import Simplex, SimplicialComplex, betti_numbers
+# betti_numbers is unused here; perfbench/spans.py traces it as a name bound in this module
+from .simplicial import Simplex, SimplicialComplex, betti_numbers  # noqa: F401
 
 SHEAF = "sheaf"
 DERHAM = "derham"
@@ -444,15 +445,15 @@ def rational_singularity_check(
     and, when rationality is claimed, flags every positive Betti number in
     positive degree as an obstruction.  The obstruction reading is
     conditional on an unproven degeneration statement and the report says
-    so explicitly.
+    so explicitly.  The Betti numbers, the sections' cohomology and the
+    complement's are the three lists ``split_constant`` ranks: the
+    constant part is ``constant_presheaf(delta, 1)``, whose cohomology is
+    ``betti_numbers(delta)``, so no complex is ranked twice.
     """
     delta = dual_complex(d)
     if scheme_h0_presheaf.base != delta:
         raise BaseMismatch("the sections presheaf must live on the dual complex of the divisor")
-    _, complement = split_constant(scheme_h0_presheaf, unit)
-    betti = betti_numbers(delta)
-    scheme = presheaf_cohomology(scheme_h0_presheaf)
-    comp = presheaf_cohomology(complement)
+    (scheme, betti, comp), _ = split_constant(scheme_h0_presheaf, unit)
     inclusion = all(b <= s for b, s in zip(betti, scheme))
     obstructions: tuple[int, ...] = ()
     if claimed_higher_direct_images_zero:

@@ -212,9 +212,10 @@ def test_acceptance_9_splitting_and_rationality(capsys):
             s: [changes[s].entry(i, 0) for i in range(changes[s].rows)]
             for s in base.simplices
         }
-        part, complement = presheaf.split_constant(twisted, unit)
-        assert part == 1
-        total = presheaf.presheaf_cohomology(twisted)
+        (total, constant, rest), complement = presheaf.split_constant(twisted, unit)
+        assert constant == simplicial.betti_numbers(base)
+        assert rest == presheaf.presheaf_cohomology(complement)
+        assert total == presheaf.presheaf_cohomology(twisted)
         pieces = [
             a + b
             for a, b in zip(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcech import cli
+from dualcech import cli, formats
 
 from helpers import (
     bicomplex_document,
@@ -414,6 +414,15 @@ def test_reports_validate_against_published_schema(capsys):
     for command, name in invocations:
         _, report = run_json(capsys, command, input_path(name))
         assert schema_errors(report, schema) == [], command
+
+
+def test_command_and_kind_tables_match_published_schemas():
+    report_schema = load_schema("report.v1.schema.json")
+    assert list(cli.COMMANDS) == report_schema["properties"]["command"]["enum"]
+    input_schema = load_schema("input.v1.schema.json")
+    kinds = [kind for branch in input_schema["oneOf"] for kind in branch["properties"]["kind"]["enum"]]
+    assert list(formats.PARSERS) == kinds
+    assert {command.kind for command in cli.COMMANDS.values()} == set(kinds)
 
 
 def test_inputs_validate_against_published_schema():

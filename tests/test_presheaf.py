@@ -144,18 +144,20 @@ def test_direct_sum_base_mismatch():
 def test_split_constant_trivial():
     base = hollow_triangle()
     v = presheaf.constant_presheaf(base, 1)
-    dim, quotient = presheaf.split_constant(v, {s: [1] for s in base.simplices})
-    assert dim == 1
+    (total, constant, complement), quotient = presheaf.split_constant(v, {s: [1] for s in base.simplices})
+    assert total == constant == simplicial.betti_numbers(base)
+    assert complement == [0, 0]
     assert quotient.is_zero()
 
 
 def test_split_constant_of_rank_two():
     base = hollow_triangle()
     v = presheaf.constant_presheaf(base, 2)
-    dim, quotient = presheaf.split_constant(v, {s: [1, 0] for s in base.simplices})
-    assert dim == 1
+    (total, constant, complement), quotient = presheaf.split_constant(v, {s: [1, 0] for s in base.simplices})
+    assert constant == simplicial.betti_numbers(base)
+    assert total == [2, 2]
     assert quotient.dims == presheaf.constant_presheaf(base, 1).dims
-    assert presheaf.presheaf_cohomology(quotient) == [1, 1]
+    assert complement == presheaf.presheaf_cohomology(quotient) == [1, 1]
 
 
 def test_split_constant_projection_presheaf():
@@ -169,20 +171,14 @@ def test_split_constant_projection_presheaf():
                 restrictions[(sigma, tau)] = RationalMatrix.from_rows([[1, 0]])
     v = presheaf.make_presheaf(base, dims, restrictions)
     unit = {s: ([1, 0] if len(s) == 1 else [1]) for s in base.simplices}
-    dim, quotient = presheaf.split_constant(v, unit)
-    assert dim == 1
+    (total, constant, complement), quotient = presheaf.split_constant(v, unit)
     assert {s: quotient.dim(s) for s in base.simplices} == {
         s: (1 if len(s) == 1 else 0) for s in base.simplices
     }
-    total = presheaf.presheaf_cohomology(v)
-    parts = [
-        a + b
-        for a, b in zip(
-            presheaf.presheaf_cohomology(presheaf.constant_presheaf(base, 1)),
-            presheaf.presheaf_cohomology(quotient),
-        )
-    ]
-    assert total == parts
+    assert total == presheaf.presheaf_cohomology(v)
+    assert constant == simplicial.betti_numbers(base)
+    assert complement == presheaf.presheaf_cohomology(quotient)
+    assert total == [a + b for a, b in zip(constant, complement)]
 
 
 def test_split_constant_zero_section_rejected():
