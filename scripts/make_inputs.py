@@ -350,6 +350,18 @@ def rational_bicomplex() -> dict:
     }
 
 
+def commuting_square_bicomplex() -> dict:
+    """A 2x2 square of identities that commutes instead of anticommuting, refused (exit 1)."""
+    one = [[1]]
+    return {
+        "kind": "bicomplex",
+        "schema_version": 1,
+        "dims": [[1, 1], [1, 1]],
+        "horizontal": [{"p": 0, "q": 0, "matrix": one}, {"p": 0, "q": 1, "matrix": one}],
+        "vertical": [{"p": 0, "q": 0, "matrix": one}, {"p": 1, "q": 0, "matrix": one}],
+    }
+
+
 def bad_entry_bicomplex() -> dict:
     """A boolean matrix entry, refused with its JSON pointer."""
     return {
@@ -435,6 +447,7 @@ def main() -> None:
     write("bicomplex_d3.json", d3_staircase_bicomplex())
     write("bicomplex_rational.json", rational_bicomplex())
     write("bicomplex_bad_entry.json", bad_entry_bicomplex())
+    write("bicomplex_commuting_square.json", commuting_square_bicomplex())
     write("vertex_presheaf_triangle.json", vertex_presheaf_triangle())
     write("nonfunctorial_presheaf.json", nonfunctorial_presheaf())
     write("nonfunctorial_rational_check.json", nonfunctorial_rational_check())

@@ -2,8 +2,9 @@
 
 Cells live at (p, q) for 0 <= p <= width, 0 <= q <= height.  Horizontal
 differentials move right, vertical ones move up, and the two must
-anticommute; a valid bicomplex therefore has a total complex with
-differential (horizontal + vertical).
+anticommute.  ``make_bicomplex`` assembles the total differential
+D = horizontal + vertical once, checks all three laws as D.D = 0, and
+stores the total complex on the ``Bicomplex``; nothing assembles it again.
 
 Every page is read off one filtered reduction of the total complex.  The
 column filtration F^p (the cells with column >= p) is preserved by the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import exactla
 from .errors import InvalidBicomplex
@@ -42,11 +43,19 @@ _Cell = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class Bicomplex:
+    """Cell dimensions on the full grid, the maps that were given, and the total complex.
+
+    ``horizontal`` and ``vertical`` hold only the maps that were given; a
+    missing map is zero.  ``total`` is the total complex, whose
+    differential D = H + V ``make_bicomplex`` assembled and checked.
+    """
+
     width: int
     height: int
     dims: Mapping[tuple[int, int], int]
     horizontal: Mapping[tuple[int, int], RationalMatrix]
     vertical: Mapping[tuple[int, int], RationalMatrix]
+    total: CochainComplex
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -71,12 +80,16 @@ def make_bicomplex(
     horizontal: Mapping[tuple[int, int], RationalMatrix] | None = None,
     vertical: Mapping[tuple[int, int], RationalMatrix] | None = None,
 ) -> Bicomplex:
-    """Normalize and validate bicomplex data.
+    """Validate bicomplex data and assemble its total differential D = H + V.
 
-    Missing cells have dimension 0 and missing maps are zero.  Shapes, the
-    square-zero laws along rows and columns, and anticommutativity are all
-    checked here; data in another sign convention is rejected rather than
-    silently reinterpreted.
+    Missing cells have dimension 0 and missing maps are zero; they are not
+    stored.  The shape of each given map is checked, and then the three
+    laws at once, as D_{m+1} D_m = 0 in each total degree m: the blocks of
+    D_{m+1} D_m from (p, q) to (p+2, q), (p, q+2) and (p+1, q+1) are H.H,
+    V.V and VH + HV.  A failure names the block of a nonzero entry, the
+    first of them with the horizontal blocks by (q, p) first, then the
+    vertical ones by (p, q), then the mixed ones by (p, q).  Data in another
+    sign convention is rejected rather than silently reinterpreted.
     """
     if not dims:
         raise InvalidBicomplex("a bicomplex needs at least one cell")
@@ -89,92 +102,69 @@ def make_bicomplex(
     height = max(q for _, q in dims)
     full_dims = {(p, q): dims.get((p, q), 0) for p in range(width + 1) for q in range(height + 1)}
 
-    def normalize(maps, kind, target_of):
+    def given(maps, kind, dp, dq):
         maps = dict(maps or {})
         out = {}
-        for p in range(width + 1):
-            for q in range(height + 1):
-                tp, tq = target_of(p, q)
-                source = full_dims[(p, q)]
-                target = full_dims.get((tp, tq), 0)
-                mat = maps.pop((p, q), None)
-                if mat is None:
-                    mat = RationalMatrix.zeros(target, source)
-                if mat.rows != target or mat.cols != source:
-                    raise InvalidBicomplex(
-                        f"{kind} map at ({p},{q}) is {mat.rows}x{mat.cols}, "
-                        f"expected {target}x{source}"
-                    )
-                out[(p, q)] = mat
+        for (p, q), source in full_dims.items():
+            mat = maps.pop((p, q), None)
+            if mat is None:
+                continue
+            target = full_dims.get((p + dp, q + dq), 0)
+            if mat.rows != target or mat.cols != source:
+                raise InvalidBicomplex(
+                    f"{kind} map at ({p},{q}) is {mat.rows}x{mat.cols}, "
+                    f"expected {target}x{source}"
+                )
+            out[(p, q)] = mat
         if maps:
             key = next(iter(maps))
             raise InvalidBicomplex(f"{kind} map given at {key}, outside the grid")
         return out
 
-    horiz = normalize(horizontal, "horizontal", lambda p, q: (p + 1, q))
-    vert = normalize(vertical, "vertical", lambda p, q: (p, q + 1))
-    for q in range(height + 1):
-        for p in range(width - 1):
-            if not (horiz[(p + 1, q)] @ horiz[(p, q)]).is_zero():
-                raise InvalidBicomplex(f"horizontal differential does not square to zero at ({p},{q})")
-    for p in range(width + 1):
-        for q in range(height - 1):
-            if not (vert[(p, q + 1)] @ vert[(p, q)]).is_zero():
-                raise InvalidBicomplex(f"vertical differential does not square to zero at ({p},{q})")
-    for p in range(width):
-        for q in range(height):
-            anti = vert[(p + 1, q)] @ horiz[(p, q)] + horiz[(p, q + 1)] @ vert[(p, q)]
-            if not anti.is_zero():
-                raise InvalidBicomplex(f"differentials do not anticommute at ({p},{q})")
-    return Bicomplex(width, height, full_dims, horiz, vert)
+    horiz = given(horizontal, "horizontal", 1, 0)
+    vert = given(vertical, "vertical", 0, 1)
+    diagonals = [_antidiagonal(width, height, m) for m in range(width + height + 1)]
+    differentials = []
+    for source, target in zip(diagonals, diagonals[1:]):
+        row = {cell: i for i, cell in enumerate(target)}
+        blocks = {}
+        for j, (p, q) in enumerate(source):
+            for maps, cell in ((horiz, (p + 1, q)), (vert, (p, q + 1))):
+                if (p, q) in maps and cell in row:
+                    blocks[(row[cell], j)] = maps[(p, q)]
+        differentials.append(
+            exactla.block_matrix([full_dims[c] for c in target], [full_dims[c] for c in source], blocks)
+        )
+    broken = []
+    for m, (d, after) in enumerate(zip(differentials, differentials[1:])):
+        square = after @ d
+        if not square.is_zero():
+            sources, targets = ([c for c in diagonals[k] for _ in range(full_dims[c])] for k in (m, m + 2))
+            broken += [_law(sources[j], targets[i]) for i, j, _ in square.nonzero_entries()]
+    if broken:
+        raise InvalidBicomplex(min(broken)[1])
+    space_dims = tuple(sum(full_dims[c] for c in diag) for diag in diagonals)
+    total = CochainComplex(space_dims, tuple(differentials))
+    return Bicomplex(width, height, full_dims, horiz, vert, total)
 
 
-def from_cochain_rows(rows: Sequence[CochainComplex]) -> Bicomplex:
-    """Stack cochain complexes as rows q = 0, 1, ... with zero vertical maps.
-
-    Row q keeps its own differential up to the sign (-1)^q, the twist that
-    makes stacked rows anticommute with any vertical maps added later.
-    """
-    if not rows:
-        raise InvalidBicomplex("need at least one row")
-    dims: dict[tuple[int, int], int] = {(0, 0): 0}
-    horizontal: dict[tuple[int, int], RationalMatrix] = {}
-    for q, row in enumerate(rows):
-        for p, d in enumerate(row.space_dims):
-            dims[(p, q)] = d
-        for p, mat in enumerate(row.differentials):
-            horizontal[(p, q)] = mat.scaled(-1) if q % 2 else mat
-    return make_bicomplex(dims, horizontal, {})
+def _law(source: tuple[int, int], target: tuple[int, int]) -> tuple[tuple[int, int, int], str]:
+    """Report-order key and message of the law whose block of D.D runs from ``source`` to ``target``."""
+    (p, q), (tp, _) = source, target
+    if tp == p + 2:
+        return (0, q, p), f"horizontal differential does not square to zero at ({p},{q})"
+    if tp == p:
+        return (1, p, q), f"vertical differential does not square to zero at ({p},{q})"
+    return (2, p, q), f"differentials do not anticommute at ({p},{q})"
 
 
-def _antidiagonal(b: Bicomplex, m: int) -> list[tuple[int, int]]:
-    return [(p, m - p) for p in range(max(0, m - b.height), min(b.width, m) + 1)]
+def _antidiagonal(width: int, height: int, m: int) -> list[tuple[int, int]]:
+    return [(p, m - p) for p in range(max(0, m - height), min(width, m) + 1)]
 
 
 def total_complex(b: Bicomplex) -> CochainComplex:
-    top = b.width + b.height
-    space_dims = []
-    for m in range(top + 1):
-        space_dims.append(sum(b.dim(p, q) for p, q in _antidiagonal(b, m)))
-    differentials = []
-    for m in range(top):
-        source = _antidiagonal(b, m)
-        target = _antidiagonal(b, m + 1)
-        target_index = {pos: i for i, pos in enumerate(target)}
-        blocks: dict[tuple[int, int], RationalMatrix] = {}
-        for si, (p, q) in enumerate(source):
-            if (p + 1, q) in target_index:
-                blocks[(target_index[(p + 1, q)], si)] = b.horizontal[(p, q)]
-            if (p, q + 1) in target_index:
-                blocks[(target_index[(p, q + 1)], si)] = b.vertical[(p, q)]
-        differentials.append(
-            exactla.block_matrix(
-                [b.dim(p, q) for p, q in target],
-                [b.dim(p, q) for p, q in source],
-                blocks,
-            )
-        )
-    return CochainComplex(tuple(space_dims), tuple(differentials))
+    """The total complex, cells of each degree by p ascending, as ``make_bicomplex`` built it."""
+    return b.total
 
 
 def total_cohomology(b: Bicomplex) -> list[int]:
@@ -185,18 +175,21 @@ def total_cohomology(b: Bicomplex) -> list[int]:
     ``make_bicomplex`` checked.
     """
     dims = _page_dims(b, INFINITY)
-    return [sum(dims[pos] for pos in _antidiagonal(b, m)) for m in range(b.width + b.height + 1)]
+    return [
+        sum(dims[pos] for pos in _antidiagonal(b.width, b.height, m))
+        for m in range(b.width + b.height + 1)
+    ]
 
 
 def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
     """The persistence pairing of the total complex under the column filtration.
 
     Each total degree m lists its cells (p, q, k), k indexing a basis of
-    the (p, q) entry, in the order of ``total_complex``: by p ascending, so
-    index order refines p order.  The columns of d_m are taken largest
-    index first, and the pivot of each is its live row of smallest index,
-    so of smallest p (Zomorodian-Carlsson, *Computing persistent homology*,
-    2005).  That is the one rule of ``_eliminate``, on the transpose of
+    the (p, q) entry, in the order of the total differential that
+    ``make_bicomplex`` assembled: by p ascending, so index order refines p
+    order.  The columns of d_m are taken largest index first, and the pivot
+    of each is its live row of smallest index, so of smallest p
+    (Zomorodian-Carlsson, *Computing persistent homology*, 2005).  That is the one rule of ``_eliminate``, on the transpose of
     d_m: it walks the rows of d_m by index and pivots each on the holder
     of largest index.
     A column sigma only gains multiples of columns taken before it, so it
@@ -217,12 +210,11 @@ def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
     of d_{m+1} at cells of larger index, all taken before tau.  Column tau
     would reduce to zero, and deleting it changes the rank of no block B.
     """
-    tc = total_complex(b)
     cells = [
-        [(p, q, k) for p, q in _antidiagonal(b, m) for k in range(b.dim(p, q))]
-        for m in range(len(tc.space_dims))
+        [(p, q, k) for p, q in _antidiagonal(b.width, b.height, m) for k in range(b.dim(p, q))]
+        for m in range(len(b.total.space_dims))
     ]
-    by_degree = exactla._cleared_pivots(tc.differentials)
+    by_degree = exactla._cleared_pivots(b.total.differentials)
     return tuple(
         (cells[m][j], cells[m + 1][i]) for m, pivots in enumerate(by_degree) for i, j in pivots
     )

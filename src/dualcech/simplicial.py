@@ -103,9 +103,9 @@ class CochainComplex:
     - ``presheaf.cech_complex`` of a presheaf from ``make_presheaf``, which
       checks functoriality, the identity that makes the Cech differential
       square to zero;
-    - ``bicomplex.total_complex`` of a bicomplex from ``make_bicomplex``,
-      which checks H^2 = 0, V^2 = 0 and HV + VH = 0, so that
-      D^2 = H^2 + (HV + VH) + V^2 = 0;
+    - ``bicomplex.make_bicomplex``, which assembles the total differential
+      D = H + V of a bicomplex and checks D_{m+1} D_m = 0 on it in every
+      total degree m (its blocks are H^2, V^2 and HV + VH);
     - builders that square to zero by construction: ``cech_complex`` of
       constant and zero presheaves, of ``direct_sum`` and of the
       ``split_constant`` quotient (functorial by construction, see their

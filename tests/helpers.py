@@ -7,8 +7,9 @@ route the library uses), monomial counts from inclusion-exclusion,
 monomial quotient bases and survivor-set counts from listing every
 monomial, local-model homology from the full Cech matrix over every
 stratum at once,
-presheaf functoriality and the d.d = 0 of ``OracleCochainComplex`` from
-triple-loop products, and inverses from dense Gauss-Jordan elimination.
+presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
+bicomplex laws block by block from triple-loop products, and inverses
+from dense Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -441,9 +442,18 @@ def oracle_homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
     return (d_in.rows - exactla.rank(d_out)) - exactla.rank(d_in)
 
 
+def bicomplex_map(b: Bicomplex, kind: str, p: int, q: int) -> RationalMatrix:
+    """``b``'s horizontal or vertical map leaving (p, q); a map that was not given is zero."""
+    maps = getattr(b, kind)
+    if (p, q) in maps:
+        return maps[(p, q)]
+    target = (p + 1, q) if kind == "horizontal" else (p, q + 1)
+    return RationalMatrix.zeros(b.dim(*target), b.dim(p, q))
+
+
 def _vertical_in(b: Bicomplex, p: int, q: int) -> RationalMatrix:
     if q > 0:
-        return b.vertical[(p, q - 1)]
+        return bicomplex_map(b, "vertical", p, q - 1)
     return RationalMatrix.zeros(b.dim(p, 0), 0)
 
 
@@ -457,13 +467,13 @@ def oracle_page(b: Bicomplex, r: int) -> SpectralPage:
     if r == 1:
         dims = {}
         for p, q in grid:
-            dims[(p, q)] = oracle_homology_dim(_vertical_in(b, p, q), b.vertical[(p, q)])
+            dims[(p, q)] = oracle_homology_dim(_vertical_in(b, p, q), bicomplex_map(b, "vertical", p, q))
         return SpectralPage(1, dims)
     # E2: the differential induced by the horizontal maps on vertical
     # cohomology, evaluated on kernel bases of the vertical maps.  The rank
     # of the induced map Z_p/B_p -> Z_{p+1}/B_{p+1} is
     # rank([delta K_p | V_{p+1}]) - rank(V_{p+1}).
-    kernels = {(p, q): exactla.kernel_basis(b.vertical[(p, q)]) for p, q in grid}
+    kernels = {(p, q): exactla.kernel_basis(bicomplex_map(b, "vertical", p, q)) for p, q in grid}
     e1 = {
         (p, q): kernels[(p, q)].cols - exactla.rank(_vertical_in(b, p, q))
         for p, q in grid
@@ -473,7 +483,7 @@ def oracle_page(b: Bicomplex, r: int) -> SpectralPage:
         if p == b.width:
             induced_rank[(p, q)] = 0
             continue
-        image = b.horizontal[(p, q)] @ kernels[(p, q)]
+        image = bicomplex_map(b, "horizontal", p, q) @ kernels[(p, q)]
         below = _vertical_in(b, p + 1, q)
         induced_rank[(p, q)] = exactla.rank(hstack(image, below)) - exactla.rank(below)
     dims = {}
@@ -496,7 +506,7 @@ def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
     top = b.width + b.height
     dims = {(p, q): 0 for p in range(b.width + 1) for q in range(b.height + 1)}
     for m in range(top + 1):
-        positions = antidiagonal(b, m)
+        positions = antidiagonal(b.width, b.height, m)
         offsets = []
         start = 0
         for pos in positions:
@@ -531,6 +541,52 @@ def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
                 f"filtration pieces in total degree {m} do not sum to the total cohomology"
             )
     return SpectralPage(INFINITY, dims)
+
+
+def oracle_bicomplex_law(dims, horizontal, vertical) -> str | None:
+    """The message ``make_bicomplex`` raises for the first broken law, or None.
+
+    The block laws one block at a time, as ``make_bicomplex`` checked them
+    before it assembled the total differential: H.H = 0 by q then p, V.V = 0
+    by p then q, then VH + HV = 0 by p then q.  A missing map or cell is
+    zero; the products are ``oracle_matmul``'s.  The cells must lie in the
+    first quadrant and the given maps must have the right shapes.
+    """
+    width = max(p for p, _ in dims)
+    height = max(q for _, q in dims)
+
+    def dim(cell):
+        return dims.get(cell, 0)
+
+    def block(maps, p, q, target):
+        if (p, q) in maps:
+            return maps[(p, q)].to_rows()
+        return [[0] * dim((p, q)) for _ in range(dim(target))]
+
+    def h(p, q):
+        return block(horizontal, p, q, (p + 1, q))
+
+    def v(p, q):
+        return block(vertical, p, q, (p, q + 1))
+
+    def is_zero(rows):
+        return not any(any(row) for row in rows)
+
+    for q in range(height + 1):
+        for p in range(width - 1):
+            if not is_zero(oracle_matmul(h(p + 1, q), h(p, q), dim((p, q)))):
+                return f"horizontal differential does not square to zero at ({p},{q})"
+    for p in range(width + 1):
+        for q in range(height - 1):
+            if not is_zero(oracle_matmul(v(p, q + 1), v(p, q), dim((p, q)))):
+                return f"vertical differential does not square to zero at ({p},{q})"
+    for p in range(width):
+        for q in range(height):
+            vh = oracle_matmul(v(p + 1, q), h(p, q), dim((p, q)))
+            hv = oracle_matmul(h(p, q + 1), v(p, q), dim((p, q)))
+            if not is_zero([[x + y for x, y in zip(a, b)] for a, b in zip(vh, hv)]):
+                return f"differentials do not anticommute at ({p},{q})"
+    return None
 
 
 def oracle_matrix(value, path, rows=None, cols=None) -> RationalMatrix:
@@ -730,6 +786,48 @@ def random_cochain_complex(rng: random.Random, max_length: int = 3, cap: int = 3
         changes[p + 1] @ diffs[p] @ oracle_inverse(changes[p]) for p in range(length - 1)
     ]
     return presheaf.CochainComplex(tuple(dims), tuple(diffs))
+
+
+def from_cochain_rows(rows: Sequence[CochainComplex]) -> Bicomplex:
+    """Stack cochain complexes as rows q = 0, 1, ... with zero vertical maps.
+
+    Row q keeps its own differential up to the sign (-1)^q, the twist that
+    makes stacked rows anticommute with any vertical maps added later.
+    """
+    if not rows:
+        raise InvalidBicomplex("need at least one row")
+    dims: dict[tuple[int, int], int] = {(0, 0): 0}
+    horizontal: dict[tuple[int, int], RationalMatrix] = {}
+    for q, row in enumerate(rows):
+        for p, d in enumerate(row.space_dims):
+            dims[(p, q)] = d
+        for p, mat in enumerate(row.differentials):
+            horizontal[(p, q)] = mat.scaled(-1) if q % 2 else mat
+    return make_bicomplex(dims, horizontal, {})
+
+
+def random_law_bicomplex(rng: random.Random):
+    """Raw ``make_bicomplex`` arguments on a grid of up to 4x4 cells that may break the laws.
+
+    Cells have dimension 0 to 2; about half of the maps are missing, and the
+    others have the right shapes and entries 0 and +-1.
+    """
+    width = rng.randint(0, 3)
+    height = rng.randint(0, 3)
+    dims = {(p, q): rng.randint(0, 2) for p in range(width + 1) for q in range(height + 1)}
+
+    def maps(dp, dq):
+        out = {}
+        for (p, q), source in dims.items():
+            target = (p + dp, q + dq)
+            if target in dims and rng.random() < 0.5:
+                out[(p, q)] = RationalMatrix.from_rows(
+                    [[rng.choice([0, 0, 1, -1]) for _ in range(source)] for _ in range(dims[target])],
+                    cols=source,
+                )
+        return out
+
+    return dims, maps(1, 0), maps(0, 1)
 
 
 def tensor_bicomplex(a, b) -> Bicomplex:

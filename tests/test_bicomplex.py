@@ -7,7 +7,6 @@ from dualcech import presheaf, simplicial
 from dualcech.bicomplex import (
     INFINITY,
     degenerates_at_two,
-    from_cochain_rows,
     make_bicomplex,
     page,
     page_infinity,
@@ -19,13 +18,17 @@ from dualcech.exactla import RationalMatrix
 
 from helpers import (
     OracleCochainComplex,
+    bicomplex_map,
     conjugate_bicomplex,
+    from_cochain_rows,
+    oracle_bicomplex_law,
     oracle_checked,
     oracle_page,
     oracle_page_infinity,
     oracle_rank,
     random_bicomplex,
     random_cochain_complex,
+    random_law_bicomplex,
     tensor_bicomplex,
 )
 
@@ -146,6 +149,87 @@ def test_invalid_bicomplex_rejected():
         )  # commutes instead of anticommuting
 
 
+_LINE = {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+_COLUMN = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+_SQUARE = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "dims, horizontal, vertical, message",
+    [
+        ({}, None, None, "a bicomplex needs at least one cell"),
+        ({(0, 0): 1, (-1, 0): 1}, None, None, "cell (-1,0) outside the first quadrant"),
+        ({(0, 0): 1, (1, 0): -1}, None, None, "negative dimension at (1,0)"),
+        (
+            {(0, 0): 1, (1, 0): 2},
+            {(0, 0): ONE},
+            None,
+            "horizontal map at (0,0) is 1x1, expected 2x1",
+        ),
+        ({(0, 0): 1}, {(1, 0): ONE}, None, "horizontal map given at (1, 0), outside the grid"),
+        (
+            {(0, 0): 1, (0, 1): 1},
+            None,
+            {(0, 0): RationalMatrix.zeros(2, 1)},
+            "vertical map at (0,0) is 2x1, expected 1x1",
+        ),
+        ({(0, 0): 1}, None, {(0, 3): ONE}, "vertical map given at (0, 3), outside the grid"),
+        (
+            _LINE,
+            {(0, 0): ONE, (1, 0): ONE},
+            None,
+            "horizontal differential does not square to zero at (0,0)",
+        ),
+        (
+            _COLUMN,
+            None,
+            {(0, 0): ONE, (0, 1): ONE},
+            "vertical differential does not square to zero at (0,0)",
+        ),
+        (
+            _SQUARE,
+            {(0, 0): ONE, (0, 1): ONE},
+            {(0, 0): ONE, (1, 0): ONE},
+            "differentials do not anticommute at (0,0)",
+        ),
+    ],
+    ids=[
+        "empty",
+        "quadrant",
+        "negative",
+        "horizontal-shape",
+        "horizontal-grid",
+        "vertical-shape",
+        "vertical-grid",
+        "row-law",
+        "column-law",
+        "anticommutation",
+    ],
+)
+def test_invalid_bicomplex_messages(dims, horizontal, vertical, message):
+    with pytest.raises(InvalidBicomplex) as caught:
+        make_bicomplex(dims, horizontal, vertical)
+    assert str(caught.value) == message
+
+
+def test_laws_match_block_by_block_oracle():
+    # D.D = 0 on the total differential rejects exactly what the block laws
+    # reject, with the message of the first broken block
+    rejected = set()
+    for seed in range(3000):
+        dims, horizontal, vertical = random_law_bicomplex(random.Random(seed))
+        message = oracle_bicomplex_law(dims, horizontal, vertical)
+        if message is None:
+            b = make_bicomplex(dims, horizontal, vertical)
+            oracle_checked(total_complex(b))
+        else:
+            with pytest.raises(InvalidBicomplex) as caught:
+                make_bicomplex(dims, horizontal, vertical)
+            assert str(caught.value) == message
+            rejected.add(message)
+    assert len(rejected) >= 20
+
+
 def test_anticommuting_square_accepted():
     b = make_bicomplex(
         {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
@@ -256,10 +340,11 @@ def test_filtered_pairs_are_a_partial_matching_with_nonnegative_gaps(seed):
         assert sum(tau[:2]) == sum(sigma[:2]) + 1
         assert 0 <= sigma[2] < b.dim(*sigma[:2]) and 0 <= tau[2] < b.dim(*tau[:2])
     # the pairs leaving degree m number rank d_m, and the pairs of gap 0
-    # leaving (p, q) number the rank of the vertical map there
+    # leaving (p, q) number the rank of the vertical map there, on every
+    # cell of the grid
     tc = oracle_checked(total_complex(b))
     for m, d in enumerate(tc.differentials):
         assert sum(1 for sigma, _ in pairs if sum(sigma[:2]) == m) == oracle_rank(d.to_rows())
-    for (p, q), v in b.vertical.items():
+    for p, q in b.dims:
         gap0 = sum(1 for sigma, tau in pairs if sigma[:2] == (p, q) and tau[0] == p)
-        assert gap0 == oracle_rank(v.to_rows())
+        assert gap0 == oracle_rank(bicomplex_map(b, "vertical", p, q).to_rows())
