@@ -76,7 +76,8 @@ class Summand:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Total dimensions and the summands E^{p,q} they sum, as ``_assemble`` builds them.
+    """Total dimensions and the summands E^{p,q} they sum, as ``_assemble`` builds them
+    (``toric.toric_snc_cohomology`` builds its one row q = 0 the same way).
 
     ``totals[k]`` is the sum of ``dim`` over the summands with p + q = k.
     """
@@ -393,6 +394,10 @@ def snc_curve_euler(genera: Sequence[int], edges: int) -> CurveEulerResult:
 def combinatorial_cohomology_check(d: SncDivisor) -> CohomologyReport:
     """When every stratum has vanishing higher cohomology, structure-sheaf
     cohomology is the Betti table of the dual complex; verify and return it.
+
+    This is for divisors whose tables tabulate that vanishing, row by row.
+    Toric boundaries never come through here: ``toric.toric_snc_cohomology``
+    holds the vanishing by construction and ranks the dual complex itself.
 
     Only the hypothesis is verified here: every table row above q = 0
     that ``structure_sheaf_cohomology`` would read, up to the largest

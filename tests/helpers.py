@@ -8,8 +8,9 @@ monomial quotient bases and survivor-set counts from listing every
 monomial, local-model homology from the full Cech matrix over every
 stratum at once,
 presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
-bicomplex laws block by block from triple-loop products, and inverses
-from dense Gauss-Jordan elimination.
+bicomplex laws block by block from triple-loop products, inverses
+from dense Gauss-Jordan elimination, and toric boundaries as divisors
+whose tables write out every vanishing row.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, Sequence
 
-from dualcech import exactla, presheaf, simplicial, snc
+from dualcech import exactla, presheaf, simplicial, snc, toric
 from dualcech.bicomplex import _antidiagonal as antidiagonal
 from dualcech.bicomplex import INFINITY, Bicomplex, SpectralPage, make_bicomplex, total_complex
 from dualcech.errors import (
     CompositionNonzero,
     InvalidBicomplex,
     InvalidInput,
+    NotSmooth,
     SchemaError,
     ShapeMismatch,
 )
@@ -39,7 +41,7 @@ from dualcech.exactla import RationalMatrix
 from dualcech.localmodel import LocalModelSpec
 from dualcech.presheaf import CochainComplex, Presheaf
 from dualcech.simplicial import SimplicialComplex
-from dualcech.snc import DERHAM, SHEAF, SncDivisor, TableEntry
+from dualcech.snc import DERHAM, SHEAF, Component, SncDivisor, TableEntry
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -676,6 +678,38 @@ def nonfunctorial_q1_document() -> dict:
     """
     with open(os.path.join(DATA, "nonfunctorial_q1.json"), encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def oracle_boundary_divisor(f: toric.Fan, selected_rays) -> SncDivisor:
+    """The boundary of the selected rays as a divisor that tabulates its vanishing.
+
+    Component k is the k-th selected ray in ascending order and a cone of
+    selected rays is a stratum.  Every stratum gets h^0 = 1 with constant
+    restrictions and an explicit 0 for every 0 < q <= n - |t| (Demazure
+    vanishing written out), so ``snc.structure_sheaf_cohomology`` assembles
+    it layer by layer, reading every zero row.  The refusals are those of
+    ``toric.boundary_complex``, in its order.
+    """
+    if not toric.is_smooth(f):
+        raise NotSmooth("boundary components of a singular fan are not handled")
+    selected = sorted(set(selected_rays))
+    if not selected:
+        raise InvalidInput("select at least one ray")
+    if any(not (0 <= i < len(f.rays)) for i in selected):
+        raise InvalidInput("selected ray index out of range")
+    position = {ray: k for k, ray in enumerate(selected)}
+    components = [Component(name=f"D{ray}", dim=f.dim - 1) for ray in selected]
+    strata = []
+    selected_set = set(selected)
+    for cone in f.cones:
+        if cone and cone <= selected_set:
+            strata.append(tuple(sorted(position[i] for i in cone)))
+    tables = {}
+    for t in strata:
+        tables[(t, SHEAF, 0, 0)] = TableEntry(1, "constant")
+        for q in range(1, f.dim - len(t) + 1):
+            tables[(t, SHEAF, 0, q)] = TableEntry(0)
+    return snc.make_snc_divisor(components, strata, tables)
 
 
 def disguised_rays(rng: random.Random, rays) -> list[list[int]]:

@@ -356,6 +356,33 @@ def test_toric_incomplete_fan_still_computes(capsys, tmp_path):
     assert report["result"]["completeness"].startswith("failed:")
 
 
+SINGULAR_FAN = {"n": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
+P2_FAN = {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize(
+    "fan, selected, message",
+    [
+        (SINGULAR_FAN, None, "boundary components of a singular fan are not handled"),
+        (P2_FAN, [], "select at least one ray"),
+        (P2_FAN, [0, 3], "selected ray index out of range"),
+        # smoothness is a property of the fan and is refused before the selection
+        (SINGULAR_FAN, [], "boundary components of a singular fan are not handled"),
+    ],
+    ids=["singular", "empty-selection", "out-of-range", "singular-before-empty"],
+)
+def test_toric_refusals_and_their_order(capsys, tmp_path, fan, selected, message):
+    doc = {"schema_version": 1, "kind": "fan", **fan}
+    if selected is not None:
+        doc["selected_rays"] = selected
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["toric", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_float_matrix_entries_rejected(capsys, tmp_path):
     doc = {
         "kind": "bicomplex",

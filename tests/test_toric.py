@@ -7,7 +7,7 @@ from dualcech import simplicial, snc, toric
 from dualcech.errors import InvalidInput, NecessaryConditionFailed, NotSmooth
 from dualcech.toric import CERTIFIED, UNCERTIFIED
 
-from helpers import disguised_rays, oracle_minor_gcd
+from helpers import disguised_rays, oracle_betti, oracle_boundary_divisor, oracle_minor_gcd
 
 
 def p1xp1_fan():
@@ -66,37 +66,34 @@ def test_completeness_failures():
         toric.completeness_certificate(affine3)
 
 
-def test_boundary_divisor_p2():
+def test_boundary_complex_p2():
     f = toric.projective_space_fan(2)
-    d = toric.boundary_divisor(f, [0, 1, 2])
-    delta = snc.dual_complex(d)
+    delta = toric.boundary_complex(f, [0, 1, 2])
     assert delta.simplices == frozenset({(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)})
     assert simplicial.betti_numbers(delta) == [1, 1]
 
 
-def test_boundary_divisor_p1xp1_is_four_cycle():
-    d = toric.boundary_divisor(p1xp1_fan(), [0, 1, 2, 3])
-    delta = snc.dual_complex(d)
+def test_boundary_complex_p1xp1_is_four_cycle():
+    delta = toric.boundary_complex(p1xp1_fan(), [0, 1, 2, 3])
     edges = {s for s in delta.simplices if len(s) == 2}
     assert edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
-def test_boundary_divisor_single_ray():
-    d = toric.boundary_divisor(toric.projective_space_fan(2), [1])
-    delta = snc.dual_complex(d)
+def test_boundary_complex_single_ray():
+    delta = toric.boundary_complex(toric.projective_space_fan(2), [1])
     assert delta.simplices == frozenset({(0,)})
     assert simplicial.betti_numbers(delta) == [1]
 
 
-def test_boundary_divisor_rejects_singular_fan():
+def test_boundary_complex_rejects_singular_fan():
     singular = toric.make_fan(2, [(1, 0), (1, 2)], [(0, 1)])
     with pytest.raises(NotSmooth):
-        toric.boundary_divisor(singular, [0, 1])
+        toric.boundary_complex(singular, [0, 1])
 
 
-def test_boundary_divisor_rejects_empty_selection():
+def test_boundary_complex_rejects_empty_selection():
     with pytest.raises(InvalidInput):
-        toric.boundary_divisor(toric.projective_space_fan(2), [])
+        toric.boundary_complex(toric.projective_space_fan(2), [])
 
 
 def test_toric_cohomology_spheres():
@@ -105,10 +102,9 @@ def test_toric_cohomology_spheres():
         report = toric.toric_snc_cohomology(f, range(len(f.rays)))
         assert list(report.totals) == [1] + [0] * (n - 2) + [1]
         # the dual complex is the boundary of the n-simplex
-        delta = snc.dual_complex(toric.boundary_divisor(f, range(len(f.rays))))
         full = tuple(range(n + 1))
         expected = simplicial.from_facets(n + 1, [full[:k] + full[k + 1 :] for k in range(n + 1)])
-        assert delta == expected
+        assert toric.boundary_complex(f, range(len(f.rays))) == expected
 
 
 def test_toric_cohomology_p1xp1():
@@ -127,16 +123,19 @@ def test_boundary_euler_identity():
         (p1xp1_fan(), [0, 1, 2, 3]),
         (p1xp1_fan(), [0, 1]),
     ]:
-        d = toric.boundary_divisor(fan, selected)
-        delta = snc.dual_complex(d)
-        assert snc.sheaf_euler_characteristic(d) == simplicial.euler_characteristic(delta)
+        delta = toric.boundary_complex(fan, selected)
+        report = toric.toric_snc_cohomology(fan, selected)
+        assert report.alternating_sum() == simplicial.euler_characteristic(delta)
 
 
 def test_boundary_strata_downward_closed():
-    # faces of cones are cones, so make_snc_divisor's closure check passes
+    # faces of cones are cones, so every face of a simplex is a simplex
     for n in (2, 3, 4):
         f = toric.projective_space_fan(n)
-        toric.boundary_divisor(f, range(len(f.rays)))
+        delta = toric.boundary_complex(f, range(len(f.rays)))
+        assert delta.vertex_count == n + 1
+        for s in delta.simplices:
+            assert all(face in delta.simplices for face, _ in simplicial._faces(s))
 
 
 def oracle_fan_verdict(dim, rays, cones) -> tuple[bool, bool]:
@@ -192,3 +191,21 @@ def test_maximal_cone_checks_match_minor_gcd_oracle(seed):
                 toric.make_fan(dim, rays, cones)
             continue
         assert toric.is_smooth(toric.make_fan(dim, rays, cones)) == smooth, (dim, rays, cones)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_toric_cohomology_matches_tabulated_vanishing_oracle(seed):
+    """Betti numbers of the boundary complex against the divisor that tabulates every zero row."""
+    rng = random.Random(seed)
+    shapes = [*(_projective_space(n) for n in range(1, 6)), *(_p1_power(k) for k in range(1, 4))]
+    for dim, rays, cones in shapes:
+        f = toric.make_fan(dim, disguised_rays(rng, rays), cones)
+        subset = rng.sample(range(len(rays)), rng.randint(1, len(rays)))
+        # a repeated, unordered selection means the same set of rays
+        for selected in (range(len(rays)), subset + subset[:1]):
+            divisor = oracle_boundary_divisor(f, selected)
+            delta = toric.boundary_complex(f, selected)
+            report = toric.toric_snc_cohomology(f, selected)
+            assert report == snc.structure_sheaf_cohomology(divisor), (dim, rays, selected)
+            assert delta == snc.dual_complex(divisor)
+            assert list(report.totals) == oracle_betti(delta)
