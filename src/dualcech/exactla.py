@@ -11,7 +11,10 @@ pages come from one sparse elimination, ``_eliminate``, with one pivot
 rule: it walks the columns once by index and pivots each on its holder
 of largest row index.  The filtered pairing needs that order, and rank,
 row space and clearing hold under any order, so no caller chooses one.
-Smith normal form is the only other reduction.  A cochain complex is
+Smith normal form is the only other reduction: it peels the unit pivots
+with the same sparse row update, ``_subtract``, which is exact over the
+integers when the pivot is +-1, and hands what is left to the dense
+euclidean routine, ``_dense_smith_normal_form``.  A cochain complex is
 ranked degree by degree in ``_cleared_pivots``, the one clearing loop:
 it serves both the cohomology of ``CochainComplex`` and the filtered
 pairing, and it is sound because d.d = 0 is known wherever a
@@ -275,13 +278,8 @@ def _eliminate(m: RationalMatrix) -> list[tuple[int, int, dict[int, int]]]:
         if c not in cols:
             continue
         r = max(cols[c])
-        pivot_row = rows.pop(r)
+        pivot_row = _take_pivot_row(rows, cols, r)
         p = pivot_row[c]
-        for j in pivot_row:
-            holders = cols[j]
-            holders.discard(r)
-            if not holders:
-                del cols[j]
         for i in list(cols.get(c, ())):
             row = rows[i]
             a = row[c]
@@ -290,25 +288,41 @@ def _eliminate(m: RationalMatrix) -> list[tuple[int, int, dict[int, int]]]:
             if s != 1:
                 for j in row:
                     row[j] *= s
-            for j, v in pivot_row.items():
-                new = row.get(j, 0) - t * v
-                if new == 0:
-                    if j in row:
-                        del row[j]
-                        holders = cols[j]
-                        holders.discard(i)
-                        if not holders:
-                            del cols[j]
-                else:
-                    if j not in row:
-                        cols.setdefault(j, set()).add(i)
-                    row[j] = new
+            _subtract(row, i, t, pivot_row, cols)
             if row:
                 rows[i] = _primitive(row)
             else:
                 del rows[i]
         pivots.append((c, r, pivot_row))
     return pivots
+
+
+def _take_pivot_row(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], r: int) -> dict[int, int]:
+    """Remove row ``r`` from ``rows`` and from the holders in ``cols``, and return it."""
+    pivot_row = rows.pop(r)
+    for j in pivot_row:
+        holders = cols[j]
+        holders.discard(r)
+        if not holders:
+            del cols[j]
+    return pivot_row
+
+
+def _subtract(row: dict[int, int], i: int, t: int, pivot_row: dict[int, int], cols: dict[int, set[int]]) -> None:
+    """``row -= t * pivot_row`` in place, keeping ``cols``, the holders of each column, in step for row ``i``."""
+    for j, v in pivot_row.items():
+        new = row.get(j, 0) - t * v
+        if new == 0:
+            if j in row:
+                del row[j]
+                holders = cols[j]
+                holders.discard(i)
+                if not holders:
+                    del cols[j]
+        else:
+            if j not in row:
+                cols.setdefault(j, set()).add(i)
+            row[j] = new
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -431,19 +445,57 @@ def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int
 def smith_normal_form(m: RationalMatrix) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of a matrix with integer entries.
 
-    An entry with a denominator other than 1 raises ``TypeError``.
+    An entry with a denominator other than 1 raises ``TypeError``.  Unit
+    pivots are peeled first, sparsely (Dumas-Saunders-Villard, *On
+    efficient sparse integer matrix Smith normal form computations*, 2001;
+    Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).  The
+    columns are walked once by index, and a live column with an entry
+    a_rc = +-1 is pivoted on its unit holder of largest row index.  Row
+    operations, adding integer multiples of row r to the others, clear
+    column c outside row r.  Column operations adding multiples of column
+    c to the others would then clear row r, and since column c is now zero
+    outside row r they touch no other row.  Both are unimodular, so
+    SNF(M) = (1) + SNF(M'), where M' is the row-reduced matrix without row
+    r and column c, and 1 divides every factor of M'.  Row r and column c
+    are therefore dropped and the walk goes on in M'.  Whatever is left,
+    with its zero rows and columns dropped, goes through
+    ``_dense_smith_normal_form``, the exact routine for any integer matrix.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (i, j), value in m._entries.items():
+        # in lowest terms some entry is fractional exactly when the denominator is not 1
+        if value % m._den:
+            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
+        rows.setdefault(i, {})[j] = value
+        cols.setdefault(j, set()).add(i)
+    peeled = 0
+    for c in sorted(cols):
+        r = max((i for i in cols.get(c, ()) if rows[i][c] in (1, -1)), default=None)
+        if r is None:
+            continue
+        pivot_row = _take_pivot_row(rows, cols, r)
+        p = pivot_row[c]
+        for i in list(cols.get(c, ())):
+            row = rows[i]
+            # p = +-1 divides every entry, and a / p = a * p
+            _subtract(row, i, row[c] * p, pivot_row, cols)
+            if not row:
+                del rows[i]
+        peeled += 1
+    live = sorted(cols)
+    residual = [[row.get(j, 0) for j in live] for row in rows.values()]
+    return [1] * peeled + _dense_smith_normal_form(residual, len(rows), len(live))
+
+
+def _dense_smith_normal_form(a: list[list[int]], nr: int, nc: int) -> list[int]:
+    """Nonzero invariant factors of the dense ``nr`` x ``nc`` integer matrix ``a``, reduced in place.
+
     Classical reduction over the integers: bring the smallest entry to the
     corner, clear its row and column with euclidean steps, and when the
     corner fails to divide some remaining entry fold that row in and start
     over.  The folding step is what guarantees the divisibility chain.
     """
-    nr, nc = m.rows, m.cols
-    a = [[0] * nc for _ in range(nr)]
-    for (i, j), value in m._entries.items():
-        # in lowest terms some entry is fractional exactly when the denominator is not 1
-        if value % m._den:
-            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
-        a[i][j] = value
     factors: list[int] = []
     t = 0
     while True:

@@ -30,9 +30,20 @@ UNCERTIFIED = "uncertified (necessary conditions passed)"
 
 @dataclass(frozen=True)
 class Fan:
+    """A simplicial fan, its cones closed under faces.
+
+    ``maximal`` holds the nonempty cones that are faces of no other cone,
+    sorted by their ascending ray lists, and ``smooth`` records whether
+    the rays of each of them extend to a basis of the lattice.  A face of
+    a unimodular cone is unimodular, so that is smoothness of the whole
+    fan.  ``make_fan`` fills both in.
+    """
+
     dim: int
     rays: tuple[tuple[int, ...], ...]
     cones: frozenset[frozenset[int]]
+    maximal: tuple[frozenset[int], ...]
+    smooth: bool
 
 
 def _is_primitive(vector: tuple[int, ...]) -> bool:
@@ -42,31 +53,33 @@ def _is_primitive(vector: tuple[int, ...]) -> bool:
     return g == 1
 
 
-def _ray_matrix(f: Fan, cone: frozenset[int]) -> RationalMatrix:
-    rows = [f.rays[i] for i in sorted(cone)]
-    entries = {(r, j): x for r, ray in enumerate(rows) for j, x in enumerate(ray) if x}
-    return RationalMatrix(len(rows), f.dim, entries)
+def _ray_matrix(rays: list[tuple[int, ...]], dim: int, cone: frozenset[int]) -> RationalMatrix:
+    entries = {(r, j): x for r, i in enumerate(sorted(cone)) for j, x in enumerate(rays[i]) if x}
+    return RationalMatrix(len(cone), dim, entries)
 
 
-def _maximal_cones(f: Fan) -> list[frozenset[int]]:
-    """Nonempty cones that are faces of no other cone, in ascending ray order.
+def _maximal(cones: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The nonempty listed cones that lie strictly inside no other listed cone, sorted.
 
-    A face of a simplicial (unimodular) cone is simplicial (unimodular), so
-    make_fan and is_smooth test these alone.  The cone family is closed
-    under faces: a cone lies in a larger one iff one more ray gives a cone.
+    Taken largest first, a cone inside another lies inside a maximal one
+    already kept, so only those are compared.
     """
-    rays = range(len(f.rays))
-    maximal = [
-        c for c in f.cones if c and not any(i not in c and c | {i} in f.cones for i in rays)
-    ]
-    return sorted(maximal, key=sorted)
+    kept: list[frozenset[int]] = []
+    for cone in sorted(set(cones), key=len, reverse=True):
+        if cone and not any(cone < other for other in kept):
+            kept.append(cone)
+    return sorted(kept, key=sorted)
 
 
 def make_fan(dim: int, rays, cones) -> Fan:
-    """Validate rays and close the cone list under faces.
+    """Validate rays and cones, decide smoothness, and close the cone list under faces.
 
-    Every listed cone must be simplicial (linearly independent rays) and
-    every ray must occur in some cone.
+    Every ray must occur in some cone, and every cone must be simplicial
+    (linearly independent rays).  The maximal cones are read off the
+    listed ones, and each goes through one Smith normal form: as many
+    invariant factors as rays means simplicial, all of them 1 means
+    unimodular, and faces inherit both.  Every refusal comes before the
+    face closure, so an oversized cone costs no enumeration of its faces.
     """
     if dim < 0:
         raise InvalidInput("fan dimension must be nonnegative")
@@ -82,33 +95,33 @@ def make_fan(dim: int, rays, cones) -> Fan:
         ray_tuples.append(ray)
     if len(set(ray_tuples)) != len(ray_tuples):
         raise InvalidInput("duplicate rays")
-    closed: set[frozenset[int]] = {frozenset()}
-    for cone in cones:
-        cone = frozenset(cone)
+    listed = [frozenset(cone) for cone in cones]
+    for cone in listed:
         if any(not (0 <= i < len(ray_tuples)) for i in cone):
             raise InvalidInput(f"cone {sorted(cone)} references an unknown ray")
-        for k in range(len(cone) + 1):
-            closed.update(frozenset(sub) for sub in combinations(sorted(cone), k))
-    fan = Fan(dim, tuple(ray_tuples), frozenset(closed))
-    used = set().union(*fan.cones) if fan.cones else set()
+    used = set().union(*listed)
     for i in range(len(ray_tuples)):
         if i not in used:
             raise InvalidInput(f"ray {i} does not occur in any cone")
-    for cone in _maximal_cones(fan):
+    maximal = _maximal(listed)
+    smooth = True
+    for cone in maximal:
         if len(cone) > dim:
             raise InvalidInput(f"cone {sorted(cone)} has more rays than the ambient dimension")
-        if exactla.rank(_ray_matrix(fan, cone)) != len(cone):
+        factors = exactla.smith_normal_form(_ray_matrix(ray_tuples, dim, cone))
+        if len(factors) != len(cone):
             raise InvalidInput(f"cone {sorted(cone)} is not simplicial")
-    return fan
+        smooth = smooth and all(d == 1 for d in factors)
+    closed: set[frozenset[int]] = {frozenset()}
+    for cone in listed:
+        for k in range(len(cone) + 1):
+            closed.update(frozenset(sub) for sub in combinations(sorted(cone), k))
+    return Fan(dim, tuple(ray_tuples), frozenset(closed), tuple(maximal), smooth)
 
 
 def is_smooth(f: Fan) -> bool:
-    """True iff every cone's rays extend to a basis of the integer lattice."""
-    for cone in _maximal_cones(f):
-        factors = exactla.smith_normal_form(_ray_matrix(f, cone))
-        if any(d != 1 for d in factors):
-            return False
-    return True
+    """True iff every cone's rays extend to a basis of the integer lattice; ``make_fan`` decided it."""
+    return f.smooth
 
 
 def _cross(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -163,23 +176,30 @@ def completeness_certificate(f: Fan) -> str:
             bad = sorted(sorted(c) for c in extra)[0]
             raise NecessaryConditionFailed(f"cone {bad} overlaps its neighbors")
         return CERTIFIED
-    top = [c for c in f.cones if len(c) == n]
+    # a cone has at most n rays, so the full-dimensional ones are maximal
+    top = [c for c in f.maximal if len(c) == n]
     if not top:
         raise NecessaryConditionFailed("no full-dimensional cones")
+    owners: dict[frozenset[int], list[int]] = {}
+    for k, c in enumerate(top):
+        for i in c:
+            owners.setdefault(c - {i}, []).append(k)
     for facet in (c for c in f.cones if len(c) == n - 1):
-        owners = [c for c in top if facet < c]
-        if len(owners) != 2:
+        count = len(owners.get(facet, ()))
+        if count != 2:
             raise NecessaryConditionFailed(
-                f"codimension-1 cone {sorted(facet)} lies in {len(owners)} full cones, expected 2"
+                f"codimension-1 cone {sorted(facet)} lies in {count} full cones, expected 2"
             )
+    # two full cones are adjacent exactly when they share a facet
     seen = {0}
     queue = [0]
     while queue:
-        current = top[queue.pop()]
-        for k, other in enumerate(top):
-            if k not in seen and len(current & other) == n - 1 and (current & other) in f.cones:
-                seen.add(k)
-                queue.append(k)
+        c = top[queue.pop()]
+        for i in c:
+            for k in owners[c - {i}]:
+                if k not in seen:
+                    seen.add(k)
+                    queue.append(k)
     if len(seen) != len(top):
         raise NecessaryConditionFailed("full-dimensional cones are not connected through facets")
     return UNCERTIFIED

@@ -9,8 +9,10 @@ monomial, local-model homology from the full Cech matrix over every
 stratum at once,
 presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
 bicomplex laws block by block from triple-loop products, inverses
-from dense Gauss-Jordan elimination, and toric boundaries as divisors
-whose tables write out every vanishing row.
+from dense Gauss-Jordan elimination, invariant factors from the dense
+euclidean Smith normal form without unit peeling, the completeness test
+of a fan from scans of every facet against every full cone, and toric
+boundaries as divisors whose tables write out every vanishing row.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dualcech.errors import (
     CompositionNonzero,
     InvalidBicomplex,
     InvalidInput,
+    NecessaryConditionFailed,
     NotSmooth,
     SchemaError,
     ShapeMismatch,
@@ -192,6 +195,90 @@ def oracle_minor_gcd(rows: list[list[int]], size: int) -> int:
             minor = oracle_det([[rows[i][j] for j in ci] for i in ri])
             g = math.gcd(g, abs(minor.numerator))  # integer rows: the minor is integral
     return g
+
+
+def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
+    best = None
+    best_abs = None
+    for i in range(t, nr):
+        row = a[i]
+        for j in range(t, nc):
+            v = row[j]
+            if v != 0 and (best_abs is None or abs(v) < best_abs):
+                best = (i, j)
+                best_abs = abs(v)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+def oracle_smith_normal_form(m: RationalMatrix) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of a matrix with integer entries.
+
+    An entry with a denominator other than 1 raises ``TypeError``.
+    Classical reduction over the integers: bring the smallest entry to the
+    corner, clear its row and column with euclidean steps, and when the
+    corner fails to divide some remaining entry fold that row in and start
+    over.  The folding step is what guarantees the divisibility chain.
+    This is the dense routine alone, with no unit pivots peeled first.
+    """
+    nr, nc = m.rows, m.cols
+    a = [[0] * nc for _ in range(nr)]
+    for (i, j), value in m._entries.items():
+        # in lowest terms some entry is fractional exactly when the denominator is not 1
+        if value % m._den:
+            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
+        a[i][j] = value
+    factors: list[int] = []
+    t = 0
+    while True:
+        pos = _smallest_nonzero(a, t, nr, nc)
+        if pos is None:
+            break
+        i0, j0 = pos
+        a[t], a[i0] = a[i0], a[t]
+        for row in a:
+            row[t], row[j0] = row[j0], row[t]
+        while True:
+            # clear column t; a remainder strictly smaller than the pivot
+            # becomes the new pivot, so this terminates
+            for i in range(t + 1, nr):
+                while a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t] != 0:
+                        a[t], a[i] = a[i], a[t]
+            # clear row t the same way
+            for j in range(t + 1, nc):
+                while a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+                    if a[t][j] != 0:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+            if any(a[i][t] for i in range(t + 1, nr)):
+                continue  # column reduction was disturbed by the row sweep
+            offender = None
+            pivot = a[t][t]
+            for i in range(t + 1, nr):
+                row = a[i]
+                for j in range(t + 1, nc):
+                    if row[j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        factors.append(abs(a[t][t]))
+        t += 1
+        if t >= min(nr, nc):
+            break
+    return factors
 
 
 def oracle_betti(k: SimplicialComplex) -> list[int]:
@@ -710,6 +797,37 @@ def oracle_boundary_divisor(f: toric.Fan, selected_rays) -> SncDivisor:
         for q in range(1, f.dim - len(t) + 1):
             tables[(t, SHEAF, 0, q)] = TableEntry(0)
     return snc.make_snc_divisor(components, strata, tables)
+
+
+def oracle_facet_certificate(f: toric.Fan) -> str:
+    """The completeness test of a fan of dimension >= 3 by direct scans.
+
+    Every codimension-1 cone, in ``f.cones`` order, is compared with every
+    full-dimensional cone, and the adjacency graph is walked by comparing
+    every pair of full cones.  Same verdicts and messages as
+    ``toric.completeness_certificate``.
+    """
+    n = f.dim
+    top = [c for c in f.cones if len(c) == n]
+    if not top:
+        raise NecessaryConditionFailed("no full-dimensional cones")
+    for facet in (c for c in f.cones if len(c) == n - 1):
+        owners = [c for c in top if facet < c]
+        if len(owners) != 2:
+            raise NecessaryConditionFailed(
+                f"codimension-1 cone {sorted(facet)} lies in {len(owners)} full cones, expected 2"
+            )
+    seen = {0}
+    queue = [0]
+    while queue:
+        current = top[queue.pop()]
+        for k, other in enumerate(top):
+            if k not in seen and len(current & other) == n - 1 and (current & other) in f.cones:
+                seen.add(k)
+                queue.append(k)
+    if len(seen) != len(top):
+        raise NecessaryConditionFailed("full-dimensional cones are not connected through facets")
+    return toric.UNCERTIFIED
 
 
 def disguised_rays(rng: random.Random, rays) -> list[list[int]]:

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -381,6 +382,19 @@ def test_toric_refusals_and_their_order(capsys, tmp_path, fan, selected, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_toric_refuses_an_oversized_cone_before_its_faces(capsys, tmp_path):
+    # 2^40 faces: the refusal must come before the face closure
+    rays = [[1, k] for k in range(40)]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "fan", "n": 2, "rays": rays, "cones": [list(range(40))]}))
+    start = time.perf_counter()
+    assert cli.main(["toric", str(path), "--json"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cone {list(range(40))} has more rays than the ambient dimension\n"
 
 
 def test_float_matrix_entries_rejected(capsys, tmp_path):

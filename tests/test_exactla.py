@@ -5,17 +5,20 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcech import exactla
+from dualcech import exactla, simplicial
 from dualcech.errors import CompositionNonzero, ShapeMismatch
 from dualcech.exactla import RationalMatrix
 
 from helpers import (
+    disguised_rays,
     oracle_det,
     oracle_homology_dim,
     oracle_inverse,
     oracle_matmul,
     oracle_minor_gcd,
     oracle_rank,
+    oracle_smith_normal_form,
+    random_complex,
     random_unimodular,
 )
 
@@ -337,6 +340,38 @@ def test_smith_chain_and_minor_gcd(data):
         for f in factors:
             product *= f
         assert product == oracle_minor_gcd(data, len(factors))
+
+
+@st.composite
+def int_matrix(draw, values, max_dim=5):
+    """Integer matrices of 0 to ``max_dim`` rows and columns, entries drawn from ``values``."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    return RationalMatrix(rows, cols, {(i, j): draw(st.sampled_from(values)) for i in range(rows) for j in range(cols)})
+
+
+@given(st.one_of(int_matrix(range(-6, 7)), int_matrix((0, 2, -2, 3, -3, 6, -6))))
+def test_smith_normal_form_matches_dense_oracle(m):
+    # the second family has no unit entry, so only the dense residual can decide it
+    assert exactla.smith_normal_form(m) == oracle_smith_normal_form(m)
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_smith_normal_form_matches_dense_oracle_on_coboundaries_and_rays(seed):
+    rng = random.Random(seed)
+    k = random_complex(rng)
+    for p in range(k.dim):
+        m = simplicial.coboundary_matrix(k, p)
+        assert exactla.smith_normal_form(m) == oracle_smith_normal_form(m), (k, p)
+    n = rng.randint(1, 4)
+    rays = disguised_rays(rng, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 1))])
+    m = RationalMatrix.from_rows(rays)
+    assert exactla.smith_normal_form(m) == oracle_smith_normal_form(m), rays
+
+
+def test_smith_normal_form_pins_without_unit_entries():
+    assert exactla.smith_normal_form(RationalMatrix.from_rows([[2, 3]])) == [1]
+    assert exactla.smith_normal_form(RationalMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -1,13 +1,14 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcech import simplicial
+from dualcech import exactla, simplicial
 from dualcech.errors import BadTuple
 
-from helpers import OracleCochainComplex, oracle_betti, random_complex
+from helpers import OracleCochainComplex, oracle_betti, oracle_smith_normal_form, random_complex
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -85,6 +86,19 @@ def test_integral_cohomology_projective_plane():
     assert result[0] == (1, [])
     assert result[1] == (0, [])
     assert result[2] == (0, [2])
+    # the residual after the unit pivots of d_1 carries the torsion
+    d1 = simplicial.coboundary_matrix(rp2, 1)
+    factors = exactla.smith_normal_form(d1)
+    assert factors[-1] == 2 and set(factors[:-1]) == {1}
+    assert factors == oracle_smith_normal_form(d1)
+
+
+def test_integral_cohomology_of_a_large_simplex_within_budget():
+    # the dense Smith normal form alone took about 44 s here
+    start = time.perf_counter()
+    result = simplicial.integral_cohomology(simplicial.from_facets(12, [tuple(range(12))]))
+    assert time.perf_counter() - start < 10
+    assert result == [(1, [])] + [(0, [])] * 11
 
 
 @given(st.integers(0, 2**31 - 1))

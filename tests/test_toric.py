@@ -7,7 +7,13 @@ from dualcech import simplicial, snc, toric
 from dualcech.errors import InvalidInput, NecessaryConditionFailed, NotSmooth
 from dualcech.toric import CERTIFIED, UNCERTIFIED
 
-from helpers import disguised_rays, oracle_betti, oracle_boundary_divisor, oracle_minor_gcd
+from helpers import (
+    disguised_rays,
+    oracle_betti,
+    oracle_boundary_divisor,
+    oracle_facet_certificate,
+    oracle_minor_gcd,
+)
 
 
 def p1xp1_fan():
@@ -191,6 +197,60 @@ def test_maximal_cone_checks_match_minor_gcd_oracle(seed):
                 toric.make_fan(dim, rays, cones)
             continue
         assert toric.is_smooth(toric.make_fan(dim, rays, cones)) == smooth, (dim, rays, cones)
+
+
+def test_make_fan_records_the_maximal_cones_of_the_closure():
+    # projective_space_fan lists every face, and a cone may be listed twice or unsorted
+    shapes = [(f.dim, f.rays, f.cones) for f in (toric.projective_space_fan(3), p1xp1_fan())]
+    shapes += [(dim, rays, [*cones, cones[0][::-1]]) for dim, rays, cones in ORACLE_FANS]
+    for dim, rays, cones in shapes:
+        if not oracle_fan_verdict(dim, rays, cones)[0]:
+            continue
+        f = toric.make_fan(dim, rays, cones)
+        brute = [c for c in f.cones if c and not any(c < d for d in f.cones)]
+        assert f.maximal == tuple(sorted(brute, key=sorted)), (dim, rays, cones)
+
+
+def _certificate_or_message(check, f) -> str:
+    try:
+        return check(f)
+    except NecessaryConditionFailed as error:
+        return f"failed: {error}"
+
+
+COMPLETENESS_FANS = [
+    *ORACLE_FANS,
+    # every facet of the one full cone lies in it alone
+    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]),
+    # one facet, {0, 1}, lies in three full cones and the others in one: the first in f.cones is named
+    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, -1]], [[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+    # two closed shells of full cones, every facet in two cones, no facet shared between them
+    (
+        3,
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
+        [list(c) for c in combinations(range(4), 3)] + [list(c) for c in combinations(range(4, 8), 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_completeness_certificate_matches_direct_scans(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for dim, rays, cones in COMPLETENESS_FANS:
+        if dim < 3 or not oracle_fan_verdict(dim, rays, cones)[0]:
+            continue
+        f = toric.make_fan(dim, disguised_rays(rng, rays), cones)
+        outcome = _certificate_or_message(toric.completeness_certificate, f)
+        assert outcome == _certificate_or_message(oracle_facet_certificate, f), (dim, rays, cones)
+        outcomes.add(outcome.split(" lies in ")[-1])
+    # certified shapes, facets with no owner or one, and a disconnected fan all occur
+    assert outcomes == {
+        UNCERTIFIED,
+        "0 full cones, expected 2",
+        "1 full cones, expected 2",
+        "failed: full-dimensional cones are not connected through facets",
+    }
 
 
 @pytest.mark.parametrize("seed", range(3))
