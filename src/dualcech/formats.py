@@ -13,6 +13,8 @@ inputs always produce byte-identical JSON.
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from typing import Mapping
 
 from . import bicomplex as bicomplex_mod
@@ -66,10 +68,17 @@ def _bool(value, path) -> bool:
     return value
 
 
+# the plain ASCII "p/q" form, read with two int calls; every other string
+# goes through Fraction's own parser, which accepts more
+_RATIO = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
+
+
 def _rational(value, path):
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(path, "rational entries must be integers or 'p/q' strings")
     try:
+        if type(value) is str and (ratio := _RATIO.fullmatch(value)):
+            return Fraction(int(ratio[1]), int(ratio[2]))
         return as_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad rational entry: {exc}") from None

@@ -154,12 +154,17 @@ def euler_characteristic(k: SimplicialComplex) -> int:
 
 
 def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
-    """Signed incidence matrix from p-simplices to (p+1)-simplices."""
+    """Signed incidence matrix from p-simplices to (p+1)-simplices.
+
+    Its entries are the signs of ``_faces``, nonzero integers at the
+    positions of two simplices of the levels, so they are wrapped as they
+    are, without the constructor's checks.
+    """
     lower = k.p_simplices(p)
     upper = k.p_simplices(p + 1)
     index = {s: i for i, s in enumerate(lower)}
     entries = {(ri, index[face]): sign for ri, tau in enumerate(upper) for face, sign in _faces(tau)}
-    return RationalMatrix.from_entries(len(upper), len(lower), entries)
+    return RationalMatrix._of(len(upper), len(lower), entries)
 
 
 def betti_numbers(k: SimplicialComplex) -> list[int]:

@@ -5,7 +5,9 @@ torus-invariant boundary of a smooth fan: rays become vertices, and a set
 of rays cuts out a nonempty stratum exactly when it spans a cone.  Every
 stratum is a smooth toric variety without higher structure-sheaf
 cohomology, so the boundary's cohomology is the Betti numbers of that
-complex; no stratum tables are written.  No polytopes, no ampleness;
+complex; no stratum tables are written.  A fan is kept as its maximal
+cones, and no face closure is built: the dual complex is enumerated once,
+from the selected part of each maximal cone.  No polytopes, no ampleness;
 projectivity is asserted by the caller.
 """
 
@@ -19,7 +21,7 @@ from math import gcd
 from . import exactla
 from .errors import InvalidInput, NecessaryConditionFailed, NotSmooth
 from .exactla import RationalMatrix
-from .simplicial import SimplicialComplex, betti_numbers
+from .simplicial import SimplicialComplex, betti_numbers, from_facets
 from .snc import CohomologyReport, Summand
 # combinatorial_cohomology_check is unused here; perfbench/spans.py traces it as a name bound in this module
 from .snc import combinatorial_cohomology_check  # noqa: F401
@@ -30,18 +32,18 @@ UNCERTIFIED = "uncertified (necessary conditions passed)"
 
 @dataclass(frozen=True)
 class Fan:
-    """A simplicial fan, its cones closed under faces.
+    """A simplicial fan, given by its maximal cones.
 
-    ``maximal`` holds the nonempty cones that are faces of no other cone,
-    sorted by their ascending ray lists, and ``smooth`` records whether
-    the rays of each of them extend to a basis of the lattice.  A face of
-    a unimodular cone is unimodular, so that is smoothness of the whole
-    fan.  ``make_fan`` fills both in.
+    The cones of the fan are the faces of the cones in ``maximal``: the
+    nonempty cones that are faces of no other cone, sorted by their
+    ascending ray lists.  ``smooth`` records whether the rays of each of
+    them extend to a basis of the lattice.  A face of a unimodular cone is
+    unimodular, so that is smoothness of the whole fan.  ``make_fan`` fills
+    both in.
     """
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
-    cones: frozenset[frozenset[int]]
     maximal: tuple[frozenset[int], ...]
     smooth: bool
 
@@ -72,14 +74,14 @@ def _maximal(cones: list[frozenset[int]]) -> list[frozenset[int]]:
 
 
 def make_fan(dim: int, rays, cones) -> Fan:
-    """Validate rays and cones, decide smoothness, and close the cone list under faces.
+    """Validate rays and cones, keep the maximal cones and decide smoothness.
 
-    Every ray must occur in some cone, and every cone must be simplicial
-    (linearly independent rays).  The maximal cones are read off the
-    listed ones, and each goes through one Smith normal form: as many
-    invariant factors as rays means simplicial, all of them 1 means
-    unimodular, and faces inherit both.  Every refusal comes before the
-    face closure, so an oversized cone costs no enumeration of its faces.
+    The fan is the listed cones and their faces.  Every ray must occur in
+    some cone, and every cone must be simplicial (linearly independent
+    rays).  The maximal cones are read off the listed ones, and each goes
+    through one Smith normal form: as many invariant factors as rays means
+    simplicial, all of them 1 means unimodular, and faces inherit both.
+    No face of a cone is ever enumerated here.
     """
     if dim < 0:
         raise InvalidInput("fan dimension must be nonnegative")
@@ -112,11 +114,7 @@ def make_fan(dim: int, rays, cones) -> Fan:
         if len(factors) != len(cone):
             raise InvalidInput(f"cone {sorted(cone)} is not simplicial")
         smooth = smooth and all(d == 1 for d in factors)
-    closed: set[frozenset[int]] = {frozenset()}
-    for cone in listed:
-        for k in range(len(cone) + 1):
-            closed.update(frozenset(sub) for sub in combinations(sorted(cone), k))
-    return Fan(dim, tuple(ray_tuples), frozenset(closed), tuple(maximal), smooth)
+    return Fan(dim, tuple(ray_tuples), tuple(maximal), smooth)
 
 
 def is_smooth(f: Fan) -> bool:
@@ -145,7 +143,11 @@ def completeness_certificate(f: Fan) -> str:
     In dimension at least 3 only a partial test runs: every codimension-1
     cone must lie in exactly two full-dimensional cones and those must form
     a connected adjacency graph.  Passing yields "uncertified", not a
-    certificate; a failure names the offending cone.
+    certificate; a failure names the offending codimension-1 cone that is
+    smallest by its sorted ray list.  The codimension-1 cones are the
+    facets of the full-dimensional cones and the maximal cones with n - 1
+    rays, since a cone with n - 1 rays is either maximal or a facet of a
+    cone with n.
     """
     n = f.dim
     if n == 0:
@@ -157,7 +159,8 @@ def completeness_certificate(f: Fan) -> str:
         raise NecessaryConditionFailed("rays do not cover both directions of the line")
     if n == 2:
         order = sorted(range(len(f.rays)), key=cmp_to_key(lambda a, b: _angular_compare(f.rays[a], f.rays[b])))
-        two_cones = {c for c in f.cones if len(c) == 2}
+        # a cone has at most 2 rays here, so every 2-ray cone is maximal
+        two_cones = {c for c in f.maximal if len(c) == 2}
         consecutive = set()
         for k, i in enumerate(order):
             j = order[(k + 1) % len(order)]
@@ -184,12 +187,11 @@ def completeness_certificate(f: Fan) -> str:
     for k, c in enumerate(top):
         for i in c:
             owners.setdefault(c - {i}, []).append(k)
-    for facet in (c for c in f.cones if len(c) == n - 1):
-        count = len(owners.get(facet, ()))
-        if count != 2:
-            raise NecessaryConditionFailed(
-                f"codimension-1 cone {sorted(facet)} lies in {count} full cones, expected 2"
-            )
+    counts = {facet: len(k) for facet, k in owners.items()}
+    counts.update((c, 0) for c in f.maximal if len(c) == n - 1)
+    bad = min(((sorted(c), count) for c, count in counts.items() if count != 2), default=None)
+    if bad is not None:
+        raise NecessaryConditionFailed(f"codimension-1 cone {bad[0]} lies in {bad[1]} full cones, expected 2")
     # two full cones are adjacent exactly when they share a facet
     seen = {0}
     queue = [0]
@@ -219,8 +221,11 @@ def boundary_complex(f: Fan, selected_rays) -> SimplicialComplex:
     """Dual complex of the boundary components of the selected rays.
 
     Vertex k is the k-th selected ray in ascending order, and a vertex set
-    is a simplex exactly when its rays span a cone.  make_fan closed the
-    cones under faces, so the family is closed under faces too.
+    is a simplex exactly when its rays span a cone.  Those are the faces of
+    the sets M & selected over the maximal cones M, which ``from_facets``
+    enumerates once: a cone inside the selection is a face of some maximal
+    M, so it is a face of M & selected; and every subset of M & selected is
+    a face of M, so it is a cone.
     """
     if not is_smooth(f):
         raise NotSmooth("boundary components of a singular fan are not handled")
@@ -230,10 +235,9 @@ def boundary_complex(f: Fan, selected_rays) -> SimplicialComplex:
     if any(not (0 <= i < len(f.rays)) for i in selected):
         raise InvalidInput("selected ray index out of range")
     position = {ray: k for k, ray in enumerate(selected)}
-    simplices = frozenset(
-        tuple(position[i] for i in sorted(cone)) for cone in f.cones if cone and cone.issubset(position)
-    )
-    return SimplicialComplex(len(selected), simplices)
+    facets = {tuple(position[i] for i in sorted(cone) if i in position) for cone in f.maximal}
+    facets.discard(())
+    return from_facets(len(selected), facets)
 
 
 def toric_snc_cohomology(f: Fan, selected_rays) -> CohomologyReport:

@@ -39,7 +39,7 @@ from dualcech.errors import (
     SchemaError,
     ShapeMismatch,
 )
-from dualcech.formats import _list, _rational
+from dualcech.formats import _list
 from dualcech.exactla import RationalMatrix
 from dualcech.localmodel import LocalModelSpec
 from dualcech.presheaf import CochainComplex, Presheaf
@@ -678,12 +678,26 @@ def oracle_bicomplex_law(dims, horizontal, vertical) -> str | None:
     return None
 
 
+def oracle_rational(value, path) -> Fraction:
+    """``formats._rational`` as it was before its fast path for ASCII "p/q" strings.
+
+    Every string goes through ``Fraction``'s own parser; the accepted
+    forms and the error messages are the reference the fast path must keep.
+    """
+    if isinstance(value, bool) or isinstance(value, float):
+        raise SchemaError(path, "rational entries must be integers or 'p/q' strings")
+    try:
+        return exactla.as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(path, f"bad rational entry: {exc}") from None
+
+
 def oracle_matrix(value, path, rows=None, cols=None) -> RationalMatrix:
     """``formats._matrix`` as it was before its fast path for plain integers.
 
-    Every entry goes through ``_rational`` and the matrix through
+    Every entry goes through ``oracle_rational`` and the matrix through
     ``RationalMatrix.from_rows``; the error paths and messages are the
-    reference the fast path must keep.
+    reference the fast paths must keep.
     """
     data = _list(value, path)
     parsed = []
@@ -694,7 +708,7 @@ def oracle_matrix(value, path, rows=None, cols=None) -> RationalMatrix:
             width = len(row)
         elif len(row) != width:
             raise SchemaError(f"{path}/{i}", "ragged matrix rows")
-        parsed.append([_rational(x, f"{path}/{i}/{j}") for j, x in enumerate(row)])
+        parsed.append([oracle_rational(x, f"{path}/{i}/{j}") for j, x in enumerate(row)])
     if cols is not None and width is not None and width != cols:
         raise SchemaError(path, f"expected {cols} columns, got {width}")
     if cols is None:
@@ -767,15 +781,26 @@ def nonfunctorial_q1_document() -> dict:
         return json.load(handle)
 
 
-def oracle_boundary_divisor(f: toric.Fan, selected_rays) -> SncDivisor:
-    """The boundary of the selected rays as a divisor that tabulates its vanishing.
+def oracle_cone_closure(cones) -> frozenset[frozenset[int]]:
+    """Every face of every given cone, the empty cone included.
 
-    Component k is the k-th selected ray in ascending order and a cone of
-    selected rays is a stratum.  Every stratum gets h^0 = 1 with constant
-    restrictions and an explicit 0 for every 0 < q <= n - |t| (Demazure
-    vanishing written out), so ``snc.structure_sheaf_cohomology`` assembles
-    it layer by layer, reading every zero row.  The refusals are those of
-    ``toric.boundary_complex``, in its order.
+    The face closure ``toric.make_fan`` once built from the listed cones.
+    Pass a fan's ``maximal`` for the cones of the fan, or a document's
+    listed cones to check ``maximal`` against them.
+    """
+    closed: set[frozenset[int]] = {frozenset()}
+    for cone in cones:
+        for k in range(len(cone) + 1):
+            closed.update(frozenset(sub) for sub in combinations(sorted(cone), k))
+    return frozenset(closed)
+
+
+def oracle_boundary_complex(f: toric.Fan, selected_rays) -> SimplicialComplex:
+    """The dual complex of the selected rays by filtering the face closure.
+
+    Every cone of the fan that lies inside the selection, mapped to the
+    positions of its rays among the selected ones in ascending order.  The
+    refusals are those of ``toric.boundary_complex``, in its order.
     """
     if not toric.is_smooth(f):
         raise NotSmooth("boundary components of a singular fan are not handled")
@@ -785,33 +810,49 @@ def oracle_boundary_divisor(f: toric.Fan, selected_rays) -> SncDivisor:
     if any(not (0 <= i < len(f.rays)) for i in selected):
         raise InvalidInput("selected ray index out of range")
     position = {ray: k for k, ray in enumerate(selected)}
+    simplices = frozenset(
+        tuple(position[i] for i in sorted(cone))
+        for cone in oracle_cone_closure(f.maximal)
+        if cone and cone.issubset(position)
+    )
+    return SimplicialComplex(len(selected), simplices)
+
+
+def oracle_boundary_divisor(f: toric.Fan, selected_rays) -> SncDivisor:
+    """The boundary of the selected rays as a divisor that tabulates its vanishing.
+
+    Component k is the k-th selected ray in ascending order and a simplex
+    of ``oracle_boundary_complex`` is a stratum.  Every stratum gets
+    h^0 = 1 with constant restrictions and an explicit 0 for every
+    0 < q <= n - |t| (Demazure vanishing written out), so
+    ``snc.structure_sheaf_cohomology`` assembles it layer by layer, reading
+    every zero row.
+    """
+    delta = oracle_boundary_complex(f, selected_rays)
+    selected = sorted(set(selected_rays))
     components = [Component(name=f"D{ray}", dim=f.dim - 1) for ray in selected]
-    strata = []
-    selected_set = set(selected)
-    for cone in f.cones:
-        if cone and cone <= selected_set:
-            strata.append(tuple(sorted(position[i] for i in cone)))
     tables = {}
-    for t in strata:
+    for t in delta.simplices:
         tables[(t, SHEAF, 0, 0)] = TableEntry(1, "constant")
         for q in range(1, f.dim - len(t) + 1):
             tables[(t, SHEAF, 0, q)] = TableEntry(0)
-    return snc.make_snc_divisor(components, strata, tables)
+    return snc.make_snc_divisor(components, sorted(delta.simplices), tables)
 
 
 def oracle_facet_certificate(f: toric.Fan) -> str:
     """The completeness test of a fan of dimension >= 3 by direct scans.
 
-    Every codimension-1 cone, in ``f.cones`` order, is compared with every
-    full-dimensional cone, and the adjacency graph is walked by comparing
-    every pair of full cones.  Same verdicts and messages as
-    ``toric.completeness_certificate``.
+    Every codimension-1 cone of the face closure, smallest sorted ray list
+    first, is compared with every full-dimensional cone, and the adjacency
+    graph is walked by comparing every pair of full cones.  Same verdicts
+    and messages as ``toric.completeness_certificate``.
     """
     n = f.dim
-    top = [c for c in f.cones if len(c) == n]
+    cones = oracle_cone_closure(f.maximal)
+    top = [c for c in cones if len(c) == n]
     if not top:
         raise NecessaryConditionFailed("no full-dimensional cones")
-    for facet in (c for c in f.cones if len(c) == n - 1):
+    for facet in sorted((c for c in cones if len(c) == n - 1), key=sorted):
         owners = [c for c in top if facet < c]
         if len(owners) != 2:
             raise NecessaryConditionFailed(
@@ -822,7 +863,7 @@ def oracle_facet_certificate(f: toric.Fan) -> str:
     while queue:
         current = top[queue.pop()]
         for k, other in enumerate(top):
-            if k not in seen and len(current & other) == n - 1 and (current & other) in f.cones:
+            if k not in seen and len(current & other) == n - 1 and (current & other) in cones:
                 seen.add(k)
                 queue.append(k)
     if len(seen) != len(top):

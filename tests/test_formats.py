@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualcech import formats
 from dualcech.errors import SchemaError
 from dualcech.exactla import RationalMatrix
 
-from helpers import oracle_matrix
+from helpers import oracle_matrix, oracle_rational
 
 ENTRIES = st.one_of(
     st.integers(-3, 3),
@@ -46,3 +47,63 @@ def test_matrix_parsing_matches_entrywise_oracle(value, rows, cols):
     assert got == _outcome(oracle_matrix, value, rows, cols)
     if isinstance(got, RationalMatrix):
         assert all(type(v) is Fraction and v != 0 for _, _, v in got.nonzero_entries())
+
+
+# the plain ASCII "p/q" form and the other forms Fraction's parser accepts
+ACCEPTED = [
+    ("1/2", Fraction(1, 2)),
+    ("-3/4", Fraction(-3, 4)),
+    ("6/4", Fraction(3, 2)),
+    ("0/3", Fraction(0)),
+    ("-0/5", Fraction(0)),
+    ("007/21", Fraction(1, 3)),
+    ("1/02", Fraction(1, 2)),
+    ("7", Fraction(7)),
+    ("1.5", Fraction(3, 2)),
+    ("1e3", Fraction(1000)),
+    (" 3 ", Fraction(3)),
+    ("+1/2", Fraction(1, 2)),
+    ("1_0/3", Fraction(10, 3)),
+    ("\u0661/\u0662", Fraction(1, 2)),  # Arabic-Indic digits
+    ("\uff11/\uff12", Fraction(1, 2)),  # fullwidth digits
+]
+
+
+@pytest.mark.parametrize("text, value", ACCEPTED)
+def test_rational_accepts_the_forms_fraction_accepts(text, value):
+    got = formats._rational(text, "/m/0/0")
+    assert type(got) is Fraction and got == value
+
+
+REFUSED = [
+    ("1/0", "bad rational entry: Fraction(1, 0)"),
+    ("x", "bad rational entry: Invalid literal for Fraction: 'x'"),
+    ("1/-2", "bad rational entry: Invalid literal for Fraction: '1/-2'"),
+    ("1 /2", "bad rational entry: Invalid literal for Fraction: '1 /2'"),
+    ("", "bad rational entry: Invalid literal for Fraction: ''"),
+    ("\u00b2/3", "bad rational entry: Invalid literal for Fraction: '\u00b2/3'"),  # a superscript is no digit
+]
+
+
+@pytest.mark.parametrize("text, message", REFUSED)
+def test_rational_refusals_keep_their_messages(text, message):
+    with pytest.raises(SchemaError) as caught:
+        formats._rational(text, "/m/0/0")
+    assert (caught.value.pointer, caught.value.message) == ("/m/0/0", message)
+
+
+def _rational_outcome(parse, value):
+    try:
+        return parse(value, "/v")
+    except SchemaError as exc:
+        return ("error", exc.pointer, exc.message)
+
+
+@given(st.text(alphabet="0123456789-+/ ._e\u0661\u00b2x", max_size=8))
+@example("1" * 5000 + "/3")
+@example("3/" + "1" * 5000)
+@settings(max_examples=500)
+def test_rational_matches_fraction_parser_oracle(text):
+    got = _rational_outcome(formats._rational, text)
+    assert got == _rational_outcome(oracle_rational, text)
+    assert type(got) is tuple or type(got) is Fraction

@@ -156,3 +156,23 @@ def test_cells_and_faces_match_brute_force(seed):
         handed_out.append((-1,))
     assert [k.p_simplices(p) for p in range(top + 1)] == by_level
     assert k.counts() == [len(level) for level in by_level]
+
+
+def _signed_entries(k: simplicial.SimplicialComplex, p: int) -> dict:
+    """Row tau, column tau minus its vertex at position j, sign (-1)^j."""
+    lower = sorted(s for s in k.simplices if len(s) == p + 1)
+    upper = sorted(s for s in k.simplices if len(s) == p + 2)
+    index = {s: i for i, s in enumerate(lower)}
+    return {(r, index[tau[:j] + tau[j + 1 :]]): (-1) ** j for r, tau in enumerate(upper) for j in range(len(tau))}
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_coboundary_matrix_matches_validating_constructor(seed):
+    rng = random.Random(seed)
+    for k in (random_complex(rng), simplicial.from_facets(6, [tuple(range(6))])):
+        for p in range(k.dim + 1):
+            got = simplicial.coboundary_matrix(k, p)
+            rows, cols = len(k.p_simplices(p + 1)), len(k.p_simplices(p))
+            want = exactla.RationalMatrix.from_entries(rows, cols, _signed_entries(k, p))
+            assert (got.rows, got.cols, got._den, got._entries) == (want.rows, want.cols, want._den, want._entries)
+            assert all(type(v) is int for v in got._entries.values())

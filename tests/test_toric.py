@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -10,7 +11,9 @@ from dualcech.toric import CERTIFIED, UNCERTIFIED
 from helpers import (
     disguised_rays,
     oracle_betti,
+    oracle_boundary_complex,
     oracle_boundary_divisor,
+    oracle_cone_closure,
     oracle_facet_certificate,
     oracle_minor_gcd,
 )
@@ -23,13 +26,13 @@ def p1xp1_fan():
 def test_projective_fan_shapes():
     f1 = toric.projective_space_fan(1)
     assert len(f1.rays) == 2
-    assert len([c for c in f1.cones if len(c) == 1]) == 2
+    assert len([c for c in oracle_cone_closure(f1.maximal) if len(c) == 1]) == 2
     f2 = toric.projective_space_fan(2)
     assert len(f2.rays) == 3
-    assert len([c for c in f2.cones if len(c) == 2]) == 3
+    assert len([c for c in oracle_cone_closure(f2.maximal) if len(c) == 2]) == 3
     f3 = toric.projective_space_fan(3)
     assert len(f3.rays) == 4
-    assert len([c for c in f3.cones if len(c) == 3]) == 4
+    assert len([c for c in oracle_cone_closure(f3.maximal) if len(c) == 3]) == 4
 
 
 def test_smoothness():
@@ -200,15 +203,29 @@ def test_maximal_cone_checks_match_minor_gcd_oracle(seed):
 
 
 def test_make_fan_records_the_maximal_cones_of_the_closure():
-    # projective_space_fan lists every face, and a cone may be listed twice or unsorted
-    shapes = [(f.dim, f.rays, f.cones) for f in (toric.projective_space_fan(3), p1xp1_fan())]
+    # a listed face closure, and cones listed twice or unsorted
+    shapes = [(f.dim, f.rays, oracle_cone_closure(f.maximal)) for f in (toric.projective_space_fan(3), p1xp1_fan())]
     shapes += [(dim, rays, [*cones, cones[0][::-1]]) for dim, rays, cones in ORACLE_FANS]
     for dim, rays, cones in shapes:
         if not oracle_fan_verdict(dim, rays, cones)[0]:
             continue
         f = toric.make_fan(dim, rays, cones)
-        brute = [c for c in f.cones if c and not any(c < d for d in f.cones)]
+        closure = oracle_cone_closure(cones)
+        brute = [c for c in closure if c and not any(c < d for d in closure)]
         assert f.maximal == tuple(sorted(brute, key=sorted)), (dim, rays, cones)
+
+
+def test_make_fan_on_every_listed_cone_of_p14_stays_in_budget():
+    # the 32 767 proper subsets of 15 rays; closing them under faces would make about 3^15 sets
+    n = 14
+    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)] + [(-1,) * n]
+    cones = [c for k in range(n + 1) for c in combinations(range(n + 1), k)]
+    assert len(cones) == 32767
+    start = time.perf_counter()
+    f = toric.make_fan(n, rays, cones)
+    assert time.perf_counter() - start < 5.0
+    assert f.maximal == tuple(frozenset(c) for c in combinations(range(n + 1), n))
+    assert toric.is_smooth(f)
 
 
 def _certificate_or_message(check, f) -> str:
@@ -218,12 +235,18 @@ def _certificate_or_message(check, f) -> str:
         return f"failed: {error}"
 
 
+# every facet of the one full cone lies in it alone, and the smallest, [0, 1], is named
+ONE_CONE_FAN = (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
+# one facet, [0, 1], lies in three full cones and the others in one; it is the smallest
+THREE_OWNER_FAN = (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, -1]], [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+# a maximal 2-ray cone, [0, 1], lies in no full cone and comes before the facets of the octant
+STRAY_FACET_FAN = (3, [[-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1], [2, 3, 4]])
+
 COMPLETENESS_FANS = [
     *ORACLE_FANS,
-    # every facet of the one full cone lies in it alone
-    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]),
-    # one facet, {0, 1}, lies in three full cones and the others in one: the first in f.cones is named
-    (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, -1]], [[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+    ONE_CONE_FAN,
+    THREE_OWNER_FAN,
+    STRAY_FACET_FAN,
     # two closed shells of full cones, every facet in two cones, no facet shared between them
     (
         3,
@@ -244,13 +267,30 @@ def test_completeness_certificate_matches_direct_scans(seed):
         outcome = _certificate_or_message(toric.completeness_certificate, f)
         assert outcome == _certificate_or_message(oracle_facet_certificate, f), (dim, rays, cones)
         outcomes.add(outcome.split(" lies in ")[-1])
-    # certified shapes, facets with no owner or one, and a disconnected fan all occur
+    # certified shapes, facets with no owner, one or three, and a disconnected fan all occur
     assert outcomes == {
         UNCERTIFIED,
         "0 full cones, expected 2",
         "1 full cones, expected 2",
+        "3 full cones, expected 2",
         "failed: full-dimensional cones are not connected through facets",
     }
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (ONE_CONE_FAN, "codimension-1 cone [0, 1] lies in 1 full cones, expected 2"),
+        (THREE_OWNER_FAN, "codimension-1 cone [0, 1] lies in 3 full cones, expected 2"),
+        (STRAY_FACET_FAN, "codimension-1 cone [0, 1] lies in 0 full cones, expected 2"),
+    ],
+)
+def test_completeness_failure_names_the_smallest_facet(shape, message):
+    dim, rays, cones = shape
+    f = toric.make_fan(dim, disguised_rays(random.Random(0), rays), cones)
+    with pytest.raises(NecessaryConditionFailed) as caught:
+        toric.completeness_certificate(f)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -269,3 +309,29 @@ def test_toric_cohomology_matches_tabulated_vanishing_oracle(seed):
             assert report == snc.structure_sheaf_cohomology(divisor), (dim, rays, selected)
             assert delta == snc.dual_complex(divisor)
             assert list(report.totals) == oracle_betti(delta)
+
+
+def _outcome(build, f, selected):
+    try:
+        return build(f, selected)
+    except (InvalidInput, NotSmooth) as error:
+        return type(error).__name__, str(error)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_boundary_complex_matches_closure_filter_oracle(seed):
+    """The selected parts of the maximal cones against the cones of the face closure inside the selection."""
+    rng = random.Random(seed)
+    shapes = [*(_projective_space(n) for n in range(1, 6)), *(_p1_power(k) for k in range(1, 4)), *ORACLE_FANS]
+    for dim, rays, cones in shapes:
+        if not oracle_fan_verdict(dim, rays, cones)[0]:
+            continue
+        f = toric.make_fan(dim, disguised_rays(rng, rays), cones)
+        selections = [range(len(rays)), [], [len(rays)]]
+        for _ in range(4):
+            subset = rng.sample(range(len(rays)), rng.randint(1, len(rays)))
+            # repeated and unordered rays mean the same selection
+            selections.append(subset + rng.choices(subset, k=rng.randint(0, 2)))
+        for selected in selections:
+            got = _outcome(toric.boundary_complex, f, selected)
+            assert got == _outcome(oracle_boundary_complex, f, selected), (dim, rays, selected)
