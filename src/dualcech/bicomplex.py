@@ -46,8 +46,9 @@ class Bicomplex:
     """Cell dimensions on the full grid, the maps that were given, and the total complex.
 
     ``horizontal`` and ``vertical`` hold only the maps that were given; a
-    missing map is zero.  ``total`` is the total complex, whose
-    differential D = H + V ``make_bicomplex`` assembled and checked.
+    missing map is zero.  ``total`` is the total complex, the cells of
+    each degree by p ascending, whose differential D = H + V
+    ``make_bicomplex`` assembled and checked; callers read the field.
     """
 
     width: int
@@ -160,11 +161,6 @@ def _law(source: tuple[int, int], target: tuple[int, int]) -> tuple[tuple[int, i
 
 def _antidiagonal(width: int, height: int, m: int) -> list[tuple[int, int]]:
     return [(p, m - p) for p in range(max(0, m - height), min(width, m) + 1)]
-
-
-def total_complex(b: Bicomplex) -> CochainComplex:
-    """The total complex, cells of each degree by p ascending, as ``make_bicomplex`` built it."""
-    return b.total
 
 
 def total_cohomology(b: Bicomplex) -> list[int]:

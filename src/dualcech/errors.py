@@ -22,10 +22,6 @@ class ShapeMismatch(InputError):
     pass
 
 
-class CompositionNonzero(InputError):
-    pass
-
-
 class BadTuple(InputError):
     pass
 

@@ -31,7 +31,16 @@ triangular system are the same.  Kernel vectors are read off that system
 with the free coordinates fixed to a unit vector; such a vector is
 unique, so the kernel basis does not depend on the scaling.  A product
 multiplies the numerators of both operands over the product of their
-denominators, and a sum adds them over the lcm of the denominators.
+denominators.
+
+A matrix enters through one of two doors.  The constructor, and
+``from_rows``, ``zeros`` and ``identity`` on top of it, is for outside
+data: it checks the shape and every index, coerces each entry and brings
+the entries over one denominator.  ``_of`` is for matrices the package
+derives itself, whose numerators are nonzero ints in bounds by
+construction; it checks nothing, and each caller says in its docstring
+why it needs no check.  The class keeps the algebra the package uses:
+products, scaling, blocks, equality and reading entries back.
 
 Matrices are conceptually dense and row-major.  Internally only nonzero
 entries are stored, which keeps the differentials of large combinatorial
@@ -143,21 +152,10 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "RationalMatrix":
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def column(cls, values: Sequence) -> "RationalMatrix":
-        return cls.from_rows([[v] for v in values], cols=1)
-
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols} matrix")
         return Fraction(self._entries.get((i, j), 0), self._den)
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.entry(*key)
 
     def to_rows(self) -> list[list[Fraction]]:
         out = [[_ZERO] * self.cols for _ in range(self.rows)]
@@ -171,9 +169,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of(self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()}, self._den)
-
     def scaled(self, factor) -> "RationalMatrix":
         if type(factor) is not int:
             factor = as_fraction(factor)
@@ -181,22 +176,6 @@ class RationalMatrix:
             return RationalMatrix.zeros(self.rows, self.cols)
         n, d = factor.numerator, factor.denominator
         return RationalMatrix._of(self.rows, self.cols, {k: n * v for k, v in self._entries.items()}, self._den * d)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        den = lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        entries = {k: s * v for k, v in self._entries.items()}
-        for key, value in other._entries.items():
-            total = entries.get(key, 0) + t * value
-            if total == 0:
-                entries.pop(key, None)
-            else:
-                entries[key] = total
-        return RationalMatrix._of(self.rows, self.cols, entries, den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -217,17 +196,6 @@ class RationalMatrix:
                 if n:
                     entries[(i, j)] = n
         return RationalMatrix._of(self.rows, other.cols, entries, self._den * other._den)
-
-    def take_columns(self, indices: Sequence[int]) -> "RationalMatrix":
-        """Column ``indices[k]`` of ``self`` as column k; a column asked for twice is copied twice."""
-        positions: dict[int, list[int]] = {}
-        for new, c in enumerate(indices):
-            positions.setdefault(c, []).append(new)
-        entries = {}
-        for (i, j), value in self._entries.items():
-            for new in positions.get(j, ()):
-                entries[(i, new)] = value
-        return RationalMatrix._of(self.rows, len(indices), entries, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):

@@ -338,7 +338,8 @@ def load_document(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and an int past Python's digit limit are ValueErrors
         raise SchemaError("", f"not valid JSON: {exc}") from None
     doc = _obj(doc, "")
     kind = _str(_get(doc, "kind", ""), "/kind")

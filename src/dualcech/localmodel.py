@@ -69,9 +69,6 @@ class LocalModelSpec:
     multiplicities: tuple[int, ...]
     degree_bound: int
 
-    def multiplicity_of(self, index: int) -> int:
-        return self.multiplicities[self.components.index(index)]
-
 
 def make_local_model(
     ambient: int,
@@ -120,9 +117,12 @@ def simplex_block(s: int) -> CochainComplex:
 
     Joint 0 is one copy of the field, joint p + 1 one copy per (p + 1)-face;
     the augmentation is all ones, the rest are the simplicial coboundaries.
+    The augmentation's entries are the int 1 at the s positions of an
+    s x 1 matrix, so they are wrapped as they are, without the
+    constructor's checks, as ``coboundary_matrix`` wraps its signs.
     """
     simplex = simplicial.from_facets(s, [range(s)])
-    augmentation = RationalMatrix.from_entries(s, 1, {(i, 0): 1 for i in range(s)})
+    augmentation = RationalMatrix._of(s, 1, {(i, 0): 1 for i in range(s)})
     coboundaries = [simplicial.coboundary_matrix(simplex, p) for p in range(s - 1)]
     return CochainComplex((1, *simplex.counts()), (augmentation, *coboundaries))
 

@@ -197,7 +197,7 @@ def _unit_column(v: Presheaf, unit: Mapping[Simplex, Sequence], s: Simplex) -> R
         )
     if all(x == 0 for x in vec):
         raise ZeroSection(f"unit vector at {s} is zero")
-    return RationalMatrix.column(vec)
+    return RationalMatrix(len(vec), 1, {(i, 0): x for i, x in enumerate(vec)})
 
 
 def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[tuple[list[int], ...], Presheaf]:
@@ -240,8 +240,8 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[tuple
         d = v.dim(s)
         lead = min(i for i in range(d) if u.entry(i, 0) != 0)
         others = [j for j in range(d) if j != lead]
-        embeddings[s] = RationalMatrix.from_entries(d, d - 1, {(j, k): 1 for k, j in enumerate(others)})
-        projections[s] = RationalMatrix.from_entries(d - 1, d, {
+        embeddings[s] = RationalMatrix(d, d - 1, {(j, k): 1 for k, j in enumerate(others)})
+        projections[s] = RationalMatrix(d - 1, d, {
             **{(k, j): 1 for k, j in enumerate(others)},
             **{(k, lead): -u.entry(j, 0) / u.entry(lead, 0) for k, j in enumerate(others)},
         })

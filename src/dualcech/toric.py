@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 
 from . import exactla
@@ -56,20 +56,29 @@ def _is_primitive(vector: tuple[int, ...]) -> bool:
 
 
 def _ray_matrix(rays: list[tuple[int, ...]], dim: int, cone: frozenset[int]) -> RationalMatrix:
+    """The rays of ``cone`` as the rows of an integer matrix, in ascending ray order.
+
+    ``make_fan`` has checked every ray (``dim`` ints) and every cone index,
+    so the nonzero coordinates are ints in bounds and are wrapped as they
+    are, without the constructor's checks.
+    """
     entries = {(r, j): x for r, i in enumerate(sorted(cone)) for j, x in enumerate(rays[i]) if x}
-    return RationalMatrix(len(cone), dim, entries)
+    return RationalMatrix._of(len(cone), dim, entries)
 
 
 def _maximal(cones: list[frozenset[int]]) -> list[frozenset[int]]:
     """The nonempty listed cones that lie strictly inside no other listed cone, sorted.
 
     Taken largest first, a cone inside another lies inside a maximal one
-    already kept, so only those are compared.
+    already kept.  Only a cone with more rays can hold it strictly, and
+    those are the cones kept before its size came up, so a cone is
+    compared with them alone: a fan whose maximal cones all have one size
+    costs no subset test.
     """
     kept: list[frozenset[int]] = []
-    for cone in sorted(set(cones), key=len, reverse=True):
-        if cone and not any(cone < other for other in kept):
-            kept.append(cone)
+    for _, same_size in groupby(sorted(set(cones), key=len, reverse=True), key=len):
+        larger = tuple(kept)
+        kept += [cone for cone in same_size if cone and not any(cone < other for other in larger)]
     return sorted(kept, key=sorted)
 
 
@@ -115,11 +124,6 @@ def make_fan(dim: int, rays, cones) -> Fan:
             raise InvalidInput(f"cone {sorted(cone)} is not simplicial")
         smooth = smooth and all(d == 1 for d in factors)
     return Fan(dim, tuple(ray_tuples), tuple(maximal), smooth)
-
-
-def is_smooth(f: Fan) -> bool:
-    """True iff every cone's rays extend to a basis of the integer lattice; ``make_fan`` decided it."""
-    return f.smooth
 
 
 def _cross(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -227,7 +231,7 @@ def boundary_complex(f: Fan, selected_rays) -> SimplicialComplex:
     M, so it is a face of M & selected; and every subset of M & selected is
     a face of M, so it is a cone.
     """
-    if not is_smooth(f):
+    if not f.smooth:
         raise NotSmooth("boundary components of a singular fan are not handled")
     selected = sorted(set(selected_rays))
     if not selected:

@@ -29,9 +29,9 @@ from typing import Iterator, Sequence
 
 from dualcech import exactla, presheaf, simplicial, snc, toric
 from dualcech.bicomplex import _antidiagonal as antidiagonal
-from dualcech.bicomplex import INFINITY, Bicomplex, SpectralPage, make_bicomplex, total_complex
+from dualcech.bicomplex import INFINITY, Bicomplex, SpectralPage, make_bicomplex
 from dualcech.errors import (
-    CompositionNonzero,
+    InputError,
     InvalidBicomplex,
     InvalidInput,
     NecessaryConditionFailed,
@@ -47,6 +47,10 @@ from dualcech.simplicial import SimplicialComplex
 from dualcech.snc import DERHAM, SHEAF, Component, SncDivisor, TableEntry
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class CompositionNonzero(InputError):
+    """Two consecutive differentials that an oracle multiplied out do not compose to zero."""
 
 
 # ---------------------------------------------------------------- oracles
@@ -389,7 +393,8 @@ def quotient_basis(
         if any(a >= b for a, b in zip(stratum, stratum[1:])):
             raise InvalidInput(f"stratum {stratum} is not strictly ascending")
         mode = ALL
-        constraints = tuple((i, spec.multiplicity_of(i)) for i in stratum)
+        multiplicity = dict(zip(spec.components, spec.multiplicities))
+        constraints = tuple((i, multiplicity[i]) for i in stratum)
     probe = MonomialQuotientBasis(spec.ambient, degree, mode, constraints, ())
     exponents = tuple(a for a in _monomials(spec.ambient, degree) if probe.contains(a))
     return MonomialQuotientBasis(spec.ambient, degree, mode, constraints, exponents)
@@ -495,7 +500,7 @@ def oracle_sheaf_cech_complex(spec: LocalModelSpec, degree: int) -> OracleCochai
         for t in levels[0]:
             if (t, a) in target:
                 entries[(target[(t, a)], col)] = 1
-    differentials = [RationalMatrix.from_entries(space_dims[1], space_dims[0], entries)]
+    differentials = [RationalMatrix(space_dims[1], space_dims[0], entries)]
     for p in range(len(levels) - 1):
         source, target = positions(levels[p]), positions(levels[p + 1])
         entries = {}
@@ -506,7 +511,7 @@ def oracle_sheaf_cech_complex(spec: LocalModelSpec, degree: int) -> OracleCochai
                     if (tau, a) in target:
                         entries[(target[(tau, a)], source[(sigma, a)])] = -1 if pos % 2 else 1
         differentials.append(
-            RationalMatrix.from_entries(space_dims[p + 2], space_dims[p + 1], entries)
+            RationalMatrix(space_dims[p + 2], space_dims[p + 1], entries)
         )
     return OracleCochainComplex(tuple(space_dims), tuple(differentials))
 
@@ -590,7 +595,7 @@ def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
     p + 1.  The antidiagonal sums are checked against an independently
     computed total cohomology before returning.
     """
-    tc = total_complex(b)
+    tc = b.total
     totals = tc.cohomology()
     top = b.width + b.height
     dims = {(p, q): 0 for p in range(b.width + 1) for q in range(b.height + 1)}
@@ -616,8 +621,9 @@ def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
             if not cols:
                 graded.append(0)
                 continue
-            sub_kernel = exactla.kernel_basis(d_out.take_columns(cols))
-            embedded = RationalMatrix.from_entries(
+            restricted = [[row[c] for c in cols] for row in d_out.to_rows()]
+            sub_kernel = exactla.kernel_basis(RationalMatrix.from_rows(restricted, cols=len(cols)))
+            embedded = RationalMatrix(
                 dim_m,
                 sub_kernel.cols,
                 {(cols[i], j): v for i, j, v in sub_kernel.nonzero_entries()},
@@ -802,7 +808,7 @@ def oracle_boundary_complex(f: toric.Fan, selected_rays) -> SimplicialComplex:
     positions of its rays among the selected ones in ascending order.  The
     refusals are those of ``toric.boundary_complex``, in its order.
     """
-    if not toric.is_smooth(f):
+    if not f.smooth:
         raise NotSmooth("boundary components of a singular fan are not handled")
     selected = sorted(set(selected_rays))
     if not selected:
@@ -953,7 +959,7 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     for i, j, av in a.nonzero_entries():
         for k, l, bv in b.nonzero_entries():
             entries[(i * b.rows + k, j * b.cols + l)] = av * bv
-    return RationalMatrix.from_entries(a.rows * b.rows, a.cols * b.cols, entries)
+    return RationalMatrix(a.rows * b.rows, a.cols * b.cols, entries)
 
 
 def random_cochain_complex(rng: random.Random, max_length: int = 3, cap: int = 3):
@@ -971,7 +977,7 @@ def random_cochain_complex(rng: random.Random, max_length: int = 3, cap: int = 3
         elif dims[p] < cap:
             dims[p] += 1
     diffs = [
-        RationalMatrix.from_entries(dims[p + 1], dims[p], entries[p])
+        RationalMatrix(dims[p + 1], dims[p], entries[p])
         for p in range(length - 1)
     ]
     changes = [random_unimodular(rng, d, shears=2) for d in dims]
@@ -1110,7 +1116,7 @@ def random_bicomplex(
         out = {}
         for (p, q), entries in maps.items():
             tp, tq = target_of(p, q)
-            out[(p, q)] = RationalMatrix.from_entries(
+            out[(p, q)] = RationalMatrix(
                 draft.dims[(tp, tq)], draft.dims[(p, q)], entries
             )
         return out
@@ -1173,8 +1179,8 @@ def conjugate_bicomplex(rng: random.Random, b: Bicomplex) -> Bicomplex:
             i, j = rng.sample(range(n), 2)
             c = Fraction(rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]))
             unit = {(k, k): 1 for k in range(n)}
-            change = RationalMatrix.from_entries(n, n, {**unit, (i, j): c}) @ change
-            inverse = inverse @ RationalMatrix.from_entries(n, n, {**unit, (i, j): -c})
+            change = RationalMatrix(n, n, {**unit, (i, j): c}) @ change
+            inverse = inverse @ RationalMatrix(n, n, {**unit, (i, j): -c})
         changes[cell], inverses[cell] = change, inverse
 
     def moved(maps, dp, dq):

@@ -136,7 +136,7 @@ def test_acceptance_6_spectral_convergence():
     while checked < 100:
         b = random_bicomplex(rng, max_width=3, max_height=3, cap=4)
         totals = bicomplex.total_cohomology(b)
-        tc = bicomplex.total_complex(b)
+        tc = b.total
         assert totals == OracleCochainComplex(tc.space_dims, tc.differentials).cohomology()
         e2 = bicomplex.page(b, 2)
         einf = bicomplex.page_infinity(b)

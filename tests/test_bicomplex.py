@@ -11,7 +11,6 @@ from dualcech.bicomplex import (
     page,
     page_infinity,
     total_cohomology,
-    total_complex,
 )
 from dualcech.errors import InvalidBicomplex
 from dualcech.exactla import RationalMatrix
@@ -221,7 +220,7 @@ def test_laws_match_block_by_block_oracle():
         message = oracle_bicomplex_law(dims, horizontal, vertical)
         if message is None:
             b = make_bicomplex(dims, horizontal, vertical)
-            oracle_checked(total_complex(b))
+            oracle_checked(b.total)
         else:
             with pytest.raises(InvalidBicomplex) as caught:
                 make_bicomplex(dims, horizontal, vertical)
@@ -258,7 +257,7 @@ def test_snc_style_rows_with_zero_verticals_degenerate():
 def test_convergence_and_monotonicity(seed):
     b = random_bicomplex(random.Random(seed))
     totals = total_cohomology(b)
-    tc = total_complex(b)
+    tc = b.total
     assert totals == OracleCochainComplex(tc.space_dims, tc.differentials).cohomology()
     einf = page_infinity(b)
     for m in range(b.width + b.height + 1):
@@ -342,7 +341,7 @@ def test_filtered_pairs_are_a_partial_matching_with_nonnegative_gaps(seed):
     # the pairs leaving degree m number rank d_m, and the pairs of gap 0
     # leaving (p, q) number the rank of the vertical map there, on every
     # cell of the grid
-    tc = oracle_checked(total_complex(b))
+    tc = oracle_checked(b.total)
     for m, d in enumerate(tc.differentials):
         assert sum(1 for sigma, _ in pairs if sum(sigma[:2]) == m) == oracle_rank(d.to_rows())
     for p, q in b.dims:

@@ -500,6 +500,33 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["result"]["betti"] == [1, 1]
 
 
+# documents that json.load refuses with something other than JSONDecodeError
+HOSTILE_DOCUMENTS = {
+    "deep_array": b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+    "long_integer": b"1" * 5_000,  # ValueError past Python's 4300-digit limit
+    "bad_byte": b"\xff",  # UnicodeDecodeError
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_json_exits_one_without_traceback(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(HOSTILE_DOCUMENTS[name])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualcech", "betti", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: /: not valid JSON: "), proc.stderr
+
+
 def test_toric_projective_boundaries_at_depth(capsys, tmp_path):
     rng = random.Random(3)
     for n in range(2, 9):

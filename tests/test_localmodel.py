@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualcech import localmodel, presheaf, simplicial
 from dualcech.errors import InvalidInput
+from dualcech.exactla import RationalMatrix
 from dualcech.localmodel import make_local_model, verify_exactness
 
 from helpers import (
@@ -58,7 +59,8 @@ def test_quotient_basis_counts_match_inclusion_exclusion():
         )
         for stratum in [(1,), (2, 4), (1, 2, 4)]:
             basis = quotient_basis(spec, stratum, k)
-            constraints = [(i, spec.multiplicity_of(i)) for i in stratum]
+            multiplicity = dict(zip(spec.components, spec.multiplicities))
+            constraints = [(i, multiplicity[i]) for i in stratum]
             assert len(basis.exponents) == oracle_monomial_count(4, k, constraints, "all")
 
 
@@ -169,3 +171,12 @@ def test_split_matches_full_cech_oracle():
             assert tuple(split_dims) == oracle.space_dims, (spec, k)
             table.append(tuple(oracle.cohomology()))
         assert verify_exactness(spec).homology == tuple(table), spec
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_simplex_block_augmentation_matches_validating_constructor(s):
+    # the all-ones augmentation is wrapped unchecked
+    got = localmodel.simplex_block(s).differentials[0]
+    want = RationalMatrix(s, 1, {(i, 0): 1 for i in range(s)})
+    assert (got.rows, got.cols, got._den, got._entries) == (want.rows, want.cols, want._den, want._entries)
+    assert all(type(v) is int for v in got._entries.values())

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from dualcech import presheaf, simplicial
 from dualcech.errors import (
     BaseMismatch,
-    CompositionNonzero,
     FunctorialityViolation,
     IncompatibleSection,
     NonSplitExtension,
@@ -17,6 +16,7 @@ from dualcech.errors import (
 from dualcech.exactla import RationalMatrix
 
 from helpers import (
+    CompositionNonzero,
     OracleCochainComplex,
     conjugate_presheaf,
     hstack,
@@ -211,16 +211,16 @@ def test_split_projection_matches_inverse_oracle(u0, seed):
     changes = {s: random_unimodular(rng, d) for s in base.simplices}
     restrictions = {(s, (0, 1)): changes[(0, 1)] @ oracle_inverse(changes[s]) for s in [(0,), (1,)]}
     v = presheaf.make_presheaf(base, {s: d for s in base.simplices}, restrictions)
-    units = {s: changes[s] @ RationalMatrix.column(u0) for s in base.simplices}
+    units = {s: changes[s] @ RationalMatrix.from_rows([[x] for x in u0]) for s in base.simplices}
     _, quotient = presheaf.split_constant(v, {s: [u.entry(i, 0) for i in range(d)] for s, u in units.items()})
     embeddings, projections = {}, {}
     for s, u in units.items():
         lead = min(i for i in range(d) if u.entry(i, 0) != 0)
-        embeddings[s] = RationalMatrix.from_entries(
+        embeddings[s] = RationalMatrix(
             d, d - 1, {(j, k): 1 for k, j in enumerate(j for j in range(d) if j != lead)}
         )
         inv = oracle_inverse(hstack(u, embeddings[s]))
-        projections[s] = RationalMatrix.from_entries(
+        projections[s] = RationalMatrix(
             d - 1, d, {(i - 1, j): inv.entry(i, j) for i in range(1, d) for j in range(d)}
         )
     for (sigma, tau), mat in quotient.restrictions.items():

@@ -173,6 +173,6 @@ def test_coboundary_matrix_matches_validating_constructor(seed):
         for p in range(k.dim + 1):
             got = simplicial.coboundary_matrix(k, p)
             rows, cols = len(k.p_simplices(p + 1)), len(k.p_simplices(p))
-            want = exactla.RationalMatrix.from_entries(rows, cols, _signed_entries(k, p))
+            want = exactla.RationalMatrix(rows, cols, _signed_entries(k, p))
             assert (got.rows, got.cols, got._den, got._entries) == (want.rows, want.cols, want._den, want._entries)
             assert all(type(v) is int for v in got._entries.values())

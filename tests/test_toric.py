@@ -3,9 +3,11 @@ import time
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dualcech import simplicial, snc, toric
 from dualcech.errors import InvalidInput, NecessaryConditionFailed, NotSmooth
+from dualcech.exactla import RationalMatrix
 from dualcech.toric import CERTIFIED, UNCERTIFIED
 
 from helpers import (
@@ -36,13 +38,13 @@ def test_projective_fan_shapes():
 
 
 def test_smoothness():
-    assert toric.is_smooth(toric.projective_space_fan(2))
+    assert toric.projective_space_fan(2).smooth
     singular = toric.make_fan(2, [(1, 0), (1, 2)], [(0, 1)])
-    assert not toric.is_smooth(singular)
+    assert not singular.smooth
     single_ray = toric.make_fan(2, [(1, 0)], [(0,)])
-    assert toric.is_smooth(single_ray)
+    assert single_ray.smooth
     trivial = toric.make_fan(2, [], [])
-    assert toric.is_smooth(trivial)
+    assert trivial.smooth
 
 
 def test_make_fan_rejects_bad_rays():
@@ -199,7 +201,7 @@ def test_maximal_cone_checks_match_minor_gcd_oracle(seed):
             with pytest.raises(InvalidInput):
                 toric.make_fan(dim, rays, cones)
             continue
-        assert toric.is_smooth(toric.make_fan(dim, rays, cones)) == smooth, (dim, rays, cones)
+        assert toric.make_fan(dim, rays, cones).smooth == smooth, (dim, rays, cones)
 
 
 def test_make_fan_records_the_maximal_cones_of_the_closure():
@@ -225,7 +227,32 @@ def test_make_fan_on_every_listed_cone_of_p14_stays_in_budget():
     f = toric.make_fan(n, rays, cones)
     assert time.perf_counter() - start < 5.0
     assert f.maximal == tuple(frozenset(c) for c in combinations(range(n + 1), n))
-    assert toric.is_smooth(f)
+    assert f.smooth
+
+
+def test_make_fan_on_the_maximal_cones_of_p1_power_14_stays_in_budget():
+    # 16 384 maximal cones of one size, none strictly inside another; comparing
+    # each with every kept cone would make about 1.3e8 subset tests
+    dim, rays, cones = _p1_power(14)
+    start = time.perf_counter()
+    f = toric.make_fan(dim, rays, cones)
+    assert time.perf_counter() - start < 5.0
+    assert f.maximal == tuple(sorted(map(frozenset, cones), key=sorted))
+    assert f.smooth
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_ray_matrix_matches_validating_constructor(seed):
+    # make_fan hands _ray_matrix checked int rays, which it wraps unchecked
+    rng = random.Random(seed)
+    for dim, rays, cones in ORACLE_FANS:
+        rays = [tuple(ray) for ray in disguised_rays(rng, rays)]
+        for cone in map(frozenset, cones):
+            got = toric._ray_matrix(rays, dim, cone)
+            entries = {(r, j): rays[i][j] for r, i in enumerate(sorted(cone)) for j in range(dim)}
+            want = RationalMatrix(len(cone), dim, entries)
+            assert (got.rows, got.cols, got._den, got._entries) == (want.rows, want.cols, want._den, want._entries)
+            assert all(type(v) is int for v in got._entries.values())
 
 
 def _certificate_or_message(check, f) -> str:
