@@ -8,11 +8,11 @@ imports the package from there, so two checkouts can be compared.  The
 workload's documents come from ``perfbench/workloads.py`` for the seed,
 and one cycle runs each of them once, in this process, as
 ``dualcech.cli.main([command, document, "--json"])``.  ``_eliminate`` is
-wrapped from outside the package for the run.  Printed, one per line:
-the calls, the nonzeros of the matrices fed in, the pivots, the nonzeros
-of the pivot rows handed back, and the seconds spent inside
-``_eliminate`` in the fastest of ``--repeat`` cycles.  The counts are the
-same in every cycle.
+wrapped from outside the package for the run; it takes numerators
+grouped by row, or a matrix in older checkouts.  Printed, one per line:
+the calls, the nonzeros fed in, the pivots, the nonzeros of the pivot
+rows handed back, and the seconds spent inside ``_eliminate`` in the
+fastest of ``--repeat`` cycles.  The counts are the same in every cycle.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ def main(argv=None) -> int:
 
     # checkouts from before the one pivot rule also pass a pivot order
     def counted(m, *rest, **options):
+        # rows grouped by index, consumed by the call, or a matrix in older checkouts
+        nnz = sum(map(len, m.values())) if isinstance(m, dict) else len(m._entries)
         start = perf_counter()
         pivots = original(m, *rest, **options)
         spent[0] += perf_counter() - start
         work["calls"] += 1
-        work["nnz_in"] += len(m._entries)
+        work["nnz_in"] += nnz
         work["pivots"] += len(pivots)
         work["pivot_row_nnz"] += sum(len(row) for _, _, row in pivots)
         return pivots

@@ -9,7 +9,13 @@ runs ``python3 -m dualcech COMMAND DOCUMENT --json`` with ``TREE/src`` on
 wall time in seconds.  The rows are ``toric`` on the full boundary of P^8
 to P^11 (the n + 1 maximal cones listed) and of (P^1)^7 to (P^1)^9 (the
 2^k maximal cones listed), ``integral`` on the full simplex on 10 to 12
-vertices, and ``integral`` on ``inputs/projective_plane.json``.
+vertices, ``integral`` on ``inputs/projective_plane.json``, and
+``degeneration`` on the tensor product of the constant Cech cochains of
+two simplex boundaries, on 5x5, 6x5 and 6x6 vertices.  That bicomplex
+has the coboundary of the first factor times the identity as its
+horizontal maps and (-1)^p times the identity times the coboundary of the
+second as its vertical maps, every map given as a dense matrix of 0 and
++-1; it degenerates at the second page, so the command exits 0.
 The generated documents go to a temporary directory.  A run that exits
 other than 0 stops the script.
 """
@@ -44,6 +50,42 @@ def full_simplex_document(vertices: int) -> dict:
     return {"schema_version": 1, "kind": "complex", "vertex_count": vertices, "facets": [list(range(vertices))]}
 
 
+def simplex_boundary_cochains(a: int) -> tuple[list[int], list[list[list[int]]]]:
+    """Dimensions and coboundaries of the constant Cech cochains on the boundary of the simplex on ``a`` vertices."""
+    levels = [list(combinations(range(a), k)) for k in range(1, a)]
+    coboundaries = []
+    for lower, upper in zip(levels, levels[1:]):
+        index = {s: i for i, s in enumerate(lower)}
+        d = [[0] * len(lower) for _ in upper]
+        for row, tau in zip(d, upper):
+            for pos in range(len(tau)):
+                row[index[tau[:pos] + tau[pos + 1:]]] = (-1) ** pos
+        coboundaries.append(d)
+    return [len(level) for level in levels], coboundaries
+
+
+def tensor_bicomplex_document(a: int, b: int) -> dict:
+    dims_a, d_a = simplex_boundary_cochains(a)
+    dims_b, d_b = simplex_boundary_cochains(b)
+
+    def kron(x, y):
+        return [[u * v for u in rx for v in ry] for rx in x for ry in y]
+
+    def eye(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    horizontal = [
+        {"p": p, "q": q, "matrix": kron(d_a[p], eye(dims_b[q]))} for p in range(len(d_a)) for q in range(len(dims_b))
+    ]
+    vertical = [
+        {"p": p, "q": q, "matrix": kron(eye(dims_a[p]), [[(-1) ** p * x for x in row] for row in d_b[q]])}
+        for p in range(len(dims_a))
+        for q in range(len(d_b))
+    ]
+    dims = [[x * y for x in dims_a] for y in dims_b]
+    return {"schema_version": 1, "kind": "bicomplex", "dims": dims, "horizontal": horizontal, "vertical": vertical}
+
+
 def wall_time(tree: Path, command: str, document: Path) -> float:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = perf_counter()
@@ -76,6 +118,10 @@ def main(argv=None) -> int:
             for v in range(10, 13)
         ]
         rows.append(("integral projective_plane", "integral", tree / "inputs" / "projective_plane.json"))
+        rows += [
+            (f"degeneration {a}x{b}", "degeneration", written(f"tensor_{a}x{b}.json", tensor_bicomplex_document(a, b)))
+            for a, b in ((5, 5), (6, 5), (6, 6))
+        ]
         for label, command, path in rows:
             times = [wall_time(tree, command, path) for _ in range(args.runs)]
             print(f"{label:26s} {median(times):8.3f} s", flush=True)

@@ -4,7 +4,8 @@ Cells live at (p, q) for 0 <= p <= width, 0 <= q <= height.  Horizontal
 differentials move right, vertical ones move up, and the two must
 anticommute.  ``make_bicomplex`` assembles the total differential
 D = horizontal + vertical once, checks all three laws as D.D = 0, and
-stores the total complex on the ``Bicomplex``; nothing assembles it again.
+stores the total complex on the ``Bicomplex``, which keeps no other copy
+of the maps; nothing assembles it again.
 
 Every page is read off one filtered reduction of the total complex.  The
 column filtration F^p (the cells with column >= p) is preserved by the
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping
 
 from . import exactla
@@ -43,19 +45,17 @@ _Cell = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class Bicomplex:
-    """Cell dimensions on the full grid, the maps that were given, and the total complex.
+    """Cell dimensions on the full grid and the total complex.
 
-    ``horizontal`` and ``vertical`` hold only the maps that were given; a
-    missing map is zero.  ``total`` is the total complex, the cells of
-    each degree by p ascending, whose differential D = H + V
-    ``make_bicomplex`` assembled and checked; callers read the field.
+    ``total`` is the total complex, the cells of each degree by p
+    ascending, whose differential D = H + V ``make_bicomplex`` assembled
+    and checked; callers read the field.  The horizontal and vertical maps
+    are its blocks and are not kept apart.
     """
 
     width: int
     height: int
     dims: Mapping[tuple[int, int], int]
-    horizontal: Mapping[tuple[int, int], RationalMatrix]
-    vertical: Mapping[tuple[int, int], RationalMatrix]
     total: CochainComplex
 
     def dim(self, p: int, q: int) -> int:
@@ -83,14 +83,19 @@ def make_bicomplex(
 ) -> Bicomplex:
     """Validate bicomplex data and assemble its total differential D = H + V.
 
-    Missing cells have dimension 0 and missing maps are zero; they are not
-    stored.  The shape of each given map is checked, and then the three
-    laws at once, as D_{m+1} D_m = 0 in each total degree m: the blocks of
-    D_{m+1} D_m from (p, q) to (p+2, q), (p, q+2) and (p+1, q+1) are H.H,
-    V.V and VH + HV.  A failure names the block of a nonzero entry, the
-    first of them with the horizontal blocks by (q, p) first, then the
-    vertical ones by (p, q), then the mixed ones by (p, q).  Data in another
-    sign convention is rejected rather than silently reinterpreted.
+    Missing cells have dimension 0 and missing maps are zero.  The shape of
+    each given map is checked.  Each map's numerators, scaled to the lcm
+    of the denominators of its degree, are written at the offsets of its
+    cells into one dict per total degree, grouped by row; D_m is that dict
+    over the lcm.  Then the three laws are checked at once, as
+    D_{m+1} D_m = 0 in each total degree m, a product over the row dicts:
+    the blocks of D_{m+1} D_m from (p, q) to (p+2, q), (p, q+2) and
+    (p+1, q+1) are H.H, V.V and VH + HV.  A failure names the block of a
+    nonzero entry, the first of them with the horizontal blocks by (q, p)
+    first, then the vertical ones by (p, q), then the mixed ones by (p, q).
+    Data in another sign convention is rejected rather than silently
+    reinterpreted.  Each degree is flattened once into ``RationalMatrix._of``:
+    its numerators are ints in bounds, the shapes having been checked.
     """
     if not dims:
         raise InvalidBicomplex("a bicomplex needs at least one cell")
@@ -103,9 +108,13 @@ def make_bicomplex(
     height = max(q for _, q in dims)
     full_dims = {(p, q): dims.get((p, q), 0) for p in range(width + 1) for q in range(height + 1)}
 
-    def given(maps, kind, dp, dq):
+    diagonals = [_antidiagonal(width, height, m) for m in range(width + height + 1)]
+    # per total degree, the index of the first basis vector of each cell
+    offsets = [dict(zip(diag, accumulate((full_dims[c] for c in diag), initial=0))) for diag in diagonals]
+    blocks = [[] for _ in diagonals[1:]]  # per total degree m: (row offset, column offset, map) in D_m
+
+    def place(maps, kind, dp, dq):
         maps = dict(maps or {})
-        out = {}
         for (p, q), source in full_dims.items():
             mat = maps.pop((p, q), None)
             if mat is None:
@@ -116,37 +125,41 @@ def make_bicomplex(
                     f"{kind} map at ({p},{q}) is {mat.rows}x{mat.cols}, "
                     f"expected {target}x{source}"
                 )
-            out[(p, q)] = mat
+            if mat._entries:  # so the target cell is on the grid
+                blocks[p + q].append((offsets[p + q + 1][(p + dp, q + dq)], offsets[p + q][(p, q)], mat))
         if maps:
             key = next(iter(maps))
             raise InvalidBicomplex(f"{kind} map given at {key}, outside the grid")
-        return out
 
-    horiz = given(horizontal, "horizontal", 1, 0)
-    vert = given(vertical, "vertical", 0, 1)
-    diagonals = [_antidiagonal(width, height, m) for m in range(width + height + 1)]
-    differentials = []
-    for source, target in zip(diagonals, diagonals[1:]):
-        row = {cell: i for i, cell in enumerate(target)}
-        blocks = {}
-        for j, (p, q) in enumerate(source):
-            for maps, cell in ((horiz, (p + 1, q)), (vert, (p, q + 1))):
-                if (p, q) in maps and cell in row:
-                    blocks[(row[cell], j)] = maps[(p, q)]
-        differentials.append(
-            exactla.block_matrix([full_dims[c] for c in target], [full_dims[c] for c in source], blocks)
-        )
-    broken = []
-    for m, (d, after) in enumerate(zip(differentials, differentials[1:])):
-        square = after @ d
-        if not square.is_zero():
-            sources, targets = ([c for c in diagonals[k] for _ in range(full_dims[c])] for k in (m, m + 2))
-            broken += [_law(sources[j], targets[i]) for i, j, _ in square.nonzero_entries()]
-    if broken:
-        raise InvalidBicomplex(min(broken)[1])
+    place(horizontal, "horizontal", 1, 0)
+    place(vertical, "vertical", 0, 1)
     space_dims = tuple(sum(full_dims[c] for c in diag) for diag in diagonals)
-    total = CochainComplex(space_dims, tuple(differentials))
-    return Bicomplex(width, height, full_dims, horiz, vert, total)
+    degrees = []  # per total degree m: D_m as row -> column -> numerator (every row present), and its denominator
+    for m, placed in enumerate(blocks):
+        den = math.lcm(*(mat._den for _, _, mat in placed))
+        rows: dict[int, dict[int, int]] = {i: {} for i in range(space_dims[m + 1])}
+        for row, col, mat in placed:
+            scale = den // mat._den
+            for (i, j), v in mat._entries.items():
+                rows[row + i][col + j] = scale * v
+        degrees.append((rows, den))
+    broken = []  # (m, i, j): a nonzero entry of D_{m+1} D_m
+    for m, ((d, _), (after, _)) in enumerate(zip(degrees, degrees[1:])):
+        for i, row in after.items():
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in d[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                broken += [(m, i, j) for j, n in acc.items() if n]
+    if broken:
+        cells = [[c for c in diag for _ in range(full_dims[c])] for diag in diagonals]
+        raise InvalidBicomplex(min(_law(cells[m][j], cells[m + 2][i]) for m, i, j in broken)[1])
+    differentials = tuple(
+        RationalMatrix._of(space_dims[m + 1], space_dims[m], {(i, j): v for i in rows for j, v in rows[i].items()}, den)
+        for m, (rows, den) in enumerate(degrees)
+    )
+    return Bicomplex(width, height, full_dims, CochainComplex(space_dims, differentials))
 
 
 def _law(source: tuple[int, int], target: tuple[int, int]) -> tuple[tuple[int, int, int], str]:
@@ -185,7 +198,8 @@ def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
     ``make_bicomplex`` assembled: by p ascending, so index order refines p
     order.  The columns of d_m are taken largest index first, and the pivot
     of each is its live row of smallest index, so of smallest p
-    (Zomorodian-Carlsson, *Computing persistent homology*, 2005).  That is the one rule of ``_eliminate``, on the transpose of
+    (Zomorodian-Carlsson, *Computing persistent homology*, 2005).  That
+    is the one rule of ``exactla._eliminate``, on the transpose of
     d_m: it walks the rows of d_m by index and pivots each on the holder
     of largest index.
     A column sigma only gains multiples of columns taken before it, so it
@@ -248,7 +262,3 @@ def page_infinity(b: Bicomplex) -> SpectralPage:
     are ``total_cohomology``, which counts the same cells.
     """
     return SpectralPage(INFINITY, _page_dims(b, INFINITY))
-
-
-def degenerates_at_two(b: Bicomplex) -> bool:
-    return page(b, 2).dims == page_infinity(b).dims

@@ -29,18 +29,25 @@ positive multiple of the row that rational elimination would hold, with
 the same zero pattern, so the pivots, the rank and the row space of the
 triangular system are the same.  Kernel vectors are read off that system
 with the free coordinates fixed to a unit vector; such a vector is
-unique, so the kernel basis does not depend on the scaling.  A product
-multiplies the numerators of both operands over the product of their
-denominators.
+unique, so the kernel basis does not depend on the scaling.
+``_eliminate`` takes the numerators already grouped by row: ``rank`` and
+``kernel_basis`` group a matrix's, and ``_cleared_pivots`` groups each
+d_m by column straight into the rows of its transpose, without the
+cleared columns.  A product multiplies the numerators of both operands
+over the product of their denominators.
 
 A matrix enters through one of two doors.  The constructor, and
 ``from_rows``, ``zeros`` and ``identity`` on top of it, is for outside
 data: it checks the shape and every index, coerces each entry and brings
-the entries over one denominator.  ``_of`` is for matrices the package
-derives itself, whose numerators are nonzero ints in bounds by
-construction; it checks nothing, and each caller says in its docstring
-why it needs no check.  The class keeps the algebra the package uses:
-products, scaling, blocks, equality and reading entries back.
+the entries over one denominator.  ``_of`` is for numerators that are
+nonzero ints in bounds by construction; it checks nothing, and each
+caller says in its docstring why it needs no check.  Two kinds of caller
+use it: the matrices the package derives itself (products, blocks, the
+differentials its assemblers write at block offsets), and the parse
+door, ``formats._matrix``, which reads a JSON matrix straight to reduced
+numerators over their lcm and so has made the constructor's checks on
+the way.  The class keeps the algebra the package uses: products,
+equality and reading entries back.
 
 Matrices are conceptually dense and row-major.  Internally only nonzero
 entries are stored, which keeps the differentials of large combinatorial
@@ -169,14 +176,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def scaled(self, factor) -> "RationalMatrix":
-        if type(factor) is not int:
-            factor = as_fraction(factor)
-        if factor == 0:
-            return RationalMatrix.zeros(self.rows, self.cols)
-        n, d = factor.numerator, factor.denominator
-        return RationalMatrix._of(self.rows, self.cols, {k: n * v for k, v in self._entries.items()}, self._den * d)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(
@@ -216,26 +215,29 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def _eliminate(m: RationalMatrix) -> list[tuple[int, int, dict[int, int]]]:
-    """Sparse fraction-free elimination; returns the pivots as (column, row index, row).
+def _eliminate(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
+    """Sparse fraction-free elimination of integer ``rows``; returns the pivots as (column, row index, row).
 
-    The rows are the numerators of ``m``, each divided by the gcd of its
-    entries, so integers with coprime entries; a row holding ``a``
-    in the pivot column becomes ``(p/g)*row - (a/g)*pivot_row`` for the
-    pivot value ``p`` and ``g = gcd(a, p)`` signed like ``p``, and is then
-    divided by the gcd of its entries.  The columns are walked once, by
-    index, and each live one is pivoted on its holder of largest row
-    index, the order ``bicomplex._pairing`` needs for the filtered
-    pairing.  One forward pass suffices: every live row is zero in the
-    columns already walked, so a pivot row is too, and fill-in lands only
-    in columns after the current pivot.  The rank and the row space do
-    not depend on the order, only the pivots can: each pivot row is zero
-    in the pivot columns of the rows before it, so the rows form a
-    triangular system with the row space of ``m``.  A pivot reports the
-    index in ``m`` of the row it came from, which was changed only by
-    positive scaling and by adding multiples of earlier pivot rows.
+    ``rows`` maps a row index to its nonzero entries, column -> value, and
+    is consumed; a matrix's numerators serve, since a positive scaling
+    changes no pivot.
+
+    Each row is first divided by the gcd of its entries, so the rows are
+    integers with coprime entries; a row holding ``a`` in the pivot column
+    becomes ``(p/g)*row - (a/g)*pivot_row`` for the pivot value ``p`` and
+    ``g = gcd(a, p)`` signed like ``p``, and is then divided by the gcd of
+    its entries.  The columns are walked once, by index, and each live one
+    is pivoted on its holder of largest row index, the order
+    ``bicomplex._pairing`` needs for the filtered pairing.  One forward
+    pass suffices: every live row is zero in the columns already walked,
+    so a pivot row is too, and fill-in lands only in columns after the
+    current pivot.  The rank and the row space do not depend on the order,
+    only the pivots can: each pivot row is zero in the pivot columns of the
+    rows before it, so the rows form a triangular system with the row
+    space of ``rows``.  A pivot reports the index of the row it came from,
+    which was changed only by positive scaling and by adding multiples of
+    earlier pivot rows.
     """
-    rows = _by_row(m._entries)
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         row = rows[i] = _primitive(row)
@@ -325,9 +327,12 @@ def _cleared_pivots(differentials: Sequence[RationalMatrix]) -> list[list[tuple[
     out = []
     cleared: set[int] = set()
     for d in differentials:
-        entries = {(j, i): v for (i, j), v in d._entries.items() if j not in cleared}
-        # the numerators alone: a positive scaling changes no pivot
-        pivots = _eliminate(RationalMatrix._of(d.cols, d.rows, entries))
+        # the numerators alone, by column of d_m: the rows of its transpose
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), v in d._entries.items():
+            if j not in cleared:
+                rows.setdefault(j, {})[i] = v
+        pivots = _eliminate(rows)
         cleared = {c for c, _, _ in pivots}
         out.append([(c, r) for c, r, _ in pivots])
     return out
@@ -357,42 +362,12 @@ def _back_substitute(pivots: list[tuple[int, int, dict[int, int]]], ncols: int) 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank by sparse Gaussian elimination."""
-    return len(_eliminate(m))
+    return len(_eliminate(_by_row(m._entries)))
 
 
 def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     """Matrix whose columns form a basis of the null space of ``m``."""
-    return _back_substitute(_eliminate(m), m.cols)
-
-
-def block_matrix(
-    row_dims: Sequence[int],
-    col_dims: Sequence[int],
-    blocks: Mapping[tuple[int, int], RationalMatrix],
-) -> RationalMatrix:
-    """Assemble a matrix from blocks; absent blocks are zero.
-
-    The numerators of each block are brought over the lcm of the block
-    denominators.
-    """
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    den = lcm(*(block._den for block in blocks.values()))
-    entries: dict[tuple[int, int], int] = {}
-    for (bi, bj), block in blocks.items():
-        if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
-            raise ShapeMismatch(
-                f"block ({bi},{bj}) is {block.rows}x{block.cols}, "
-                f"expected {row_dims[bi]}x{col_dims[bj]}"
-            )
-        ri, ci, s = row_off[bi], col_off[bj], den // block._den
-        for (i, j), value in block._entries.items():
-            entries[(ri + i, ci + j)] = s * value
-    return RationalMatrix._of(row_off[-1], col_off[-1], entries, den)
+    return _back_substitute(_eliminate(_by_row(m._entries)), m.cols)
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from . import bicomplex as bicomplex_mod
@@ -73,25 +74,39 @@ def _bool(value, path) -> bool:
 _RATIO = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 
 
-def _rational(value, path):
+def _ratio(value, path) -> tuple[int, int]:
+    """A rational entry as its numerator and positive denominator in lowest terms."""
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(path, "rational entries must be integers or 'p/q' strings")
     try:
         if type(value) is str and (ratio := _RATIO.fullmatch(value)):
-            return Fraction(int(ratio[1]), int(ratio[2]))
-        return as_fraction(value)
+            n, d = int(ratio[1]), int(ratio[2])
+            g = gcd(n, d)
+            return n // g, d // g
+        x = as_fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad rational entry: {exc}") from None
+    return x.numerator, x.denominator
+
+
+def _rational(value, path) -> Fraction:
+    return Fraction(*_ratio(value, path))
 
 
 def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
-    """A dense JSON matrix, kept sparse; a plain ``int`` needs no parsing and a zero no entry.
+    """A dense JSON matrix, parsed in one pass to integer numerators over one denominator.
 
-    The entries go to the ``RationalMatrix`` constructor as they are, ints
-    and ``Fraction``s mixed; it brings them over one common denominator.
+    A plain ``int`` is a numerator over 1 as it stands, and a zero is no
+    entry; every other entry goes through ``_ratio``, an ASCII "p/q" as two
+    ints.  The denominator is the lcm of the reduced denominators.  The
+    parse makes the constructor's checks itself: the shape against
+    ``rows`` and ``cols``, every index in bounds, every entry coerced and
+    the numerators in lowest terms over the lcm; so the result is wrapped
+    with ``RationalMatrix._of``.
     """
     data = _list(value, path)
     entries = {}
+    dens = {}  # the denominators other than 1
     width = None
     for i, row in enumerate(data):
         row = _list(row, f"{path}/{i}")
@@ -100,8 +115,10 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
         elif len(row) != width:
             raise SchemaError(f"{path}/{i}", "ragged matrix rows")
         for j, x in enumerate(row):
-            if type(x) is not int:  # bool is no int here, and _rational refuses it
-                x = _rational(x, f"{path}/{i}/{j}")
+            if type(x) is not int:  # bool is no int here, and _ratio refuses it
+                x, d = _ratio(x, f"{path}/{i}/{j}")
+                if d != 1:
+                    dens[(i, j)] = d
             if x:
                 entries[(i, j)] = x
     if cols is not None and width is not None and width != cols:
@@ -110,7 +127,12 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
         cols = width if width is not None else 0
     if rows is not None and len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows, got {len(data)}")
-    return RationalMatrix(len(data), cols, entries)
+    den = lcm(*dens.values())
+    if den != 1:
+        entries = {k: v * den for k, v in entries.items()}
+        for k, d in dens.items():
+            entries[k] //= d
+    return RationalMatrix._of(len(data), cols, entries, den)
 
 
 def _vertex_tuple(value, path) -> Simplex:

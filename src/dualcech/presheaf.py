@@ -31,6 +31,8 @@ matrices here, and the first refused restriction, are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import exactla
@@ -143,7 +145,11 @@ def cech_complex(v: Presheaf) -> CochainComplex:
 
     Only assembles matrices.  The differential squares to zero because v
     is functorial: checked by ``make_presheaf`` where the restrictions
-    entered, or true by construction.
+    entered, or true by construction.  Each restriction's numerators,
+    scaled to the lcm of the denominators of its degree and signed by its
+    face, are written at the offsets of its two simplices.  A restriction
+    of the wrong shape raises ``ShapeMismatch``, so the numerators that
+    reach ``RationalMatrix._of`` are in bounds.
     """
     base = v.base
     top = base.dim
@@ -151,16 +157,25 @@ def cech_complex(v: Presheaf) -> CochainComplex:
         return CochainComplex((), ())
     levels = [base.p_simplices(p) for p in range(top + 1)]
     level_dims = [[v.dim(s) for s in level] for level in levels]
+    # offsets[p][k]: the index of the first basis vector of the k-th p-simplex
+    offsets = [list(accumulate(dims, initial=0)) for dims in level_dims]
     differentials = []
     for p in range(top):
         index = {s: i for i, s in enumerate(levels[p])}
-        blocks: dict[tuple[int, int], RationalMatrix] = {}
+        blocks = []
         for ti, tau in enumerate(levels[p + 1]):
-            for sigma, sign in _faces(tau):
-                mat = v.restrictions[(sigma, tau)]
-                blocks[(ti, index[sigma])] = mat if sign > 0 else mat.scaled(-1)
-        differentials.append(exactla.block_matrix(level_dims[p + 1], level_dims[p], blocks))
-    return CochainComplex(tuple(sum(d) for d in level_dims), tuple(differentials))
+            blocks += [(ti, index[sigma], sign, v.restrictions[(sigma, tau)]) for sigma, sign in _faces(tau)]
+        den = lcm(*(mat._den for *_, mat in blocks))
+        entries: dict[tuple[int, int], int] = {}
+        for ti, si, sign, mat in blocks:
+            rows, cols = level_dims[p + 1][ti], level_dims[p][si]
+            if mat.rows != rows or mat.cols != cols:
+                raise ShapeMismatch(f"block ({ti},{si}) is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
+            ri, ci, scale = offsets[p + 1][ti], offsets[p][si], sign * (den // mat._den)
+            for (i, j), x in mat._entries.items():
+                entries[(ri + i, ci + j)] = scale * x
+        differentials.append(RationalMatrix._of(offsets[p + 1][-1], offsets[p][-1], entries, den))
+    return CochainComplex(tuple(o[-1] for o in offsets), tuple(differentials))
 
 
 def presheaf_cohomology(v: Presheaf) -> list[int]:
@@ -171,19 +186,21 @@ def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
     """Stalkwise direct sum with block-diagonal restrictions.
 
     Functorial when v and w are: a composite of block-diagonal maps is the
-    block-diagonal map of the two summands' composites.
+    block-diagonal map of the two summands' composites.  Each restriction
+    is the numerators of v's block and of w's block below and right of
+    it, over the lcm of their denominators: in bounds by construction, so
+    wrapped with ``RationalMatrix._of``.
     """
     if v.base != w.base:
         raise BaseMismatch("direct sum requires a common base complex")
     dims = {s: v.dim(s) + w.dim(s) for s in v.base.simplices}
     restrictions = {}
     for pair in v.base.face_pairs:
-        sigma, tau = pair
-        restrictions[pair] = exactla.block_matrix(
-            [v.dim(tau), w.dim(tau)],
-            [v.dim(sigma), w.dim(sigma)],
-            {(0, 0): v.restrictions[pair], (1, 1): w.restrictions[pair]},
-        )
+        a, b = v.restrictions[pair], w.restrictions[pair]
+        den = lcm(a._den, b._den)
+        entries = {k: x * (den // a._den) for k, x in a._entries.items()}
+        entries.update({(a.rows + i, a.cols + j): x * (den // b._den) for (i, j), x in b._entries.items()})
+        restrictions[pair] = RationalMatrix._of(a.rows + b.rows, a.cols + b.cols, entries, den)
     return Presheaf(v.base, dims, restrictions)
 
 

@@ -158,9 +158,52 @@ def oracle_inverse(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_rows([row[n:] for row in a], cols=n)
 
 
+def block_matrix(
+    row_dims: Sequence[int],
+    col_dims: Sequence[int],
+    blocks: dict[tuple[int, int], RationalMatrix],
+) -> RationalMatrix:
+    """Assemble a matrix from blocks; absent blocks are zero.
+
+    The assembler that ``cech_complex``, ``make_bicomplex`` and
+    ``direct_sum`` used before they wrote their numerators at block offsets
+    themselves: the numerators of each block are brought over the lcm of
+    the block denominators, and a block of the wrong shape raises
+    ``ShapeMismatch``.
+    """
+    row_off = [0]
+    for d in row_dims:
+        row_off.append(row_off[-1] + d)
+    col_off = [0]
+    for d in col_dims:
+        col_off.append(col_off[-1] + d)
+    den = lcm(*(block._den for block in blocks.values()))
+    entries: dict[tuple[int, int], int] = {}
+    for (bi, bj), block in blocks.items():
+        if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
+            raise ShapeMismatch(
+                f"block ({bi},{bj}) is {block.rows}x{block.cols}, "
+                f"expected {row_dims[bi]}x{col_dims[bj]}"
+            )
+        ri, ci, s = row_off[bi], col_off[bj], den // block._den
+        for (i, j), value in block._entries.items():
+            entries[(ri + i, ci + j)] = s * value
+    return RationalMatrix._of(row_off[-1], col_off[-1], entries, den)
+
+
+def negated(m: RationalMatrix) -> RationalMatrix:
+    """-m, entry by entry through the constructor."""
+    return RationalMatrix(m.rows, m.cols, {(i, j): -v for i, j, v in m.nonzero_entries()})
+
+
 def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """[a | b], for two matrices with the same number of rows."""
-    return exactla.block_matrix([a.rows], [a.cols, b.cols], {(0, 0): a, (0, 1): b})
+    return block_matrix([a.rows], [a.cols, b.cols], {(0, 0): a, (0, 1): b})
+
+
+def same_storage(a: RationalMatrix, b: RationalMatrix) -> bool:
+    """``a`` and ``b`` hold the same shape, denominator and numerators."""
+    return (a.rows, a.cols, a._den, a._entries) == (b.rows, b.cols, b._den, b._entries)
 
 
 def oracle_is_functorial(v: Presheaf) -> bool:
@@ -537,12 +580,32 @@ def oracle_homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
 
 
 def bicomplex_map(b: Bicomplex, kind: str, p: int, q: int) -> RationalMatrix:
-    """``b``'s horizontal or vertical map leaving (p, q); a map that was not given is zero."""
-    maps = getattr(b, kind)
-    if (p, q) in maps:
-        return maps[(p, q)]
+    """``b``'s horizontal or vertical map leaving (p, q); a map that was not given is zero.
+
+    Read back from the block of the total differential between the two
+    cells, each degree's cells laid out by p ascending.  The tests that
+    compare ``make_bicomplex`` with ``oracle_total_differentials`` pin those
+    blocks to the maps that were given.
+    """
     target = (p + 1, q) if kind == "horizontal" else (p, q + 1)
-    return RationalMatrix.zeros(b.dim(*target), b.dim(p, q))
+    rows, cols = b.dim(*target), b.dim(p, q)
+    if not rows or not cols:
+        return RationalMatrix.zeros(rows, cols)
+    m = p + q
+    col0 = sum(b.dim(*cell) for cell in antidiagonal(b.width, b.height, m) if cell[0] < p)
+    row0 = sum(b.dim(*cell) for cell in antidiagonal(b.width, b.height, m + 1) if cell[0] < target[0])
+    block = {
+        (i - row0, j - col0): v
+        for i, j, v in b.total.differentials[m].nonzero_entries()
+        if row0 <= i < row0 + rows and col0 <= j < col0 + cols
+    }
+    return RationalMatrix(rows, cols, block)
+
+
+def given_maps(b: Bicomplex, kind: str) -> dict[tuple[int, int], RationalMatrix]:
+    """``b``'s nonzero horizontal or vertical maps by source cell, read back with ``bicomplex_map``."""
+    maps = {cell: bicomplex_map(b, kind, *cell) for cell in sorted(b.dims)}
+    return {cell: m for cell, m in maps.items() if not m.is_zero()}
 
 
 def _vertical_in(b: Bicomplex, p: int, q: int) -> RationalMatrix:
@@ -636,6 +699,57 @@ def oracle_page_infinity(b: Bicomplex) -> SpectralPage:
                 f"filtration pieces in total degree {m} do not sum to the total cohomology"
             )
     return SpectralPage(INFINITY, dims)
+
+
+def oracle_total_differentials(dims, horizontal, vertical) -> tuple[list[RationalMatrix], bool]:
+    """The total differentials D_m as ``make_bicomplex`` assembled them with ``block_matrix``, and whether D.D = 0.
+
+    The path ``make_bicomplex`` took before it wrote numerators at block
+    offsets: the maps, built by the constructor, go through ``block_matrix``
+    degree by degree, and D_{m+1} D_m goes through ``@``.  The cells must
+    lie in the first quadrant and the given maps must have the right shapes.
+    """
+    width = max(p for p, _ in dims)
+    height = max(q for _, q in dims)
+    full_dims = {(p, q): dims.get((p, q), 0) for p in range(width + 1) for q in range(height + 1)}
+    diagonals = [antidiagonal(width, height, m) for m in range(width + height + 1)]
+    differentials = []
+    for source, target in zip(diagonals, diagonals[1:]):
+        row = {cell: i for i, cell in enumerate(target)}
+        blocks = {}
+        for j, (p, q) in enumerate(source):
+            for maps, cell in ((horizontal or {}, (p + 1, q)), (vertical or {}, (p, q + 1))):
+                if (p, q) in maps and cell in row:
+                    blocks[(row[cell], j)] = maps[(p, q)]
+        differentials.append(
+            block_matrix([full_dims[c] for c in target], [full_dims[c] for c in source], blocks)
+        )
+    squares_zero = all((after @ d).is_zero() for d, after in zip(differentials, differentials[1:]))
+    return differentials, squares_zero
+
+
+def oracle_cech_complex(v: Presheaf) -> CochainComplex:
+    """``presheaf.cech_complex`` as it was before it wrote numerators at block offsets.
+
+    Each restriction, negated on the faces of sign -1, is a block of
+    ``block_matrix``; a restriction of the wrong shape raises its
+    ``ShapeMismatch``.
+    """
+    base = v.base
+    if base.dim < 0:
+        return CochainComplex((), ())
+    levels = [base.p_simplices(p) for p in range(base.dim + 1)]
+    level_dims = [[v.dim(s) for s in level] for level in levels]
+    differentials = []
+    for p in range(base.dim):
+        index = {s: i for i, s in enumerate(levels[p])}
+        blocks = {}
+        for ti, tau in enumerate(levels[p + 1]):
+            for sigma, sign in simplicial._faces(tau):
+                mat = v.restrictions[(sigma, tau)]
+                blocks[(ti, index[sigma])] = mat if sign > 0 else negated(mat)
+        differentials.append(block_matrix(level_dims[p + 1], level_dims[p], blocks))
+    return CochainComplex(tuple(sum(d) for d in level_dims), tuple(differentials))
 
 
 def oracle_bicomplex_law(dims, horizontal, vertical) -> str | None:
@@ -1001,15 +1115,16 @@ def from_cochain_rows(rows: Sequence[CochainComplex]) -> Bicomplex:
         for p, d in enumerate(row.space_dims):
             dims[(p, q)] = d
         for p, mat in enumerate(row.differentials):
-            horizontal[(p, q)] = mat.scaled(-1) if q % 2 else mat
+            horizontal[(p, q)] = negated(mat) if q % 2 else mat
     return make_bicomplex(dims, horizontal, {})
 
 
-def random_law_bicomplex(rng: random.Random):
+def random_law_bicomplex(rng: random.Random, values: Sequence = (0, 0, 1, -1)):
     """Raw ``make_bicomplex`` arguments on a grid of up to 4x4 cells that may break the laws.
 
     Cells have dimension 0 to 2; about half of the maps are missing, and the
-    others have the right shapes and entries 0 and +-1.
+    others have the right shapes and entries drawn from ``values``, by
+    default 0 and +-1.
     """
     width = rng.randint(0, 3)
     height = rng.randint(0, 3)
@@ -1021,7 +1136,7 @@ def random_law_bicomplex(rng: random.Random):
             target = (p + dp, q + dq)
             if target in dims and rng.random() < 0.5:
                 out[(p, q)] = RationalMatrix.from_rows(
-                    [[rng.choice([0, 0, 1, -1]) for _ in range(source)] for _ in range(dims[target])],
+                    [[rng.choice(values) for _ in range(source)] for _ in range(dims[target])],
                     cols=source,
                 )
         return out
@@ -1042,7 +1157,7 @@ def tensor_bicomplex(a, b) -> Bicomplex:
                 horizontal[(p, q)] = kron(a.differentials[p], RationalMatrix.identity(bq))
             if q + 1 < len(b.space_dims):
                 mat = kron(RationalMatrix.identity(ap), b.differentials[q])
-                vertical[(p, q)] = mat.scaled(-1) if p % 2 else mat
+                vertical[(p, q)] = negated(mat) if p % 2 else mat
     return make_bicomplex(dims, horizontal, vertical)
 
 
@@ -1153,12 +1268,8 @@ def direct_sum_bicomplex(a: Bicomplex, b: Bicomplex) -> Bicomplex:
         for p, q in dims:
             target = (p + dp, q + dq)
             if target in dims:
-                blocks = {
-                    (k, k): getattr(x, kind)[(p, q)]
-                    for k, x in enumerate((a, b))
-                    if (p, q) in getattr(x, kind)
-                }
-                out[(p, q)] = exactla.block_matrix(
+                blocks = {(k, k): bicomplex_map(x, kind, p, q) for k, x in enumerate((a, b))}
+                out[(p, q)] = block_matrix(
                     [a.dim(*target), b.dim(*target)], [a.dim(p, q), b.dim(p, q)], blocks
                 )
         return out
@@ -1183,14 +1294,13 @@ def conjugate_bicomplex(rng: random.Random, b: Bicomplex) -> Bicomplex:
             inverse = inverse @ RationalMatrix(n, n, {**unit, (i, j): -c})
         changes[cell], inverses[cell] = change, inverse
 
-    def moved(maps, dp, dq):
+    def moved(kind, dp, dq):
         return {
             (p, q): changes[(p + dp, q + dq)] @ m @ inverses[(p, q)]
-            for (p, q), m in maps.items()
-            if not m.is_zero()
+            for (p, q), m in given_maps(b, kind).items()
         }
 
-    return make_bicomplex(dict(b.dims), moved(b.horizontal, 1, 0), moved(b.vertical, 0, 1))
+    return make_bicomplex(dict(b.dims), moved("horizontal", 1, 0), moved("vertical", 0, 1))
 
 
 def zigzag_bicomplex() -> Bicomplex:
@@ -1209,19 +1319,18 @@ def bicomplex_document(b: Bicomplex) -> dict:
     def entry(x: Fraction):
         return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
-    def encoded(maps):
+    def encoded(kind):
         return [
             {"p": p, "q": q, "matrix": [[entry(x) for x in row] for row in m.to_rows()]}
-            for (p, q), m in sorted(maps.items())
-            if not m.is_zero()
+            for (p, q), m in given_maps(b, kind).items()
         ]
 
     return {
         "kind": "bicomplex",
         "schema_version": 1,
         "dims": [[b.dim(p, q) for p in range(b.width + 1)] for q in range(b.height + 1)],
-        "horizontal": encoded(b.horizontal),
-        "vertical": encoded(b.vertical),
+        "horizontal": encoded("horizontal"),
+        "vertical": encoded("vertical"),
     }
 
 

@@ -7,7 +7,7 @@ from dualcech import formats
 from dualcech.errors import SchemaError
 from dualcech.exactla import RationalMatrix
 
-from helpers import oracle_matrix, oracle_rational
+from helpers import oracle_matrix, oracle_rational, same_storage
 
 ENTRIES = st.one_of(
     st.integers(-3, 3),
@@ -107,3 +107,41 @@ def test_rational_matches_fraction_parser_oracle(text):
     got = _rational_outcome(formats._rational, text)
     assert got == _rational_outcome(oracle_rational, text)
     assert type(got) is tuple or type(got) is Fraction
+
+
+# ints of every size, and strings of the ASCII "p/q" form (reduced or not,
+# signed or not) and of the other forms Fraction's parser accepts
+PARSED_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(["2/4", "-6/3", "0/7", "+1/2", " 3/9 ", "-0/5", "7", "1/3", "-10/4"]),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=300)
+def test_matrix_parse_matches_the_constructor(rows, cols, data):
+    # _matrix makes the constructor's checks itself and wraps the result
+    # with _of; the storage must be what the public constructor builds
+    value = [[data.draw(PARSED_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    expected = RationalMatrix(rows, cols, {(i, j): x for i, row in enumerate(value) for j, x in enumerate(row)})
+    assert same_storage(formats._matrix(value, "/m", rows, cols), expected)
+    assert same_storage(formats._matrix(value, "/m"), expected if rows else RationalMatrix.zeros(0, 0))
+
+
+@pytest.mark.parametrize(
+    "value, pointer, message",
+    [
+        ([[1, "1/2"], [0, 0.5]], "/m/1/1", "rational entries must be integers or 'p/q' strings"),
+        ([["2/4", True]], "/m/0/1", "rational entries must be integers or 'p/q' strings"),
+        ([[False, 1]], "/m/0/0", "rational entries must be integers or 'p/q' strings"),
+        ([[3, "1/0"]], "/m/0/1", "bad rational entry: Fraction(1, 0)"),
+        ([[1, "2/4"], ["1/3"]], "/m/1", "ragged matrix rows"),
+    ],
+    ids=["float", "true", "false", "zero-denominator", "ragged"],
+)
+def test_matrix_refusals_keep_their_pointer_and_text(value, pointer, message):
+    with pytest.raises(SchemaError) as caught:
+        formats._matrix(value, "/m")
+    assert (caught.value.pointer, caught.value.message) == (pointer, message)

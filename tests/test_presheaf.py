@@ -10,6 +10,7 @@ from dualcech.errors import (
     FunctorialityViolation,
     IncompatibleSection,
     NonSplitExtension,
+    ShapeMismatch,
     UnderdeterminedRestrictions,
     ZeroSection,
 )
@@ -18,14 +19,17 @@ from dualcech.exactla import RationalMatrix
 from helpers import (
     CompositionNonzero,
     OracleCochainComplex,
+    block_matrix,
     conjugate_presheaf,
     hstack,
+    oracle_cech_complex,
     oracle_checked,
     oracle_inverse,
     oracle_is_functorial,
     random_complex,
     random_presheaf,
     random_unimodular,
+    same_storage,
 )
 
 
@@ -310,3 +314,52 @@ def test_euler_characteristic_matches_cohomology(seed):
     )
     oracle = OracleCochainComplex(complex_.space_dims, complex_.differentials)
     assert cohomology == oracle.cohomology()
+
+
+def _rescaled(rng: random.Random, v: presheaf.Presheaf) -> presheaf.Presheaf:
+    """``v`` after a diagonal change of basis with entries such as 1/2 and -3 in every stalk.
+
+    Functorial when v is, and its restrictions get denominators other
+    than 1, which the Cech differential must bring over their lcm.
+    """
+    scales = {
+        s: [Fraction(rng.choice([1, -1, 2, 3])) ** rng.choice([1, -1]) for _ in range(v.dim(s))]
+        for s in v.base.simplices
+    }
+    restrictions = {
+        (sigma, tau): RationalMatrix(
+            mat.rows, mat.cols, {(i, j): scales[tau][i] * x / scales[sigma][j] for i, j, x in mat.nonzero_entries()}
+        )
+        for (sigma, tau), mat in v.restrictions.items()
+    }
+    return presheaf.Presheaf(v.base, dict(v.dims), restrictions)
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_cech_complex_matches_block_matrix_oracle(seed):
+    # the numerators written at block offsets are those block_matrix
+    # assembles from negated copies, and a restriction of the wrong shape
+    # is refused with block_matrix's message
+    rng = random.Random(seed)
+    base = random_complex(rng, max_vertices=5)
+    v = _rescaled(rng, random_presheaf(rng, base))
+    w = _rescaled(rng, random_presheaf(rng, base, summands=2))
+    for u in (v, presheaf.direct_sum(v, w)):
+        got, expected = presheaf.cech_complex(u), oracle_cech_complex(u)
+        assert got.space_dims == expected.space_dims
+        assert len(got.differentials) == len(expected.differentials)
+        assert all(same_storage(a, b) for a, b in zip(got.differentials, expected.differentials))
+    for sigma, tau in base.face_pairs:
+        blocks = {(0, 0): v.restrictions[(sigma, tau)], (1, 1): w.restrictions[(sigma, tau)]}
+        summed = block_matrix([v.dim(tau), w.dim(tau)], [v.dim(sigma), w.dim(sigma)], blocks)
+        assert same_storage(presheaf.direct_sum(v, w).restrictions[(sigma, tau)], summed)
+    if base.face_pairs:
+        pair = rng.choice(sorted(base.face_pairs))
+        mat = v.restrictions[pair]
+        wrong = RationalMatrix.zeros(mat.rows + 1, mat.cols) if rng.random() < 0.5 else RationalMatrix.zeros(mat.rows, mat.cols + 1)
+        broken = presheaf.Presheaf(base, dict(v.dims), {**v.restrictions, pair: wrong})
+        with pytest.raises(ShapeMismatch) as expected:
+            oracle_cech_complex(broken)
+        with pytest.raises(ShapeMismatch) as caught:
+            presheaf.cech_complex(broken)
+        assert str(caught.value) == str(expected.value)
