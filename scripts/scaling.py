@@ -9,7 +9,10 @@ runs ``python3 -m dualcech COMMAND DOCUMENT --json`` with ``TREE/src`` on
 wall time in seconds.  The rows are ``toric`` on the full boundary of P^8
 to P^11 (the n + 1 maximal cones listed) and of (P^1)^7 to (P^1)^9 (the
 2^k maximal cones listed), ``integral`` on the full simplex on 10 to 12
-vertices, ``integral`` on ``inputs/projective_plane.json``, and
+vertices, ``integral`` on ``inputs/projective_plane.json`` and on its
+joins RP^2 * RP^2 and RP^2 * RP^2 * RP^2 (the facets of a join are the
+unions of one facet of each factor, on disjoint vertices; their torsion
+leaves a residual to the Smith normal form after the unit pivots), and
 ``degeneration`` on the tensor product of the constant Cech cochains of
 two simplex boundaries, on 5x5, 6x5 and 6x6 vertices.  That bicomplex
 has the coboundary of the first factor times the identity as its
@@ -48,6 +51,15 @@ def p1_power_document(k: int) -> dict:
 
 def full_simplex_document(vertices: int) -> dict:
     return {"schema_version": 1, "kind": "complex", "vertex_count": vertices, "facets": [list(range(vertices))]}
+
+
+def join_document(doc: dict, copies: int) -> dict:
+    """The join of ``copies`` copies of the complex document ``doc``, each on its own vertices."""
+    n = doc["vertex_count"]
+    facets = [
+        [n * k + v for k, facet in enumerate(choice) for v in facet] for choice in product(doc["facets"], repeat=copies)
+    ]
+    return {"schema_version": 1, "kind": "complex", "vertex_count": n * copies, "facets": facets}
 
 
 def simplex_boundary_cochains(a: int) -> tuple[list[int], list[list[list[int]]]]:
@@ -117,7 +129,13 @@ def main(argv=None) -> int:
             (f"integral simplex {v}", "integral", written(f"simplex_{v}.json", full_simplex_document(v)))
             for v in range(10, 13)
         ]
-        rows.append(("integral projective_plane", "integral", tree / "inputs" / "projective_plane.json"))
+        rp2_path = tree / "inputs" / "projective_plane.json"
+        rows.append(("integral projective_plane", "integral", rp2_path))
+        rp2 = json.loads(rp2_path.read_text())
+        rows += [
+            (f"integral RP^2 join x{k}", "integral", written(f"rp2_join_{k}.json", join_document(rp2, k)))
+            for k in (2, 3)
+        ]
         rows += [
             (f"degeneration {a}x{b}", "degeneration", written(f"tensor_{a}x{b}.json", tensor_bicomplex_document(a, b)))
             for a, b in ((5, 5), (6, 5), (6, 6))

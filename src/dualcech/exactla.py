@@ -13,8 +13,9 @@ of largest row index.  The filtered pairing needs that order, and rank,
 row space and clearing hold under any order, so no caller chooses one.
 Smith normal form is the only other reduction: it peels the unit pivots
 with the same sparse row update, ``_subtract``, which is exact over the
-integers when the pivot is +-1, and hands what is left to the dense
-euclidean routine, ``_dense_smith_normal_form``.  A cochain complex is
+integers when the pivot is +-1, and hands what is left to
+``_residual_factors``, a dense smallest-pivot loop followed by one
+gcd/lcm pass over the diagonal it splits off.  A cochain complex is
 ranked degree by degree in ``_cleared_pivots``, the one clearing loop:
 it serves both the cohomology of ``CochainComplex`` and the filtered
 pairing, and it is sound because d.d = 0 is known wherever a
@@ -370,21 +371,6 @@ def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     return _back_substitute(_eliminate(_by_row(m._entries)), m.cols)
 
 
-def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    best = None
-    best_abs = None
-    for i in range(t, nr):
-        row = a[i]
-        for j in range(t, nc):
-            v = row[j]
-            if v != 0 and (best_abs is None or abs(v) < best_abs):
-                best = (i, j)
-                best_abs = abs(v)
-                if best_abs == 1:
-                    return best
-    return best
-
-
 def smith_normal_form(m: RationalMatrix) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of a matrix with integer entries.
 
@@ -401,8 +387,8 @@ def smith_normal_form(m: RationalMatrix) -> list[int]:
     SNF(M) = (1) + SNF(M'), where M' is the row-reduced matrix without row
     r and column c, and 1 divides every factor of M'.  Row r and column c
     are therefore dropped and the walk goes on in M'.  Whatever is left,
-    with its zero rows and columns dropped, goes through
-    ``_dense_smith_normal_form``, the exact routine for any integer matrix.
+    without its zero rows and columns, goes through ``_residual_factors``,
+    which is exact for any integer matrix.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -427,65 +413,58 @@ def smith_normal_form(m: RationalMatrix) -> list[int]:
                 del rows[i]
         peeled += 1
     live = sorted(cols)
-    residual = [[row.get(j, 0) for j in live] for row in rows.values()]
-    return [1] * peeled + _dense_smith_normal_form(residual, len(rows), len(live))
+    return [1] * peeled + _residual_factors([[row.get(j, 0) for j in live] for row in rows.values()])
 
 
-def _dense_smith_normal_form(a: list[list[int]], nr: int, nc: int) -> list[int]:
-    """Nonzero invariant factors of the dense ``nr`` x ``nc`` integer matrix ``a``, reduced in place.
+def _residual_factors(a: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of the dense integer matrix ``a``, a list of equal-length rows, reduced in place.
 
-    Classical reduction over the integers: bring the smallest entry to the
-    corner, clear its row and column with euclidean steps, and when the
-    corner fails to divide some remaining entry fold that row in and start
-    over.  The folding step is what guarantees the divisibility chain.
+    The loop pivots on a live entry p of smallest absolute value, at row r
+    and column c.  Row operations, adding integer multiples of row r to the
+    others, reduce every other entry of column c to its remainder modulo
+    p; column operations, adding multiples of column c to the others,
+    reduce every other entry of row r the same way.  When both are clear
+    the matrix is (p) + M' up to the order of rows and columns, and since
+    every operation is unimodular SNF(a) is the Smith normal form of
+    diag(|p|) + M': row r and column c are dropped and the loop goes on in
+    M'.  Otherwise some remainder is nonzero, and a remainder is smaller
+    than |p| in absolute value, so the smallest live entry has shrunk.  A
+    positive integer cannot shrink for ever, so a pivot splits off after
+    finitely many rounds, and the matrix shrinks until it is zero.  What
+    is left is the diagonal d_1, ..., d_k of a matrix with the Smith
+    normal form of ``a``.
+
+    One pass then replaces each pair (d_i, d_j), i < j, with (gcd, lcm).
+    On rows and columns i and j of a diagonal matrix this is the 2 x 2
+    diag(d_i, d_j), whose first invariant factor is the gcd of its
+    entries, gcd(d_i, d_j), and whose two factors multiply to |det| =
+    d_i d_j, so the second is lcm(d_i, d_j); unimodular operations on those
+    rows and columns alone turn one into the other and keep the Smith
+    normal form of the whole.  Once i has met every j > i, d_i divides
+    every d_j, j > i, and it stays so: d_i is not touched again, and a
+    later step replaces two multiples of d_i with their gcd and lcm, again
+    multiples of d_i.  So the pass ends on the divisibility chain.
     """
-    factors: list[int] = []
-    t = 0
-    while True:
-        pos = _smallest_nonzero(a, t, nr, nc)
-        if pos is None:
-            break
-        i0, j0 = pos
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t; a remainder strictly smaller than the pivot
-            # becomes the new pivot, so this terminates
-            for i in range(t + 1, nr):
-                while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-            # clear row t the same way
-            for j in range(t + 1, nc):
-                while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue  # column reduction was disturbed by the row sweep
-            offender = None
-            pivot = a[t][t]
-            for i in range(t + 1, nr):
-                row = a[i]
-                for j in range(t + 1, nc):
-                    if row[j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        factors.append(abs(a[t][t]))
-        t += 1
-        if t >= min(nr, nc):
-            break
-    return factors
+    diagonal = []
+    while any(any(row) for row in a):
+        _, r, c = min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
+        pivot_row = a[r]
+        p = pivot_row[c]
+        for i, row in enumerate(a):
+            if i != r and row[c]:
+                q = row[c] // p
+                a[i] = [x - q * y for x, y in zip(row, pivot_row)]
+        for j, v in enumerate(pivot_row):
+            if j != c and v:
+                q = v // p
+                for row in a:
+                    row[j] -= q * row[c]
+        if sum(1 for v in pivot_row if v) == 1 and sum(1 for row in a if row[c]) == 1:
+            diagonal.append(abs(p))
+            del a[r]
+            for row in a:
+                del row[c]
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    return diagonal

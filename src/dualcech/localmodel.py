@@ -150,13 +150,6 @@ def _survivor_table(spec: LocalModelSpec) -> list[Counter[int]]:
     return table
 
 
-def survivor_counts(spec: LocalModelSpec, degree: int) -> Counter[int]:
-    """Number of degree-``degree`` monomials x^a with |S(a)| = s, keyed by s >= 1."""
-    if not 0 <= degree <= spec.degree_bound:
-        raise InvalidInput(f"degree {degree} is outside 0..{spec.degree_bound}")
-    return _survivor_table(spec)[degree]
-
-
 def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
     """Check that every graded piece of the augmented complex is exact.
 

@@ -35,7 +35,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Mapping, Sequence
 
-from . import exactla
+from . import exactla, simplicial
 from .errors import (
     BaseMismatch,
     FunctorialityViolation,
@@ -222,11 +222,13 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[tuple
 
     Returns ((total, constant, complement), quotient): the quotient
     presheaf has every dimension reduced by one, and the three lists are
-    the cohomology of v, of ``constant_presheaf(v.base, 1)`` (the Betti
-    numbers of the base) and of the quotient.  The split is only
-    legitimate when cohomology is additive across it, and that identity
-    is verified here by direct computation; inputs whose extension does
-    not split are rejected rather than silently mis-reported.
+    the cohomology of v, the Betti numbers of the base and the cohomology
+    of the quotient.  The Betti numbers are the cohomology of
+    ``constant_presheaf(v.base, 1)``, and are read as
+    ``simplicial.betti_numbers(v.base)``.  The split is only legitimate
+    when cohomology is additive across it, and that identity is verified
+    here by direct computation; inputs whose extension does not split are
+    rejected rather than silently mis-reported.
 
     The quotient is functorial by construction whenever v is.  Its
     restriction sigma -> tau is P_tau R_{sigma,tau} E_sigma, where E embeds
@@ -269,7 +271,7 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[tuple
     }
     quotient = Presheaf(base, q_dims, q_restrictions)
     total = presheaf_cohomology(v)
-    constant_part = presheaf_cohomology(constant_presheaf(base, 1))
+    constant_part = simplicial.betti_numbers(base)
     complement = presheaf_cohomology(quotient)
     expected = [a + b for a, b in zip(constant_part, complement)]
     if total != expected:

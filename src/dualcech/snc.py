@@ -451,9 +451,9 @@ def rational_singularity_check(
     positive degree as an obstruction.  The obstruction reading is
     conditional on an unproven degeneration statement and the report says
     so explicitly.  The Betti numbers, the sections' cohomology and the
-    complement's are the three lists ``split_constant`` ranks: the
-    constant part is ``constant_presheaf(delta, 1)``, whose cohomology is
-    ``betti_numbers(delta)``, so no complex is ranked twice.
+    complement's are the three lists ``split_constant`` ranks: its
+    constant part is ``betti_numbers(delta)``, the cohomology of
+    ``constant_presheaf(delta, 1)``, so no complex is ranked twice.
     """
     delta = dual_complex(d)
     if scheme_h0_presheaf.base != delta:

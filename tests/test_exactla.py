@@ -349,7 +349,10 @@ def int_matrix(draw, values, max_dim=5):
 
 @given(st.one_of(int_matrix(range(-6, 7)), int_matrix((0, 2, -2, 3, -3, 6, -6))))
 def test_smith_normal_form_matches_dense_oracle(m):
-    # the second family has no unit entry, so only the dense residual can decide it
+    # the second family has no unit entry, so only the dense residual can
+    # decide it; the oracle folds rows into the corner until it divides the
+    # rest, a different algorithm from the residual's smallest-pivot loop
+    # and gcd/lcm pass
     assert exactla.smith_normal_form(m) == oracle_smith_normal_form(m)
 
 
@@ -364,6 +367,18 @@ def test_smith_normal_form_matches_dense_oracle_on_coboundaries_and_rays(seed):
     rays = disguised_rays(rng, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 1))])
     m = RationalMatrix.from_rows(rays)
     assert exactla.smith_normal_form(m) == oracle_smith_normal_form(m), rays
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([(2, 6, 12), (3, 3, 9), (4,), (1, 2, 6, 12), (1, 1, 5, 10, 10)]))
+def test_smith_normal_form_of_a_disguised_diagonal(seed, chain):
+    # U D V has the invariant factors of D for unimodular U and V; without
+    # a leading 1 every entry is a multiple of the first factor, so no unit
+    # pivot exists and the residual alone decides
+    rng = random.Random(seed)
+    rows, cols = rng.randint(len(chain), 8), rng.randint(len(chain), 8)
+    d = RationalMatrix(rows, cols, {(i, i): f for i, f in enumerate(chain)})
+    m = random_unimodular(rng, rows) @ d @ random_unimodular(rng, cols)
+    assert exactla.smith_normal_form(m) == list(chain)
 
 
 def test_smith_normal_form_pins_without_unit_entries():

