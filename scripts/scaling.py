@@ -4,9 +4,15 @@
     python3 scripts/scaling.py TREE [--runs 3]
 
 TREE is a checkout holding ``src/dualcech`` and ``inputs/``.  Every row
-runs ``python3 -m dualcech COMMAND DOCUMENT --json`` with ``TREE/src`` on
-``PYTHONPATH``, in a new process, ``--runs`` times, and prints the median
-wall time in seconds.  The rows are ``toric`` on the full boundary of P^8
+runs ``python3 -m dualcech COMMAND DOCUMENT --json`` in a new process
+with the caller's environment and ``TREE/src`` on ``PYTHONPATH``,
+``--runs`` times, and prints the median wall time in seconds.  The first
+four rows time start-up: ``verify-lemma31`` on ``inputs/lm_2_1_1.json``,
+``betti`` on ``inputs/projective_plane.json``, ``toric`` on
+``inputs/pn_fan_2.json`` and ``degeneration`` on
+``inputs/bicomplex_d2.json``, documents small enough that the process
+spends its time starting and loading the command's modules.  The rest
+are ``toric`` on the full boundary of P^8
 to P^11 (the n + 1 maximal cones listed) and of (P^1)^7 to (P^1)^9 (the
 2^k maximal cones listed), ``integral`` on the full simplex on 10 to 12
 vertices, ``integral`` on ``inputs/projective_plane.json`` and on its
@@ -20,7 +26,9 @@ horizontal maps and (-1)^p times the identity times the coboundary of the
 second as its vertical maps, every map given as a dense matrix of 0 and
 +-1; it degenerates at the second page, so the command exits 0.
 The generated documents go to a temporary directory.  A run that exits
-other than 0 stops the script.
+other than 0 stops the script, except on ``bicomplex_d2.json``, the
+nonzero-d2 instance, where ``degeneration`` exits 2 by design and any
+other code stops it.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ def tensor_bicomplex_document(a: int, b: int) -> dict:
     return {"schema_version": 1, "kind": "bicomplex", "dims": dims, "horizontal": horizontal, "vertical": vertical}
 
 
-def wall_time(tree: Path, command: str, document: Path) -> float:
+def wall_time(tree: Path, command: str, document: Path, code: int = 0) -> float:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = perf_counter()
     done = subprocess.run(
@@ -106,8 +114,8 @@ def wall_time(tree: Path, command: str, document: Path) -> float:
         env=env, capture_output=True, text=True,
     )
     elapsed = perf_counter() - start
-    if done.returncode != 0:
-        raise SystemExit(f"{command} {document.name} exited {done.returncode}\n{done.stderr}")
+    if done.returncode != code:
+        raise SystemExit(f"{command} {document.name} exited {done.returncode}, not {code}\n{done.stderr}")
     return elapsed
 
 
@@ -123,13 +131,22 @@ def main(argv=None) -> int:
             path.write_text(json.dumps(doc))
             return path
 
-        rows = [(f"toric P^{n}", "toric", written(f"p{n}_fan.json", projective_space_document(n))) for n in range(8, 12)]
+        inputs = tree / "inputs"
+        # start-up rows: one small committed document per command path, so
+        # the time is mostly the interpreter and the modules the command loads
+        rows = [
+            ("start verify-lemma31", "verify-lemma31", inputs / "lm_2_1_1.json"),
+            ("start betti", "betti", inputs / "projective_plane.json"),
+            ("start toric", "toric", inputs / "pn_fan_2.json"),
+            ("start degeneration", "degeneration", inputs / "bicomplex_d2.json", 2),
+        ]
+        rows += [(f"toric P^{n}", "toric", written(f"p{n}_fan.json", projective_space_document(n))) for n in range(8, 12)]
         rows += [(f"toric (P^1)^{k}", "toric", written(f"p1_{k}_fan.json", p1_power_document(k))) for k in range(7, 10)]
         rows += [
             (f"integral simplex {v}", "integral", written(f"simplex_{v}.json", full_simplex_document(v)))
             for v in range(10, 13)
         ]
-        rp2_path = tree / "inputs" / "projective_plane.json"
+        rp2_path = inputs / "projective_plane.json"
         rows.append(("integral projective_plane", "integral", rp2_path))
         rp2 = json.loads(rp2_path.read_text())
         rows += [
@@ -140,8 +157,8 @@ def main(argv=None) -> int:
             (f"degeneration {a}x{b}", "degeneration", written(f"tensor_{a}x{b}.json", tensor_bicomplex_document(a, b)))
             for a, b in ((5, 5), (6, 5), (6, 6))
         ]
-        for label, command, path in rows:
-            times = [wall_time(tree, command, path) for _ in range(args.runs)]
+        for label, command, path, *code in rows:
+            times = [wall_time(tree, command, path, *code) for _ in range(args.runs)]
             print(f"{label:26s} {median(times):8.3f} s", flush=True)
     return 0
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import exactla
 from .errors import InvalidBicomplex
@@ -67,8 +67,7 @@ class Bicomplex:
         return _pairing(self)
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(NamedTuple):
     page: int | float
     dims: Mapping[tuple[int, int], int]
 

@@ -11,6 +11,18 @@ verify-lemma31, ``bicomplex`` for bicomplex-pages and degeneration, and
 input, 2 when the computation ran but a verified identity failed (a
 complex that is not exact, a Hodge mismatch, a failed degeneration, a
 flagged rationality obstruction).
+
+Modules load on first use.  At module level this file imports only
+``formats`` and ``errors`` (``formats`` brings ``exactla``); each handler
+reads the layers it calls off the package (``dualcech.localmodel``),
+which imports a submodule the first time it is named.  A process that
+runs one command, as the shell does, then compiles and runs only that
+command's modules: ``verify-lemma31`` never loads the presheaf, SNC,
+bicomplex or toric layers.  After the first call the read is a plain
+module attribute: an import statement in the handler would run the
+import system's Python code on every call, about 2% of a
+``verify-lemma31`` call.  Calls still go through module attributes, so
+a wrapper set on ``localmodel.verify_exactness`` is the function called.
 """
 
 from __future__ import annotations
@@ -18,10 +30,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from . import bicomplex as bicomplex_mod
-from . import formats, localmodel, presheaf, simplicial, snc, toric
+import dualcech
+
+from . import formats
 from .errors import (
     CheckFailed,
     HodgeMismatch,
@@ -30,6 +43,9 @@ from .errors import (
     NecessaryConditionFailed,
     SchemaError,
 )
+
+if TYPE_CHECKING:
+    from . import bicomplex, snc
 
 
 def _report_summands(report: snc.CohomologyReport) -> list[dict]:
@@ -47,11 +63,12 @@ def _cohomology_result(report: snc.CohomologyReport) -> dict:
     }
 
 
-def _grid(page: bicomplex_mod.SpectralPage, width: int, height: int) -> list[list[int]]:
+def _grid(page: bicomplex.SpectralPage, width: int, height: int) -> list[list[int]]:
     return [[page.dim(p, q) for p in range(width + 1)] for q in range(height + 1)]
 
 
 def cmd_dual_complex(divisor, doc, args):
+    simplicial, snc = dualcech.simplicial, dualcech.snc
     delta = snc.dual_complex(divisor)
     return {
         "dimension": delta.dim,
@@ -62,6 +79,7 @@ def cmd_dual_complex(divisor, doc, args):
 
 
 def cmd_betti(complex_, doc, args):
+    simplicial = dualcech.simplicial
     return {
         "betti": simplicial.betti_numbers(complex_),
         "euler_characteristic": simplicial.euler_characteristic(complex_),
@@ -69,6 +87,7 @@ def cmd_betti(complex_, doc, args):
 
 
 def cmd_integral(complex_, doc, args):
+    simplicial = dualcech.simplicial
     rows = [
         {"degree": p, "free_rank": free, "torsion": torsion}
         for p, (free, torsion) in enumerate(simplicial.integral_cohomology(complex_))
@@ -77,6 +96,7 @@ def cmd_integral(complex_, doc, args):
 
 
 def cmd_presheaf_cohomology(v, doc, args):
+    presheaf = dualcech.presheaf
     complex_ = presheaf.cech_complex(v)
     return {
         "cohomology": complex_.cohomology(),
@@ -85,16 +105,19 @@ def cmd_presheaf_cohomology(v, doc, args):
 
 
 def cmd_snc_cohomology(divisor, doc, args):
+    snc = dualcech.snc
     return _cohomology_result(snc.structure_sheaf_cohomology(divisor)), 0
 
 
 def cmd_forms(divisor, doc, args):
+    snc = dualcech.snc
     result = _cohomology_result(snc.reduced_forms_cohomology(divisor, args.form_degree))
     result["form_degree"] = args.form_degree
     return result, 0
 
 
 def cmd_derham(divisor, doc, args):
+    snc = dualcech.snc
     return _cohomology_result(snc.derham_cohomology(divisor)), 0
 
 
@@ -110,6 +133,7 @@ def _hodge_result(table: snc.HodgeTable, match: bool) -> dict:
 
 
 def cmd_hodge(divisor, doc, args):
+    snc = dualcech.snc
     try:
         table = snc.hodge_decomposition(divisor)
     except HodgeMismatch as exc:
@@ -121,6 +145,7 @@ def cmd_hodge(divisor, doc, args):
 
 
 def cmd_euler(divisor, doc, args):
+    simplicial, snc = dualcech.simplicial, dualcech.snc
     delta = snc.dual_complex(divisor)
     return {
         "sheaf_euler_characteristic": snc.sheaf_euler_characteristic(divisor),
@@ -129,6 +154,7 @@ def cmd_euler(divisor, doc, args):
 
 
 def cmd_toric(fan_and_selected, doc, args):
+    simplicial, toric = dualcech.simplicial, dualcech.toric
     fan, selected = fan_and_selected
     # completeness is informational: the totals are the Betti numbers of
     # the dual complex either way, and projectivity is the caller's assertion
@@ -150,6 +176,7 @@ def cmd_toric(fan_and_selected, doc, args):
 
 
 def cmd_verify_lemma31(spec, doc, args):
+    localmodel = dualcech.localmodel
     if args.degree_bound is not None:
         spec = localmodel.make_local_model(
             spec.ambient, spec.components, spec.multiplicities, args.degree_bound
@@ -171,25 +198,27 @@ def cmd_verify_lemma31(spec, doc, args):
 
 
 def cmd_bicomplex_pages(b, doc, args):
+    bicomplex = dualcech.bicomplex
     max_page = args.max_page if args.max_page is not None else 3
     if max_page < 0:
         raise InvalidInput("max page must be nonnegative")
     pages = {}
     for r in range(min(max_page, 2) + 1):
-        pages[f"E{r}"] = _grid(bicomplex_mod.page(b, r), b.width, b.height)
+        pages[f"E{r}"] = _grid(bicomplex.page(b, r), b.width, b.height)
     if max_page >= 3:
-        pages["Einf"] = _grid(bicomplex_mod.page_infinity(b), b.width, b.height)
+        pages["Einf"] = _grid(bicomplex.page_infinity(b), b.width, b.height)
     return {
         "width": b.width,
         "height": b.height,
         "pages": pages,
-        "total_cohomology": bicomplex_mod.total_cohomology(b),
+        "total_cohomology": bicomplex.total_cohomology(b),
     }, 0
 
 
 def cmd_degeneration(b, doc, args):
-    e2 = bicomplex_mod.page(b, 2)
-    einf = bicomplex_mod.page_infinity(b)
+    bicomplex = dualcech.bicomplex
+    e2 = bicomplex.page(b, 2)
+    einf = bicomplex.page_infinity(b)
     ok = e2.dims == einf.dims
     return {
         "degenerates_at_second_page": ok,
@@ -199,6 +228,7 @@ def cmd_degeneration(b, doc, args):
 
 
 def cmd_rational_check(divisor, doc, args):
+    snc = dualcech.snc
     if "rational_check" not in doc:
         raise SchemaError("/rational_check", "missing required section for this command")
     claimed, sections_presheaf, unit = formats.parse_rational_check(

@@ -8,6 +8,13 @@ offending field.
 
 Reports are plain dictionaries rendered with sorted keys, so identical
 inputs always produce byte-identical JSON.
+
+Modules load on first use.  At module level this file imports only
+``errors`` and ``exactla``, which every parse needs; each ``parse_*``
+reads the layer that builds its result off the package, which imports
+it the first time it is named (see ``cli``).  A process that parses one
+kind of document loads that kind's modules only: a local model never
+loads the presheaf, SNC, bicomplex or toric layers.
 """
 
 from __future__ import annotations
@@ -16,15 +23,16 @@ import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import bicomplex as bicomplex_mod
-from . import localmodel as localmodel_mod
-from . import presheaf as presheaf_mod
-from . import simplicial, snc, toric
+import dualcech
+
 from .errors import SchemaError
 from .exactla import RationalMatrix, as_fraction
-from .simplicial import Simplex
+
+if TYPE_CHECKING:
+    from . import bicomplex, localmodel, presheaf, simplicial, snc, toric
+    from .simplicial import Simplex
 
 SCHEMA_VERSION = 1
 
@@ -148,6 +156,7 @@ def _parse_simplex_key(key: str, path: str) -> Simplex:
 
 
 def parse_complex(doc: Mapping, path: str = "") -> simplicial.SimplicialComplex:
+    simplicial = dualcech.simplicial
     vertex_count = _int(_get(doc, "vertex_count", path), f"{path}/vertex_count", minimum=0)
     facets = _list(_get(doc, "facets", path), f"{path}/facets")
     parsed = [_vertex_tuple(f, f"{path}/facets/{i}") for i, f in enumerate(facets)]
@@ -156,7 +165,8 @@ def parse_complex(doc: Mapping, path: str = "") -> simplicial.SimplicialComplex:
 
 def parse_presheaf_data(
     doc: Mapping, base: simplicial.SimplicialComplex, path: str
-) -> presheaf_mod.Presheaf:
+) -> presheaf.Presheaf:
+    presheaf = dualcech.presheaf
     dims_doc = _obj(_get(doc, "dims", path), f"{path}/dims")
     dims = {}
     for key, value in dims_doc.items():
@@ -188,10 +198,10 @@ def parse_presheaf_data(
                 cols=dims.get(sigma, 0),
             )
             restrictions[(sigma, tau)] = matrix
-    return presheaf_mod.make_presheaf(base, dims, restrictions)
+    return presheaf.make_presheaf(base, dims, restrictions)
 
 
-def parse_presheaf(doc: Mapping, path: str = "") -> presheaf_mod.Presheaf:
+def parse_presheaf(doc: Mapping, path: str = "") -> presheaf.Presheaf:
     base = parse_complex(_obj(_get(doc, "complex", path), f"{path}/complex"), f"{path}/complex")
     return parse_presheaf_data(doc, base, path)
 
@@ -211,6 +221,7 @@ def _parse_restriction_field(value, path):
 
 
 def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
+    snc = dualcech.snc
     comps_doc = _list(_get(doc, "components", path), f"{path}/components")
     components = []
     for i, c in enumerate(comps_doc):
@@ -261,6 +272,7 @@ def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
 
 
 def parse_rational_check(doc: Mapping, divisor: snc.SncDivisor, path: str):
+    snc = dualcech.snc
     section = _obj(doc, path)
     claimed = _bool(_get(section, "claimed_rational", path), f"{path}/claimed_rational")
     delta = snc.dual_complex(divisor)
@@ -274,6 +286,7 @@ def parse_rational_check(doc: Mapping, divisor: snc.SncDivisor, path: str):
 
 
 def parse_fan(doc: Mapping, path: str = "") -> tuple[toric.Fan, list[int]]:
+    toric = dualcech.toric
     n = _int(_get(doc, "n", path), f"{path}/n", minimum=0)
     rays = [
         [_int(x, f"{path}/rays/{i}/{j}") for j, x in enumerate(_list(ray, f"{path}/rays/{i}"))]
@@ -295,7 +308,8 @@ def parse_fan(doc: Mapping, path: str = "") -> tuple[toric.Fan, list[int]]:
     return fan, selected
 
 
-def parse_localmodel(doc: Mapping, path: str = "") -> localmodel_mod.LocalModelSpec:
+def parse_localmodel(doc: Mapping, path: str = "") -> localmodel.LocalModelSpec:
+    localmodel = dualcech.localmodel
     n = _int(_get(doc, "n", path), f"{path}/n", minimum=1)
     components = [
         _int(x, f"{path}/components/{i}", minimum=1)
@@ -308,10 +322,11 @@ def parse_localmodel(doc: Mapping, path: str = "") -> localmodel_mod.LocalModelS
     bound = _get(doc, "degree_bound", path, required=False)
     if bound is not None:
         bound = _int(bound, f"{path}/degree_bound", minimum=0)
-    return localmodel_mod.make_local_model(n, components, multiplicities, bound)
+    return localmodel.make_local_model(n, components, multiplicities, bound)
 
 
-def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex_mod.Bicomplex:
+def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex.Bicomplex:
+    bicomplex = dualcech.bicomplex
     dims_doc = _list(_get(doc, "dims", path), f"{path}/dims")
     dims = {}
     for q, row in enumerate(dims_doc):
@@ -330,7 +345,7 @@ def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex_mod.Bicomplex:
             out[(p, q)] = _matrix(_get(item, "matrix", item_path), f"{item_path}/matrix")
         return out
 
-    return bicomplex_mod.make_bicomplex(dims, parse_maps("horizontal"), parse_maps("vertical"))
+    return bicomplex.make_bicomplex(dims, parse_maps("horizontal"), parse_maps("vertical"))
 
 
 PARSERS = {

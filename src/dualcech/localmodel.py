@@ -51,10 +51,9 @@ degree j in n - m variables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import simplicial
 from .errors import InvalidInput
@@ -62,8 +61,7 @@ from .exactla import RationalMatrix
 from .simplicial import CochainComplex
 
 
-@dataclass(frozen=True)
-class LocalModelSpec:
+class LocalModelSpec(NamedTuple):
     ambient: int
     components: tuple[int, ...]  # 1-based coordinate indices, ascending
     multiplicities: tuple[int, ...]
@@ -97,8 +95,7 @@ def make_local_model(
     return LocalModelSpec(ambient, components, multiplicities, degree_bound)
 
 
-@dataclass(frozen=True)
-class ExactnessVerdict:
+class ExactnessVerdict(NamedTuple):
     exact: bool
     degree_bound: int
     homology: tuple[tuple[int, ...], ...]  # homology[k][joint], joint 0 = augmentation

@@ -30,10 +30,9 @@ matrices here, and the first refused restriction, are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla, simplicial
 from .errors import (
@@ -49,8 +48,7 @@ from .exactla import RationalMatrix
 from .simplicial import CochainComplex, Simplex, SimplicialComplex, _faces  # CochainComplex re-exported
 
 
-@dataclass(frozen=True)
-class Presheaf:
+class Presheaf(NamedTuple):
     base: SimplicialComplex
     dims: Mapping[Simplex, int]
     restrictions: Mapping[tuple[Simplex, Simplex], RationalMatrix]

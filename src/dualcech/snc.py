@@ -17,8 +17,7 @@ side is zero-dimensional.  Anything else is refused rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import presheaf as presheaf_mod
 from . import simplicial
@@ -45,20 +44,17 @@ DERHAM = "derham"
 RestrictionSpec = object
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     name: str
     dim: int
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     dim: int
     restriction: RestrictionSpec = None
 
 
-@dataclass(frozen=True)
-class SncDivisor:
+class SncDivisor(NamedTuple):
     components: tuple[Component, ...]
     multiplicities: tuple[int, ...]
     strata: frozenset[Simplex]
@@ -66,16 +62,14 @@ class SncDivisor:
     irreducible: bool = True
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     p: int
     q: int
     dim: int
     source: str
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Total dimensions and the summands E^{p,q} they sum, as ``_assemble`` builds them
     (``toric.toric_snc_cohomology`` builds its one row q = 0 the same way).
 
@@ -277,8 +271,7 @@ def derham_cohomology(d: SncDivisor) -> CohomologyReport:
     return _assemble(d, 0, DERHAM, 2 * _max_stratum_bound(d))
 
 
-@dataclass(frozen=True)
-class HodgeTable:
+class HodgeTable(NamedTuple):
     """Matrix of reduced-form cohomology dimensions h^q(form degree r)."""
 
     entries: tuple[tuple[int, ...], ...]  # entries[r][q]
@@ -369,8 +362,7 @@ def sheaf_euler_characteristic(d: SncDivisor) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CurveEulerResult:
+class CurveEulerResult(NamedTuple):
     value: int
     dual_complex_euler: int
     genus_sum: int
@@ -420,8 +412,7 @@ def combinatorial_cohomology_check(d: SncDivisor) -> CohomologyReport:
     return _assemble(d, 0, SHEAF, 0)
 
 
-@dataclass(frozen=True)
-class RationalityReport:
+class RationalityReport(NamedTuple):
     betti: tuple[int, ...]
     scheme_cohomology: tuple[int, ...]
     complement_cohomology: tuple[int, ...]

@@ -13,10 +13,10 @@ projectivity is asserted by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations, groupby
 from math import gcd
+from typing import NamedTuple
 
 from . import exactla
 from .errors import InvalidInput, NecessaryConditionFailed, NotSmooth
@@ -30,8 +30,7 @@ CERTIFIED = "certified"
 UNCERTIFIED = "uncertified (necessary conditions passed)"
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """A simplicial fan, given by its maximal cones.
 
     The cones of the fan are the faces of the cones in ``maximal``: the

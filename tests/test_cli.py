@@ -500,6 +500,41 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["result"]["betti"] == [1, 1]
 
 
+# one command in a fresh interpreter: its exit code and the package modules it loaded
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from dualcech import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualcech."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, name, code, absent",
+    [
+        ("verify-lemma31", "lm_2_1_1.json", 0, ["snc", "presheaf", "bicomplex", "toric"]),
+        # the nonzero-d2 instance: both pages are computed and differ, so it exits 2
+        ("degeneration", "bicomplex_d2.json", 2, ["snc", "presheaf", "toric", "localmodel"]),
+        ("betti", "projective_plane.json", 0, ["snc", "presheaf", "bicomplex", "toric", "localmodel"]),
+    ],
+)
+def test_command_loads_only_the_modules_it_calls(command, name, code, absent):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, command, input_path(name)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_code, loaded = json.loads(proc.stdout)
+    assert got_code == code
+    assert not {f"dualcech.{m}" for m in absent} & set(loaded), loaded
+
+
 # documents that json.load refuses with something other than JSONDecodeError
 HOSTILE_DOCUMENTS = {
     "deep_array": b"[" * 100_000 + b"]" * 100_000,  # RecursionError

@@ -110,7 +110,7 @@ def test_degree_above_bound_rejected():
         quotient_basis(spec, None, 3)
 
 
-def test_survivor_counts_above_bound_rejected():
+def test_survivor_table_at_the_degree_bound_matches_enumeration():
     spec = make_local_model(3, [1, 3], [2, 1], degree_bound=4)
     assert localmodel._survivor_table(spec)[4] == oracle_survivor_counts(spec, 4)
 
