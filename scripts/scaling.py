@@ -12,19 +12,20 @@ four rows time start-up: ``verify-lemma31`` on ``inputs/lm_2_1_1.json``,
 ``inputs/pn_fan_2.json`` and ``degeneration`` on
 ``inputs/bicomplex_d2.json``, documents small enough that the process
 spends its time starting and loading the command's modules.  The rest
-are ``toric`` on the full boundary of P^8
-to P^11 (the n + 1 maximal cones listed) and of (P^1)^7 to (P^1)^9 (the
-2^k maximal cones listed), ``integral`` on the full simplex on 10 to 12
-vertices, ``integral`` on ``inputs/projective_plane.json`` and on its
-joins RP^2 * RP^2 and RP^2 * RP^2 * RP^2 (the facets of a join are the
-unions of one facet of each factor, on disjoint vertices; their torsion
-leaves a residual to the Smith normal form after the unit pivots), and
-``degeneration`` on the tensor product of the constant Cech cochains of
-two simplex boundaries, on 5x5, 6x5 and 6x6 vertices.  That bicomplex
-has the coboundary of the first factor times the identity as its
-horizontal maps and (-1)^p times the identity times the coboundary of the
-second as its vertical maps, every map given as a dense matrix of 0 and
-+-1; it degenerates at the second page, so the command exits 0.
+are ``toric`` on the full boundary of P^8 to P^11 (the n + 1 maximal
+cones listed) and of (P^1)^7 to (P^1)^9 (the 2^k maximal cones listed),
+``betti`` on the full simplex on 13 to 16 vertices, ``integral`` on the
+full simplex on 10 to 12 vertices, ``integral`` on
+``inputs/projective_plane.json`` and on its joins RP^2 * RP^2 and
+RP^2 * RP^2 * RP^2 (the facets of a join are the unions of one facet of
+each factor, on disjoint vertices; their torsion leaves a residual to
+the Smith normal form after the unit pivots), and ``degeneration`` on
+the tensor product of the constant Cech cochains of two simplex
+boundaries, on 5x5, 6x5 and 6x6 vertices.  That bicomplex has the
+coboundary of the first factor times the identity as its horizontal
+maps and (-1)^p times the identity times the coboundary of the second as
+its vertical maps, every map given as a dense matrix of 0 and +-1; it
+degenerates at the second page, so the command exits 0.
 The generated documents go to a temporary directory.  A run that exits
 other than 0 stops the script, except on ``bicomplex_d2.json``, the
 nonzero-d2 instance, where ``degeneration`` exits 2 by design and any
@@ -142,6 +143,10 @@ def main(argv=None) -> int:
         ]
         rows += [(f"toric P^{n}", "toric", written(f"p{n}_fan.json", projective_space_document(n))) for n in range(8, 12)]
         rows += [(f"toric (P^1)^{k}", "toric", written(f"p1_{k}_fan.json", p1_power_document(k))) for k in range(7, 10)]
+        rows += [
+            (f"betti simplex {v}", "betti", written(f"simplex_{v}.json", full_simplex_document(v)))
+            for v in range(13, 17)
+        ]
         rows += [
             (f"integral simplex {v}", "integral", written(f"simplex_{v}.json", full_simplex_document(v)))
             for v in range(10, 13)

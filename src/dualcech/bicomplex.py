@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Mapping, NamedTuple
 
@@ -223,7 +223,7 @@ def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
         [(p, q, k) for p, q in _antidiagonal(b.width, b.height, m) for k in range(b.dim(p, q))]
         for m in range(len(b.total.space_dims))
     ]
-    by_degree = exactla._cleared_pivots(b.total.differentials)
+    by_degree = exactla._cleared_pivots(partial(exactla._by_column, d) for d in b.total.differentials)
     return tuple(
         (cells[m][j], cells[m + 1][i]) for m, pivots in enumerate(by_degree) for i, j in pivots
     )

@@ -17,9 +17,10 @@ integers when the pivot is +-1, and hands what is left to
 ``_residual_factors``, a dense smallest-pivot loop followed by one
 gcd/lcm pass over the diagonal it splits off.  A cochain complex is
 ranked degree by degree in ``_cleared_pivots``, the one clearing loop:
-it serves both the cohomology of ``CochainComplex`` and the filtered
-pairing, and it is sound because d.d = 0 is known wherever a
-``CochainComplex`` is built (its docstring lists the builders).
+it serves the cohomology of ``CochainComplex``, the filtered pairing and
+the Betti numbers, and it is sound because d.d = 0 is known wherever a
+``CochainComplex`` is built (its docstring lists the builders) and holds
+for a coboundary by the alternating-sign identity.
 
 ``_eliminate`` reads the numerators, which are the matrix scaled by its
 positive denominator, divides each row by the gcd of its entries, which
@@ -32,10 +33,12 @@ triangular system are the same.  Kernel vectors are read off that system
 with the free coordinates fixed to a unit vector; such a vector is
 unique, so the kernel basis does not depend on the scaling.
 ``_eliminate`` takes the numerators already grouped by row: ``rank`` and
-``kernel_basis`` group a matrix's, and ``_cleared_pivots`` groups each
-d_m by column straight into the rows of its transpose, without the
-cleared columns.  A product multiplies the numerators of both operands
-over the product of their denominators.
+``kernel_basis`` group a matrix's, and ``_cleared_pivots`` takes the rows
+of the transpose of each d_m, without the cleared columns, from a builder
+per degree: ``_by_column`` groups a matrix's numerators by column, and
+``simplicial.betti_numbers`` writes the rows of a coboundary straight
+from its packed cells, with no matrix.  A product multiplies the
+numerators of both operands over the product of their denominators.
 
 A matrix enters through one of two doors.  The constructor, and
 ``from_rows``, ``zeros`` and ``identity`` on top of it, is for outside
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ShapeMismatch
 
@@ -304,16 +307,21 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()}
 
 
-def _cleared_pivots(differentials: Sequence[RationalMatrix]) -> list[list[tuple[int, int]]]:
+def _cleared_pivots(degrees: Iterable[Callable[[set[int]], dict[int, dict[int, int]]]]) -> list[list[tuple[int, int]]]:
     """The pivots (row, column) of each d_m of a cochain complex, with clearing.
 
-    Degree m eliminates the transpose of d_m without the entries of its
-    cleared columns, each column keeping its index as a row index: the
-    rows of d_m are walked by index, and each is pivoted on its uncleared
-    column of largest index.  The rows of d_m that pivot are dropped as
-    columns of d_{m+1} (Chen-Kerber, *Persistent homology computation
-    with a twist*, 2011; Bauer-Kerber-Reininghaus, *Clear and compress*,
-    2014).  So
+    ``degrees`` yields one builder per degree m.  Called with the cleared
+    set, the rows of d_{m-1} that pivoted (empty in the first degree), it
+    returns the rows of the transpose of d_m without the cleared columns:
+    each other column j of d_m, keyed by j, as its nonzero numerators by
+    row index of d_m.  ``_by_column`` is that builder for a
+    ``RationalMatrix``; ``simplicial.betti_numbers`` builds the rows from
+    packed cells instead, and its indices are the cells' keys.  Degree m
+    eliminates these rows, so the rows of d_m are walked by index, and
+    each is pivoted on its uncleared column of largest index.  The rows
+    of d_m that pivot are dropped as columns of d_{m+1} (Chen-Kerber,
+    *Persistent homology computation with a twist*, 2011;
+    Bauer-Kerber-Reininghaus, *Clear and compress*, 2014).  So
     ``len(pivots[m])`` is rank d_m, as it would be under any pivot order,
     provided d_{m+1} d_m = 0, which the caller must know (the docstring of
     ``simplicial.CochainComplex`` lists the builders that do).  Let R be
@@ -327,16 +335,20 @@ def _cleared_pivots(differentials: Sequence[RationalMatrix]) -> list[list[tuple[
     """
     out = []
     cleared: set[int] = set()
-    for d in differentials:
-        # the numerators alone, by column of d_m: the rows of its transpose
-        rows: dict[int, dict[int, int]] = {}
-        for (i, j), v in d._entries.items():
-            if j not in cleared:
-                rows.setdefault(j, {})[i] = v
-        pivots = _eliminate(rows)
+    for transposed in degrees:
+        pivots = _eliminate(transposed(cleared))
         cleared = {c for c, _, _ in pivots}
         out.append([(c, r) for c, r, _ in pivots])
     return out
+
+
+def _by_column(d: RationalMatrix, cleared: set[int]) -> dict[int, dict[int, int]]:
+    """The numerators of ``d`` by column, the rows of its transpose, without the columns in ``cleared``."""
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in d._entries.items():
+        if j not in cleared:
+            rows.setdefault(j, {})[i] = v
+    return rows
 
 
 def _back_substitute(pivots: list[tuple[int, int, dict[int, int]]], ncols: int) -> RationalMatrix:

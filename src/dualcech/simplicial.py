@@ -1,29 +1,35 @@
 """Finite abstract simplicial complexes, cochain complexes and their cohomology.
 
 A simplex is a strictly ascending tuple of 0-based vertex indices.  This
-module owns the order of the cells and their faces, and every builder of
-the package reads it from here: ``SimplicialComplex`` lists its levels
-once, the p-simplices in lexicographic order, which index the cochains of
-degree p, and its ``face_pairs`` once, the codimension-1 inclusions in the
-order every presheaf builder visits them; ``_faces`` states the
-orientation.
+module owns the order of the cells and their faces, and every matrix
+builder of the package reads it from here: ``SimplicialComplex`` lists
+its levels once, the p-simplices in lexicographic order, which index the
+cochains of degree p, and its ``face_pairs`` once, the codimension-1
+inclusions in the order every presheaf builder visits them; ``_faces``
+states the orientation.
 
-``CochainComplex`` is the one door to cohomology over the rationals: its
-constructor checks the shapes, and ``cohomology`` ranks the differentials
-in one cleared reduction (``exactla._cleared_pivots``).  That reduction is
-sound only when d.d = 0, which the constructor does not check: every
-builder knows it, either because it checked the identity where the data
-entered or because it holds by construction (the class docstring lists
-them).  Betti numbers are the cohomology of the coboundary complex, and
-Cech complexes of presheaves and total complexes of bicomplexes go through
-the same class.
+``CochainComplex`` is the door to cohomology over the rationals for
+matrices: its constructor checks the shapes, and ``cohomology`` ranks the
+differentials in one cleared reduction (``exactla._cleared_pivots``).
+That reduction is sound only when d.d = 0, which the constructor does not
+check: every builder knows it, either because it checked the identity
+where the data entered or because it holds by construction (the class
+docstring lists them).  Cech complexes of presheaves and total complexes
+of bicomplexes go through the class.  ``betti_numbers`` feeds the same
+reduction without it: each simplex is packed into one int, and the
+coboundaries are written from those keys straight into the rows the
+reduction eliminates, with no ``coboundary_matrix``; d.d = 0 holds there
+by the alternating-sign identity.  ``coboundary_matrix`` stays the
+matrix form, for the Smith normal forms of ``integral_cohomology`` and
+for ``localmodel.simplex_block``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
+from operator import lshift
 from typing import Iterable, Sequence
 
 from . import exactla
@@ -111,7 +117,10 @@ class CochainComplex:
       ``split_constant`` quotient (functorial by construction, see their
       docstrings); ``coboundary_matrix``, by the alternating-sign
       identity; ``localmodel.simplex_block``, whose all-ones augmentation
-      followed by delta^0 is 0 (each edge gets +1 and -1).
+      followed by delta^0 is 0 (each edge gets +1 and -1);
+      ``betti_numbers``, by the same identity on its packed cells, which
+      hands its coboundaries to ``exactla._cleared_pivots`` without
+      building this class.
     """
 
     space_dims: tuple[int, ...]
@@ -132,7 +141,8 @@ class CochainComplex:
 
     def cohomology(self) -> list[int]:
         # ranks[p] is the rank of the differential into C^p, ranks[p + 1] of the one out of it
-        ranks = [0, *(len(pivots) for pivots in exactla._cleared_pivots(self.differentials)), 0]
+        by_degree = exactla._cleared_pivots(partial(exactla._by_column, d) for d in self.differentials)
+        ranks = [0, *map(len, by_degree), 0]
         return [dim - ranks[p] - ranks[p + 1] for p, dim in enumerate(self.space_dims)]
 
     def euler_characteristic(self) -> int:
@@ -168,9 +178,49 @@ def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
 
 
 def betti_numbers(k: SimplicialComplex) -> list[int]:
-    """Dimensions of cohomology with rational coefficients, degrees 0..dim."""
-    coboundaries = tuple(coboundary_matrix(k, p) for p in range(k.dim))
-    return CochainComplex(tuple(k.counts()), coboundaries).cohomology()
+    """Dimensions of cohomology with rational coefficients, degrees 0..dim.
+
+    Ranked straight from packed cells, with no coboundary matrix.  Each
+    simplex is one int, its key: its ascending vertices are the digits in
+    base 2^w, the lowest vertex in the lowest digit, with w the bit length
+    of ``vertex_count - 1`` (at least 1).  So a key takes (dim + 1) * w
+    bits, whatever the vertex indices.  Face k of a key drops digit k and
+    carries the sign (-1)^k, the orientation of ``_faces``.  A level is
+    its keys in ascending order, the order in which ``exactla._eliminate``
+    walks the columns; it is not the lexicographic order of the tuples,
+    and need not be.  The rows of the transpose of delta^p, one per
+    p-simplex not cleared in the degree before (a row may be empty), take
+    their entries from the faces of the (p+1)-simplices and go straight
+    to ``exactla._cleared_pivots``, indexed by the keys.  The keys only
+    rename the rows and columns of ``coboundary_matrix``, and the clearing
+    loop counts the ranks under any order once d.d = 0, which holds by the
+    alternating-sign identity; so these are the Betti numbers of the
+    coboundary complex.
+    """
+    top = max(map(len, k.simplices), default=0)
+    w = max(k.vertex_count - 1, 1).bit_length()
+    shifts = range(0, w * (top + 1), w)
+    levels: list[list[int]] = [[] for _ in range(top)]
+    for s in k.simplices:
+        levels[len(s) - 1].append(sum(map(lshift, s, shifts)))
+    for level in levels:
+        level.sort()
+
+    def coboundary(p: int, cleared: set[int]) -> dict[int, dict[int, int]]:
+        rows = {sigma: {} for sigma in levels[p] if sigma not in cleared}
+        row_of = rows.get
+        for j in range(p + 2):
+            # face j of tau: the digits below j as they are, those above j one digit down
+            low, high, at, sign = (1 << shifts[j]) - 1, shifts[j + 1], shifts[j], -1 if j % 2 else 1
+            for tau in levels[p + 1]:
+                row = row_of(tau & low | tau >> high << at)
+                if row is not None:
+                    row[tau] = sign
+        return rows
+
+    by_degree = exactla._cleared_pivots(partial(coboundary, p) for p in range(top - 1))
+    ranks = [0, *map(len, by_degree), 0]
+    return [len(level) - ranks[p] - ranks[p + 1] for p, level in enumerate(levels)]
 
 
 def integral_cohomology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:

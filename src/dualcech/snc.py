@@ -400,7 +400,7 @@ def combinatorial_cohomology_check(d: SncDivisor) -> CohomologyReport:
     complex is ``coboundary_matrix(delta, p)`` entry for entry: identity
     restrictions under the same signs from ``simplicial._faces``.  The assembled totals are
     therefore ``betti_numbers(delta)`` by construction, ranked once; a
-    second ranking of the same matrices could never disagree.
+    second ranking of the same coboundaries could never disagree.
     """
     top = _max_stratum_bound(d)
     for t in sorted(d.strata):

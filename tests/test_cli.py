@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcech import cli, formats
+from dualcech import cli, formats, simplicial
 
 from helpers import (
     bicomplex_document,
     conjugate_bicomplex,
     direct_sum_bicomplex,
     disguised_rays,
+    oracle_betti,
     schema_errors,
     simplex_boundary_cochains,
     tensor_bicomplex,
@@ -102,6 +103,22 @@ def test_betti_triangle(capsys):
     code, report = run_json(capsys, "betti", input_path("triangle_boundary.json"))
     assert code == 0
     assert report["result"]["betti"] == [1, 1]
+
+
+def test_betti_on_a_huge_vertex_range_within_budget(capsys, tmp_path):
+    # a circle on three vertices near 10**12 and the isolated vertex 0: a
+    # cell keyed by its vertices stays a few words wide, where one bit per
+    # vertex index would take 125 GB
+    n = 10**12
+    facets = [[0], [n - 3, n - 2], [n - 3, n - 1], [n - 2, n - 1]]
+    path = tmp_path / "huge_range.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "complex", "vertex_count": n, "facets": facets}))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "betti", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    expected = oracle_betti(simplicial.from_facets(n, facets))
+    assert report["result"]["betti"] == expected == [2, 1]
 
 
 def test_integral_projective_plane(capsys):

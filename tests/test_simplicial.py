@@ -135,6 +135,20 @@ def test_betti_against_boundary_matrix_oracle(seed):
 
 
 @given(st.integers(0, 2**31 - 1))
+def test_betti_on_sparse_vertex_labels_against_oracle(seed):
+    # a handful of vertices labelled from a range up to 2**40, facets up to dimension 5
+    rng = random.Random(seed)
+    vertex_count = rng.randint(1, 2**rng.randint(1, 40))
+    used = rng.sample(range(vertex_count), min(vertex_count, rng.randint(1, 9)))
+    facets = [
+        tuple(sorted(rng.sample(used, rng.randint(1, min(len(used), 6)))))
+        for _ in range(rng.randint(1, 6))
+    ]
+    k = simplicial.from_facets(vertex_count, facets)
+    assert simplicial.betti_numbers(k) == oracle_betti(k)
+
+
+@given(st.integers(0, 2**31 - 1))
 def test_alternating_betti_sum_is_euler(seed):
     k = random_complex(random.Random(seed), max_vertices=7)
     betti = simplicial.betti_numbers(k)
