@@ -14,6 +14,9 @@ four rows time start-up: ``verify-lemma31`` on ``inputs/lm_2_1_1.json``,
 spends its time starting and loading the command's modules.  The rest
 are ``toric`` on the full boundary of P^8 to P^11 (the n + 1 maximal
 cones listed) and of (P^1)^7 to (P^1)^9 (the 2^k maximal cones listed),
+``toric`` on P^9 and (P^1)^8 again with their rays moved by one GL(n, Z)
+matrix drawn from a fixed seed (``disguised_document``), so that no ray
+is a standard basis vector and deciding a cone takes real elimination,
 ``betti`` on the full simplex on 13 to 16 vertices, ``integral`` on the
 full simplex on 10 to 12 vertices, ``integral`` on
 ``inputs/projective_plane.json`` and on its joins RP^2 * RP^2 and
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -56,6 +60,23 @@ def p1_power_document(k: int) -> dict:
     rays = [[s if j == i else 0 for j in range(k)] for i in range(k) for s in (1, -1)]
     cones = [[2 * i + s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=k)]
     return {"schema_version": 1, "kind": "fan", "n": k, "rays": rays, "cones": cones}
+
+
+def disguised_document(doc: dict, seed: int = 0) -> dict:
+    """The fan document ``doc`` with every ray moved by one GL(n, Z) matrix, a product of 4n shears drawn from ``seed``.
+
+    A shear adds +-1 times one row of the matrix to another, so the matrix
+    is unimodular and keeps every ray primitive and every cone's
+    determinant and minors up to sign.
+    """
+    rng = random.Random(seed)
+    n = doc["n"]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[a] = [x + c * y for x, y in zip(u[a], u[b])]
+    return {**doc, "rays": [[sum(x * r for x, r in zip(row, ray)) for row in u] for ray in doc["rays"]]}
 
 
 def full_simplex_document(vertices: int) -> dict:
@@ -143,6 +164,10 @@ def main(argv=None) -> int:
         ]
         rows += [(f"toric P^{n}", "toric", written(f"p{n}_fan.json", projective_space_document(n))) for n in range(8, 12)]
         rows += [(f"toric (P^1)^{k}", "toric", written(f"p1_{k}_fan.json", p1_power_document(k))) for k in range(7, 10)]
+        rows.append(("toric P^9 disguised", "toric", written("p9_disguised.json", disguised_document(projective_space_document(9)))))
+        rows.append(
+            ("toric (P^1)^8 disguised", "toric", written("p1_8_disguised.json", disguised_document(p1_power_document(8))))
+        )
         rows += [
             (f"betti simplex {v}", "betti", written(f"simplex_{v}.json", full_simplex_document(v)))
             for v in range(13, 17)

@@ -192,24 +192,25 @@ def total_cohomology(b: Bicomplex) -> list[int]:
 def _pairing(b: Bicomplex) -> tuple[tuple[_Cell, _Cell], ...]:
     """The persistence pairing of the total complex under the column filtration.
 
-    Each total degree m lists its cells (p, q, k), k indexing a basis of
-    the (p, q) entry, in the order of the total differential that
+    Each total degree m lists its cells (p, q, k), k indexing a basis of the
+    (p, q) entry, in the order of the total differential that
     ``make_bicomplex`` assembled: by p ascending, so index order refines p
     order.  The columns of d_m are taken largest index first, and the pivot
     of each is its live row of smallest index, so of smallest p
-    (Zomorodian-Carlsson, *Computing persistent homology*, 2005).  That
-    is the one rule of ``exactla._eliminate``, on the transpose of
-    d_m: it walks the rows of d_m by index and pivots each on the holder
-    of largest index.
-    A column sigma only gains multiples of columns taken before it, so it
-    stays d_m of a cochain in the subcomplex F^p(sigma), and its pivot tau
-    pairs with it at gap p(tau) - p(sigma) >= 0.  The pairs do not depend
-    on how the elimination goes: let B(tau, sigma) be the block of d_m on
-    the rows up to tau and the columns taken up to sigma; (sigma, tau) is
-    a pair exactly when rank B(tau, sigma) - rank B(tau-, sigma) -
-    rank B(tau, sigma-) + rank B(tau-, sigma-) = 1, with tau- the row
-    before tau and sigma- the column taken before sigma, and adding a
-    column to one taken after it keeps every such rank.
+    (Zomorodian-Carlsson, *Computing persistent homology*, 2005).  That is
+    the one rule of ``exactla._eliminate``, on the transpose of d_m: it
+    walks the columns of d_m by descending index and reduces each at its
+    live row of smallest index against the column taken before it that owns
+    that row, looked up in a table from row to column, until no column owns
+    it.  A column sigma only gains multiples of columns taken before it, so
+    it stays d_m of a cochain in the subcomplex F^p(sigma), and its pivot
+    tau pairs with it at gap p(tau) - p(sigma) >= 0.  The pairs do not
+    depend on how the elimination goes: let B(tau, sigma) be the block of
+    d_m on the rows up to tau and the columns taken up to sigma; (sigma,
+    tau) is a pair exactly when rank B(tau, sigma) - rank B(tau-, sigma) -
+    rank B(tau, sigma-) + rank B(tau-, sigma-) = 1, with tau- the row before
+    tau and sigma- the column taken before sigma, and adding a column to one
+    taken after it keeps every such rank.
 
     ``exactla._cleared_pivots`` clears: the cells paired in d_m are
     dropped as columns of d_{m+1}, which keeps every rank.  Under this

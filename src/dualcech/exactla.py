@@ -8,11 +8,18 @@ on those Python ``int``s; ``fractions.Fraction`` appears only at the API,
 which takes ints, ``Fraction``s or 'p/q' strings and returns ``Fraction``
 entries.  Rank, kernels and the filtered pairing behind the spectral
 pages come from one sparse elimination, ``_eliminate``, with one pivot
-rule: it walks the columns once by index and pivots each on its holder
-of largest row index.  The filtered pairing needs that order, and rank,
-row space and clearing hold under any order, so no caller chooses one.
-Smith normal form is the only other reduction: it peels the unit pivots
-with the same sparse row update, ``_subtract``, which is exact over the
+rule: it walks the rows once by descending index, through a table from
+each column to the row that owns it, and reduces each row at its
+smallest column against that column's owner until it finds none and
+claims the column.  These are the pivots of walking the columns by index
+and pivoting each on its holder of largest row index, the order the
+filtered pairing needs; rank, row space and clearing hold under any
+order, so no caller chooses one.  A square integer matrix has its
+determinant from ``_determinant``, a sparse fraction-free (Bareiss)
+elimination that takes unit pivots first; ``toric.make_fan`` decides its
+full-dimensional cones with it.  Smith normal form is the only other
+reduction: it peels the unit pivots with a sparse row update that keeps
+an index of the rows holding each column, ``_subtract``, exact over the
 integers when the pivot is +-1, and hands what is left to
 ``_residual_factors``, a dense smallest-pivot loop followed by one
 gcd/lcm pass over the diagonal it splits off.  A cochain complex is
@@ -220,7 +227,7 @@ class RationalMatrix:
 
 
 def _eliminate(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
-    """Sparse fraction-free elimination of integer ``rows``; returns the pivots as (column, row index, row).
+    """Sparse fraction-free elimination of integer ``rows``; returns the pivots as (column, row index, row), by column.
 
     ``rows`` maps a row index to its nonzero entries, column -> value, and
     is consumed; a matrix's numerators serve, since a positive scaling
@@ -230,45 +237,129 @@ def _eliminate(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int
     integers with coprime entries; a row holding ``a`` in the pivot column
     becomes ``(p/g)*row - (a/g)*pivot_row`` for the pivot value ``p`` and
     ``g = gcd(a, p)`` signed like ``p``, and is then divided by the gcd of
-    its entries.  The columns are walked once, by index, and each live one
-    is pivoted on its holder of largest row index, the order
-    ``bicomplex._pairing`` needs for the filtered pairing.  One forward
-    pass suffices: every live row is zero in the columns already walked,
-    so a pivot row is too, and fill-in lands only in columns after the
-    current pivot.  The rank and the row space do not depend on the order,
-    only the pivots can: each pivot row is zero in the pivot columns of the
-    rows before it, so the rows form a triangular system with the row
+    its entries.  The rows are walked once, by descending index, with a
+    table from each column to the row that owns it, the pivot lookup of
+    persistence reduction (Zomorodian-Carlsson, *Computing persistent
+    homology*, 2005; Bauer, *Ripser*, 2021).  A row is reduced at its
+    smallest column against the owner of that column for as long as there
+    is one, and otherwise claims the column; a row reduced to zero owns
+    nothing.  The rank and the row space do not depend on the order, only
+    the pivots can: each pivot row is zero in the columns before its own,
+    so the pivot rows, by column, form a triangular system with the row
     space of ``rows``.  A pivot reports the index of the row it came from,
     which was changed only by positive scaling and by adding multiples of
-    earlier pivot rows.
+    pivot rows of larger index.
+
+    The pivots are those of the column walk that ``bicomplex._pairing``
+    needs for the filtered pairing: walk the columns once by index and
+    pivot each live one on its holder of largest row index.  Both walks
+    make the same subtractions, in the same order, on every row.  In the
+    column walk a live row is zero in every column already walked, so the
+    rows holding column c when it comes up are the live rows whose
+    smallest column is c.  The largest of them is the pivot and is not
+    touched again; every other one is reduced against it and moves on to
+    a larger smallest column, and a row's smallest column never falls.
+    So the pivot of c is the row of largest index whose smallest column
+    ends at c, as it stands after its own reductions at smaller columns.
+    The row walk takes the rows by descending index, so by induction each
+    row of larger index has had exactly its column-walk subtractions when
+    row i comes up: the owner of c is then the row of largest index
+    ending at c, and row i takes the same subtractions, at the same
+    columns, in increasing column order.
     """
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        row = rows[i] = _primitive(row)
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    pivots: list[tuple[int, int, dict[int, int]]] = []
-    for c in sorted(cols):
-        if c not in cols:
+    owners: dict[int, tuple[int, dict[int, int]]] = {}
+    for i in sorted(rows, reverse=True):
+        row = rows[i]
+        if not row:
             continue
-        r = max(cols[c])
-        pivot_row = _take_pivot_row(rows, cols, r)
-        p = pivot_row[c]
-        for i in list(cols.get(c, ())):
-            row = rows[i]
-            a = row[c]
+        row = _primitive(row)
+        while True:
+            c = min(row)
+            owner = owners.get(c)
+            if owner is None:
+                owners[c] = (i, row)
+                break
+            pivot_row = owner[1]
+            p, a = pivot_row[c], row[c]
             g = gcd(a, p) if p > 0 else -gcd(a, p)
             s, t = p // g, a // g
             if s != 1:
                 for j in row:
                     row[j] *= s
-            _subtract(row, i, t, pivot_row, cols)
-            if row:
-                rows[i] = _primitive(row)
+            for j, v in pivot_row.items():
+                new = row.get(j, 0) - t * v
+                if new:
+                    row[j] = new
+                else:
+                    # only where row held t * v, so j is in row
+                    del row[j]
+            if not row:
+                break
+            row = _primitive(row)
+    return [(c, i, row) for c, (i, row) in sorted(owners.items())]
+
+
+def _determinant(rows: list[dict[int, int]]) -> int:
+    """Determinant of the square integer matrix with ``rows``, each its nonzero entries column -> value; consumed.
+
+    Sparse fraction-free elimination (Bareiss, *Sylvester's identity and
+    multistep integer-preserving Gaussian elimination*, 1968).  The
+    columns are walked once by index.  Column c pivots on a live row with
+    a +-1 there if there is one, else on the first live row holding it;
+    with none the determinant is 0.  A pivot row is negated, in effect,
+    when its pivot is negative, so every pivot p is positive.  Each other
+    live row becomes ``(p*row - a*pivot_row) / prev`` outside column c,
+    for its entry ``a`` in column c and the pivot ``prev`` of the column
+    before (1 at the first): by Sylvester's identity the division is exact
+    and the entries stay minors of the matrix.  A row with ``a = 0`` is
+    ``(p/prev)*row``, so it is skipped when ``p = prev``, as after two unit
+    pivots.  The last pivot is the determinant of the matrix with its rows
+    in pivot order and the negated rows negated, so its sign is corrected
+    by the parity of both.
+    """
+    live = dict(enumerate(rows))
+    sign, prev = 1, 1
+    for c in range(len(rows)):
+        r = None
+        for i, row in live.items():
+            v = row.get(c)
+            if v is not None:
+                if v == 1 or v == -1:
+                    r = i
+                    break
+                if r is None:
+                    r = i
+        if r is None:
+            return 0
+        pivot_row = live.pop(r)
+        p = pivot_row.pop(c)
+        # taking row r next moves it past the live rows of smaller index
+        if sum(1 for i in live if i < r) % 2:
+            sign = -sign
+        if p < 0:
+            sign, p, flip = -sign, -p, -1
+        else:
+            flip = 1
+        for i, row in live.items():
+            a = row.pop(c, 0) * flip
+            if a == 0:
+                if p != prev:
+                    live[i] = {j: v * p // prev for j, v in row.items()}
+            elif p == 1 == prev:
+                for j, v in pivot_row.items():
+                    new = row.get(j, 0) - a * v
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
             else:
-                del rows[i]
-        pivots.append((c, r, pivot_row))
-    return pivots
+                live[i] = {
+                    j: x
+                    for j in row.keys() | pivot_row.keys()
+                    if (x := (p * row.get(j, 0) - a * pivot_row.get(j, 0)) // prev)
+                }
+        prev = p
+    return sign * prev
 
 
 def _take_pivot_row(rows: dict[int, dict[int, int]], cols: dict[int, set[int]], r: int) -> dict[int, int]:
@@ -317,18 +408,20 @@ def _cleared_pivots(degrees: Iterable[Callable[[set[int]], dict[int, dict[int, i
     row index of d_m.  ``_by_column`` is that builder for a
     ``RationalMatrix``; ``simplicial.betti_numbers`` builds the rows from
     packed cells instead, and its indices are the cells' keys.  Degree m
-    eliminates these rows, so the rows of d_m are walked by index, and
-    each is pivoted on its uncleared column of largest index.  The rows
-    of d_m that pivot are dropped as columns of d_{m+1} (Chen-Kerber,
-    *Persistent homology computation with a twist*, 2011;
-    Bauer-Kerber-Reininghaus, *Clear and compress*, 2014).  So
-    ``len(pivots[m])`` is rank d_m, as it would be under any pivot order,
-    provided d_{m+1} d_m = 0, which the caller must know (the docstring of
-    ``simplicial.CochainComplex`` lists the builders that do).  Let R be
-    the pivoted rows of d_m and C the columns used.  The pivot rows of
-    the transpose are an invertible lower-triangular combination of its
-    rows C, and on the columns R they are triangular with a nonzero
-    diagonal, so d_m[R, C] is invertible.  Restricted to the columns C,
+    eliminates these rows with ``_eliminate``: the uncleared columns of
+    d_m are walked by descending index, each is reduced at its row of
+    smallest index until no column taken before it owns that row, and
+    then claims it, so a row of d_m pivots on the column of largest index
+    that reduces to it.  The rows of d_m that pivot are dropped as
+    columns of d_{m+1} (Chen-Kerber, *Persistent homology computation
+    with a twist*, 2011; Bauer-Kerber-Reininghaus, *Clear and compress*,
+    2014).  So ``len(pivots[m])`` is rank d_m, as it would be under any
+    pivot order, provided d_{m+1} d_m = 0, which the caller must know
+    (the docstring of ``simplicial.CochainComplex`` lists the builders
+    that do).  Let R be the pivoted rows of d_m and C the columns used.
+    The pivot rows of the transpose are an invertible triangular
+    combination of its rows C, and on the columns R they are triangular
+    with a nonzero diagonal, so d_m[R, C] is invertible.  Restricted to the columns C,
     d_{m+1} d_m = 0 reads d_{m+1}[:, R] d_m[R, C] = -d_{m+1}[:, ~R] d_m[~R, C]:
     the columns R of d_{m+1} lie in the span of its other columns, and
     dropping them keeps its rank.

@@ -186,9 +186,10 @@ def betti_numbers(k: SimplicialComplex) -> list[int]:
     of ``vertex_count - 1`` (at least 1).  So a key takes (dim + 1) * w
     bits, whatever the vertex indices.  Face k of a key drops digit k and
     carries the sign (-1)^k, the orientation of ``_faces``.  A level is
-    its keys in ascending order, the order in which ``exactla._eliminate``
-    walks the columns; it is not the lexicographic order of the tuples,
-    and need not be.  The rows of the transpose of delta^p, one per
+    its keys in ascending order: ``exactla._eliminate`` walks the
+    p-simplices in the reverse of that order and reduces each at its
+    smallest (p+1)-simplex.  It is not the lexicographic order of the
+    tuples, and need not be.  The rows of the transpose of delta^p, one per
     p-simplex not cleared in the degree before (a row may be empty), take
     their entries from the faces of the (p+1)-simplices and go straight
     to ``exactla._cleared_pivots``, indexed by the keys.  The keys only

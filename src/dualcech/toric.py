@@ -7,7 +7,9 @@ stratum is a smooth toric variety without higher structure-sheaf
 cohomology, so the boundary's cohomology is the Betti numbers of that
 complex; no stratum tables are written.  A fan is kept as its maximal
 cones, and no face closure is built: the dual complex is enumerated once,
-from the selected part of each maximal cone.  No polytopes, no ampleness;
+from the selected part of each maximal cone.  Each maximal cone is
+decided once, a full-dimensional one by the determinant of its rays and a
+smaller one by their Smith normal form.  No polytopes, no ampleness;
 projectivity is asserted by the caller.
 """
 
@@ -36,9 +38,10 @@ class Fan(NamedTuple):
     The cones of the fan are the faces of the cones in ``maximal``: the
     nonempty cones that are faces of no other cone, sorted by their
     ascending ray lists.  ``smooth`` records whether the rays of each of
-    them extend to a basis of the lattice.  A face of a unimodular cone is
-    unimodular, so that is smoothness of the whole fan.  ``make_fan`` fills
-    both in.
+    them extend to a basis of the lattice: a determinant of +-1 for a cone
+    with as many rays as the dimension, maximal minors of gcd 1 for a
+    smaller one.  A face of a unimodular cone is unimodular, so that is
+    smoothness of the whole fan.  ``make_fan`` fills both in.
     """
 
     dim: int
@@ -86,9 +89,12 @@ def make_fan(dim: int, rays, cones) -> Fan:
 
     The fan is the listed cones and their faces.  Every ray must occur in
     some cone, and every cone must be simplicial (linearly independent
-    rays).  The maximal cones are read off the listed ones, and each goes
-    through one Smith normal form: as many invariant factors as rays means
-    simplicial, all of them 1 means unimodular, and faces inherit both.
+    rays).  The maximal cones are read off the listed ones, and each is
+    decided once; faces inherit both verdicts.  A cone with ``dim`` rays
+    takes one determinant of its rays, ``exactla._determinant``: 0 means
+    not simplicial and +-1 unimodular.  A smaller cone goes through one
+    Smith normal form, since its unimodularity is a gcd of minors: as many
+    invariant factors as rays means simplicial, all of them 1 unimodular.
     No face of a cone is ever enumerated here.
     """
     if dim < 0:
@@ -114,14 +120,20 @@ def make_fan(dim: int, rays, cones) -> Fan:
         if i not in used:
             raise InvalidInput(f"ray {i} does not occur in any cone")
     maximal = _maximal(listed)
+    sparse = [{j: x for j, x in enumerate(ray) if x} for ray in ray_tuples]
     smooth = True
     for cone in maximal:
         if len(cone) > dim:
             raise InvalidInput(f"cone {sorted(cone)} has more rays than the ambient dimension")
-        factors = exactla.smith_normal_form(_ray_matrix(ray_tuples, dim, cone))
-        if len(factors) != len(cone):
+        if len(cone) == dim:
+            det = exactla._determinant([sparse[i].copy() for i in cone])
+            simplicial, unimodular = det != 0, abs(det) == 1
+        else:
+            factors = exactla.smith_normal_form(_ray_matrix(ray_tuples, dim, cone))
+            simplicial, unimodular = len(factors) == len(cone), all(d == 1 for d in factors)
+        if not simplicial:
             raise InvalidInput(f"cone {sorted(cone)} is not simplicial")
-        smooth = smooth and all(d == 1 for d in factors)
+        smooth = smooth and unimodular
     return Fan(dim, tuple(ray_tuples), tuple(maximal), smooth)
 
 

@@ -1,12 +1,14 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles deliberately avoid the library's own elimination code.  Ranks
-come from fraction-free Bareiss elimination over the integers, Betti
-numbers from chain boundary matrices (the homology route, not the cochain
-route the library uses), monomial counts from inclusion-exclusion,
-monomial quotient bases and survivor-set counts from listing every
-monomial, local-model homology from the full Cech matrix over every
-stratum at once,
+and determinants come from dense fraction-free Bareiss elimination over
+the integers, the pivots of the sparse elimination from the column walk
+with a holder index that it replaced (on the row helpers the Smith normal
+form still uses), Betti numbers from chain boundary matrices (the
+homology route, not the cochain route the library uses), monomial counts
+from inclusion-exclusion, monomial quotient bases and survivor-set counts
+from listing every monomial, local-model homology from the full Cech
+matrix over every stratum at once,
 presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
 bicomplex laws block by block from triple-loop products, inverses
 from dense Gauss-Jordan elimination, invariant factors from the dense
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, Sequence
 
 from dualcech import exactla, presheaf, simplicial, snc, toric
@@ -120,6 +122,42 @@ def oracle_det(rows: list[list]) -> Fraction:
             m[i][col] = 0
         prev = m[col][col]
     return Fraction(sign * m[n - 1][n - 1], scales)
+
+
+def oracle_eliminate(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
+    """The pivots of ``exactla._eliminate`` by the column walk with a holder index, which it replaced.
+
+    The columns are walked once, by index, and each live one is pivoted
+    on its holder of largest row index; a per-column set of holder rows
+    is kept in step with every row update.  ``rows`` is consumed.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        row = rows[i] = exactla._primitive(row)
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots: list[tuple[int, int, dict[int, int]]] = []
+    for c in sorted(cols):
+        if c not in cols:
+            continue
+        r = max(cols[c])
+        pivot_row = exactla._take_pivot_row(rows, cols, r)
+        p = pivot_row[c]
+        for i in list(cols.get(c, ())):
+            row = rows[i]
+            a = row[c]
+            g = gcd(a, p) if p > 0 else -gcd(a, p)
+            s, t = p // g, a // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+            exactla._subtract(row, i, t, pivot_row, cols)
+            if row:
+                rows[i] = exactla._primitive(row)
+            else:
+                del rows[i]
+        pivots.append((c, r, pivot_row))
+    return pivots
 
 
 def oracle_matmul(a: list[list], b: list[list], cols: int) -> list[list[Fraction]]:

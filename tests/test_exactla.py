@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import comb
@@ -14,6 +15,7 @@ from helpers import (
     block_matrix,
     disguised_rays,
     oracle_det,
+    oracle_eliminate,
     oracle_homology_dim,
     oracle_inverse,
     oracle_matmul,
@@ -181,6 +183,32 @@ def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd):
     assert oracle_rank(shuffled + dense) == len(pivots)
 
 
+@st.composite
+def sparse_row_sets(draw):
+    """Integer rows, column -> nonzero value, under sparse indices in shuffled order; some empty, some repeated."""
+    row = st.dictionaries(st.integers(0, 12), st.integers(-4, 4).filter(bool), max_size=6)
+    rows = draw(st.lists(row, max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    indices = draw(st.lists(st.integers(0, 60), min_size=len(rows), max_size=len(rows), unique=True))
+    return {i: dict(r) for i, r in zip(indices, rows)}
+
+
+@given(sparse_row_sets())
+def test_eliminate_matches_the_column_walk_oracle(rows):
+    # same subtractions in the same order: the same pivots, pivot rows included
+    assert exactla._eliminate(copy.deepcopy(rows)) == oracle_eliminate(rows)
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_eliminate_matches_the_column_walk_oracle_on_coboundaries(seed):
+    k = random_complex(random.Random(seed))
+    for p in range(k.dim):
+        d = simplicial.coboundary_matrix(k, p)
+        transposed = exactla._by_column(d, set())
+        assert exactla._eliminate(copy.deepcopy(transposed)) == oracle_eliminate(transposed), (k, p)
+
+
 @given(small_int_matrix())
 def test_rank_equals_rank_of_transpose(data):
     m = RationalMatrix.from_rows(data)
@@ -236,6 +264,41 @@ def test_inverse_matches_oracle(drawn):
 def test_oracle_det_clears_denominators():
     assert oracle_det([[Fraction(1, 2), 1], [1, 2]]) == 0
     assert oracle_det([[Fraction(1, 2)]]) == Fraction(1, 2)
+
+
+@st.composite
+def square_int_matrix(draw, values, max_dim=6):
+    """Square integer matrices of 0 to ``max_dim`` rows, entries from ``values``; at times one row is a combination of the others."""
+    n = draw(st.integers(0, max_dim))
+    rows = [[draw(st.sampled_from(values)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        coefficients = [draw(st.integers(-2, 2)) if k != i else 0 for k in range(n)]
+        rows[i] = [sum(a * row[j] for a, row in zip(coefficients, rows)) for j in range(n)]
+    return rows
+
+
+def _sparse_rows(rows: list[list[int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+# the second family has no unit entry, and zeros force row swaps in both
+@given(st.one_of(square_int_matrix((-1, 0, 0, 1, 2, -3)), square_int_matrix((0, 2, -2, 3, -3, 5, 6, 0))))
+def test_determinant_matches_oracle(rows):
+    assert exactla._determinant(_sparse_rows(rows)) == oracle_det(rows)
+
+
+def test_determinant_pins():
+    for rows, det in [
+        ([], 1),
+        ([[2, 3], [3, 5]], 1),
+        ([[0, 2], [3, 0]], -6),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+        ([[2, 4], [3, 6]], 0),
+        ([[-1, 0], [0, 1]], -1),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 240),
+    ]:
+        assert exactla._determinant(_sparse_rows(rows)) == det == oracle_det(rows), rows
 
 
 @st.composite

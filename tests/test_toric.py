@@ -190,6 +190,10 @@ ORACLE_FANS = [
     ),
     # more rays than the ambient dimension
     (2, [[1, 0], [0, 1], [-1, -1]], [[0, 1, 2]]),
+    # full-dimensional simplicial cones that are not unimodular: the fan of
+    # P(1,1,2), whose cone [0, 2] has determinant 2, and one 3-cone of determinant 3
+    (2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]]),
+    (3, [[1, 0, 0], [0, 1, 0], [1, 1, 3]], [[0, 1, 2]]),
 ]
 
 
