@@ -22,7 +22,10 @@ full simplex on 10 to 12 vertices, ``integral`` on
 ``inputs/projective_plane.json`` and on its joins RP^2 * RP^2 and
 RP^2 * RP^2 * RP^2 (the facets of a join are the unions of one facet of
 each factor, on disjoint vertices; their torsion leaves a residual to
-the Smith normal form after the unit pivots), and ``degeneration`` on
+the Smith normal form after the unit pivots), ``integral`` on the joins
+M_3 * M_3 and M_3 * M_5 of Moore spaces (``moore_space_document``; the
+first has Z/3 in degrees 4 and 5, the second no torsion), and
+``degeneration`` on
 the tensor product of the constant Cech cochains of two simplex
 boundaries, on 5x5, 6x5 and 6x6 vertices.  That bicomplex has the
 coboundary of the first factor times the identity as its horizontal
@@ -83,13 +86,32 @@ def full_simplex_document(vertices: int) -> dict:
     return {"schema_version": 1, "kind": "complex", "vertex_count": vertices, "facets": [list(range(vertices))]}
 
 
-def join_document(doc: dict, copies: int) -> dict:
-    """The join of ``copies`` copies of the complex document ``doc``, each on its own vertices."""
-    n = doc["vertex_count"]
+def moore_space_document(m: int) -> dict:
+    """A Moore space with integral cohomology (Z, 0, Z/m): a disk whose boundary wraps m times around a circle.
+
+    Vertices 0-2 are the circle c_0, c_1, c_2, vertices 3..3m+2 the disk's
+    boundary a_0..a_{3m-1} and vertex 3m+3 its cone point o; for each i the
+    facets are {c_i, c_{i+1}, a_i}, {c_{i+1}, a_i, a_{i+1}} and
+    {o, a_i, a_{i+1}}, with c indices mod 3 and a indices mod 3m.
+    """
+    o = 3 * m + 3
+    facets = []
+    for i in range(3 * m):
+        c, c_next, a, a_next = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % (3 * m)
+        facets += [sorted((c, c_next, a)), sorted((c_next, a, a_next)), sorted((o, a, a_next))]
+    return {"schema_version": 1, "kind": "complex", "vertex_count": o + 1, "facets": facets}
+
+
+def join_document(*docs: dict) -> dict:
+    """The join of the complex documents ``docs``, each on its own vertices, numbered after the ones before it."""
+    offsets = [0]
+    for doc in docs:
+        offsets.append(offsets[-1] + doc["vertex_count"])
     facets = [
-        [n * k + v for k, facet in enumerate(choice) for v in facet] for choice in product(doc["facets"], repeat=copies)
+        [offset + v for offset, facet in zip(offsets, choice) for v in facet]
+        for choice in product(*(doc["facets"] for doc in docs))
     ]
-    return {"schema_version": 1, "kind": "complex", "vertex_count": n * copies, "facets": facets}
+    return {"schema_version": 1, "kind": "complex", "vertex_count": offsets[-1], "facets": facets}
 
 
 def simplex_boundary_cochains(a: int) -> tuple[list[int], list[list[list[int]]]]:
@@ -180,9 +202,13 @@ def main(argv=None) -> int:
         rows.append(("integral projective_plane", "integral", rp2_path))
         rp2 = json.loads(rp2_path.read_text())
         rows += [
-            (f"integral RP^2 join x{k}", "integral", written(f"rp2_join_{k}.json", join_document(rp2, k)))
+            (f"integral RP^2 join x{k}", "integral", written(f"rp2_join_{k}.json", join_document(*[rp2] * k)))
             for k in (2, 3)
         ]
+        m3 = moore_space_document(3)
+        for m in (3, 5):
+            path = written(f"m3_join_m{m}.json", join_document(m3, moore_space_document(m)))
+            rows.append((f"integral M_3 * M_{m}", "integral", path))
         rows += [
             (f"degeneration {a}x{b}", "degeneration", written(f"tensor_{a}x{b}.json", tensor_bicomplex_document(a, b)))
             for a, b in ((5, 5), (6, 5), (6, 6))

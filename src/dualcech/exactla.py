@@ -18,16 +18,21 @@ order, so no caller chooses one.  A square integer matrix has its
 determinant from ``_determinant``, a sparse fraction-free (Bareiss)
 elimination that takes unit pivots first; ``toric.make_fan`` decides its
 full-dimensional cones with it.  Smith normal form is the only other
-reduction: it peels the unit pivots with a sparse row update that keeps
-an index of the rows holding each column, ``_subtract``, exact over the
-integers when the pivot is +-1, and hands what is left to
-``_residual_factors``, a dense smallest-pivot loop followed by one
-gcd/lcm pass over the diagonal it splits off.  A cochain complex is
-ranked degree by degree in ``_cleared_pivots``, the one clearing loop:
-it serves the cohomology of ``CochainComplex``, the filtered pairing and
-the Betti numbers, and it is sound because d.d = 0 is known wherever a
-``CochainComplex`` is built (its docstring lists the builders) and holds
-for a coboundary by the alternating-sign identity.
+reduction, ``_smith_factors``.  It takes integer rows shaped as
+``_eliminate`` takes them: a matrix's numerators from
+``smith_normal_form``, the door that checks they are integers, the
+packed rows of each transposed coboundary from
+``simplicial.integral_cohomology``, and the rays of a lower-dimensional
+cone from ``toric.make_fan``.  It peels the unit pivots with a sparse row
+update that keeps an index of the rows holding each column,
+``_subtract``, exact over the integers when the pivot is +-1, and hands
+what is left to ``_residual_factors``, a dense smallest-pivot loop
+followed by one gcd/lcm pass over the diagonal it splits off.  A cochain
+complex is ranked degree by degree in ``_cleared_pivots``, the one
+clearing loop: it serves the cohomology of ``CochainComplex``, the
+filtered pairing and the Betti numbers, and it is sound because d.d = 0
+is known wherever a ``CochainComplex`` is built (its docstring lists the
+builders) and holds for a coboundary by the alternating-sign identity.
 
 ``_eliminate`` reads the numerators, which are the matrix scaled by its
 positive denominator, divides each row by the gcd of its entries, which
@@ -479,9 +484,29 @@ def kernel_basis(m: RationalMatrix) -> RationalMatrix:
 def smith_normal_form(m: RationalMatrix) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of a matrix with integer entries.
 
-    An entry with a denominator other than 1 raises ``TypeError``.  Unit
-    pivots are peeled first, sparsely (Dumas-Saunders-Villard, *On
-    efficient sparse integer matrix Smith normal form computations*, 2001;
+    An entry with a denominator other than 1 raises ``TypeError``; the
+    numerators, grouped by row, go to ``_smith_factors``.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), value in m._entries.items():
+        # in lowest terms some entry is fractional exactly when the denominator is not 1
+        if value % m._den:
+            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
+        rows.setdefault(i, {})[j] = value
+    return _smith_factors(rows)
+
+
+def _smith_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors of the integer matrix with ``rows``, shaped as ``_eliminate`` takes them; consumed.
+
+    ``rows`` maps a row index to its nonzero entries, column -> int, and
+    may hold empty rows, which are dropped first: a row builder writes one
+    row per cell, and an empty row would be a zero row of the dense
+    residual.  ``smith_normal_form`` serves a matrix's numerators,
+    ``simplicial.integral_cohomology`` the packed rows of each transposed
+    coboundary, and ``toric.make_fan`` the rays of a cone.  Unit pivots
+    are peeled first, sparsely (Dumas-Saunders-Villard, *On efficient
+    sparse integer matrix Smith normal form computations*, 2001;
     Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).  The
     columns are walked once by index, and a live column with an entry
     a_rc = +-1 is pivoted on its unit holder of largest row index.  Row
@@ -495,14 +520,11 @@ def smith_normal_form(m: RationalMatrix) -> list[int]:
     without its zero rows and columns, goes through ``_residual_factors``,
     which is exact for any integer matrix.
     """
-    rows: dict[int, dict[int, int]] = {}
+    rows = {i: row for i, row in rows.items() if row}
     cols: dict[int, set[int]] = {}
-    for (i, j), value in m._entries.items():
-        # in lowest terms some entry is fractional exactly when the denominator is not 1
-        if value % m._den:
-            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
-        rows.setdefault(i, {})[j] = value
-        cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     peeled = 0
     for c in sorted(cols):
         r = max((i for i in cols.get(c, ()) if rows[i][c] in (1, -1)), default=None)

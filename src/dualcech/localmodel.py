@@ -25,7 +25,10 @@ augmented cochain complex of the full simplex on S(a), vertices in
 component order, and its homology depends only on s = |S(a)|.  So the
 homology in degree k is the sum over s of (number of degree-k monomials with
 |S(a)| = s) times the homology of one block on s vertices: a model needs at
-most one block per s, not a matrix over all strata in every degree.
+most one block per s, not a matrix over all strata in every degree.  No
+block is built as a matrix either: its homology is the reduced cohomology
+of the simplex, read off ``simplicial.betti_numbers`` (``verify_exactness``
+gives the identity).
 
 The counts come from a generating function, not from listing monomials.
 Give x^a the weight u^|S(a)| t^|a|.  Both exponents are sums over
@@ -57,8 +60,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import simplicial
 from .errors import InvalidInput
-from .exactla import RationalMatrix
-from .simplicial import CochainComplex
 
 
 class LocalModelSpec(NamedTuple):
@@ -109,21 +110,6 @@ class ExactnessVerdict(NamedTuple):
         ]
 
 
-def simplex_block(s: int) -> CochainComplex:
-    """Augmented cochain complex of the full simplex on s vertices.
-
-    Joint 0 is one copy of the field, joint p + 1 one copy per (p + 1)-face;
-    the augmentation is all ones, the rest are the simplicial coboundaries.
-    The augmentation's entries are the int 1 at the s positions of an
-    s x 1 matrix, so they are wrapped as they are, without the
-    constructor's checks, as ``coboundary_matrix`` wraps its signs.
-    """
-    simplex = simplicial.from_facets(s, [range(s)])
-    augmentation = RationalMatrix._of(s, 1, {(i, 0): 1 for i in range(s)})
-    coboundaries = [simplicial.coboundary_matrix(simplex, p) for p in range(s - 1)]
-    return CochainComplex((1, *simplex.counts()), (augmentation, *coboundaries))
-
-
 def _survivor_table(spec: LocalModelSpec) -> list[Counter[int]]:
     """For each degree k <= K, the number of degree-k monomials with |S(a)| = s >= 1,
     keyed by s: the coefficients of the module docstring's product."""
@@ -152,10 +138,16 @@ def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
 
     Exactness at the first joint is injectivity of the augmentation; at the
     last joint it is surjectivity onto the deepest intersection.  Each
-    degree is summed from the simplex blocks of the module docstring; each
-    block is built and ranked once per call.  No d o d = 0 check runs: a
-    block squares to zero by construction, as the ``CochainComplex``
-    docstring says.
+    degree is summed from the simplex blocks of the module docstring, and
+    the homology of each block is read once per call off the Betti numbers
+    b = ``simplicial.betti_numbers`` of the full simplex on s >= 1
+    vertices.  The block is that simplex's coboundary complex with the
+    augmentation aug: k -> C^0 in front, the all-ones column.  It is
+    nonzero, so its rank is 1, and delta^0 aug = 0, since each edge gets
+    +1 and -1.  So the block's homology is 0 at joint 0, b_0 - 1 at joint
+    1, the kernel of delta^0 less the image of aug, and b_{p-1} at every
+    later joint p: (0, b_0 - 1, b_1, ..., b_{s-1}), the reduced cohomology
+    of the simplex (Munkres, *Elements of Algebraic Topology*).
     """
     joints = len(spec.components) + 1
     block_homology: dict[int, list[int]] = {}
@@ -164,7 +156,8 @@ def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
         row = [0] * joints
         for s, count in counts.items():
             if s not in block_homology:
-                block_homology[s] = simplex_block(s).cohomology()
+                b = simplicial.betti_numbers(simplicial.from_facets(s, [range(s)]))
+                block_homology[s] = [0, b[0] - 1, *b[1:]]
             for joint, h in enumerate(block_homology[s]):
                 row[joint] += count * h
         table.append(tuple(row))

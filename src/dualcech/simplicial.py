@@ -15,13 +15,15 @@ That reduction is sound only when d.d = 0, which the constructor does not
 check: every builder knows it, either because it checked the identity
 where the data entered or because it holds by construction (the class
 docstring lists them).  Cech complexes of presheaves and total complexes
-of bicomplexes go through the class.  ``betti_numbers`` feeds the same
-reduction without it: each simplex is packed into one int, and the
-coboundaries are written from those keys straight into the rows the
-reduction eliminates, with no ``coboundary_matrix``; d.d = 0 holds there
-by the alternating-sign identity.  ``coboundary_matrix`` stays the
-matrix form, for the Smith normal forms of ``integral_cohomology`` and
-for ``localmodel.simplex_block``.
+of bicomplexes go through the class.  A simplicial complex does not:
+``_packed_cells`` is the one way the library writes its coboundaries.
+Each simplex is packed into one int, and the coboundaries are written
+from those keys straight into integer rows, with no matrix; d.d = 0
+holds there by the alternating-sign identity.  ``betti_numbers`` feeds
+the rows to the same reduction, and ``integral_cohomology`` takes their
+Smith normal forms; ``localmodel.verify_exactness`` reads its blocks off
+``betti_numbers``.  ``coboundary_matrix`` stays the matrix form of the
+same coboundaries, with no library caller, for the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations
 from operator import lshift
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import exactla
 from .errors import BadTuple, ShapeMismatch
@@ -115,12 +117,12 @@ class CochainComplex:
     - builders that square to zero by construction: ``cech_complex`` of
       constant and zero presheaves, of ``direct_sum`` and of the
       ``split_constant`` quotient (functorial by construction, see their
-      docstrings); ``coboundary_matrix``, by the alternating-sign
-      identity; ``localmodel.simplex_block``, whose all-ones augmentation
-      followed by delta^0 is 0 (each edge gets +1 and -1);
-      ``betti_numbers``, by the same identity on its packed cells, which
-      hands its coboundaries to ``exactla._cleared_pivots`` without
-      building this class.
+      docstrings).
+
+    A simplicial complex's coboundaries square to zero by the
+    alternating-sign identity.  ``betti_numbers`` ranks them as packed
+    rows, without building this class, and only tests build it from
+    ``coboundary_matrix``.
     """
 
     space_dims: tuple[int, ...]
@@ -177,26 +179,24 @@ def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
     return RationalMatrix._of(len(upper), len(lower), entries)
 
 
-def betti_numbers(k: SimplicialComplex) -> list[int]:
-    """Dimensions of cohomology with rational coefficients, degrees 0..dim.
+def _packed_cells(
+    k: SimplicialComplex,
+) -> tuple[list[list[int]], Callable[[int, set[int]], dict[int, dict[int, int]]]]:
+    """The levels of ``k`` as packed keys, and the builder of the rows of each transposed coboundary.
 
-    Ranked straight from packed cells, with no coboundary matrix.  Each
-    simplex is one int, its key: its ascending vertices are the digits in
-    base 2^w, the lowest vertex in the lowest digit, with w the bit length
-    of ``vertex_count - 1`` (at least 1).  So a key takes (dim + 1) * w
-    bits, whatever the vertex indices.  Face k of a key drops digit k and
-    carries the sign (-1)^k, the orientation of ``_faces``.  A level is
-    its keys in ascending order: ``exactla._eliminate`` walks the
-    p-simplices in the reverse of that order and reduces each at its
-    smallest (p+1)-simplex.  It is not the lexicographic order of the
-    tuples, and need not be.  The rows of the transpose of delta^p, one per
-    p-simplex not cleared in the degree before (a row may be empty), take
-    their entries from the faces of the (p+1)-simplices and go straight
-    to ``exactla._cleared_pivots``, indexed by the keys.  The keys only
-    rename the rows and columns of ``coboundary_matrix``, and the clearing
-    loop counts the ranks under any order once d.d = 0, which holds by the
-    alternating-sign identity; so these are the Betti numbers of the
-    coboundary complex.
+    Each simplex is one int, its key: its ascending vertices are the digits
+    in base 2^w, the lowest vertex in the lowest digit, with w the bit
+    length of ``vertex_count - 1`` (at least 1).  So a key takes
+    (dim + 1) * w bits, whatever the vertex indices.  Face k of a key drops
+    digit k and carries the sign (-1)^k, the orientation of ``_faces``.
+    Level p is the keys of the p-simplices in ascending order, which is not
+    the lexicographic order of the tuples, and need not be.
+    ``coboundary(p, cleared)`` returns the rows of the transpose of
+    delta^p, one per p-simplex not in ``cleared`` (a row may be empty),
+    each its entries by (p+1)-simplex, all indexed by the keys: the rows
+    ``exactla._eliminate`` and ``exactla._smith_factors`` take.  The keys
+    only rename the rows and columns of ``coboundary_matrix``, and these
+    coboundaries square to zero by the alternating-sign identity.
     """
     top = max(map(len, k.simplices), default=0)
     w = max(k.vertex_count - 1, 1).bit_length()
@@ -219,7 +219,23 @@ def betti_numbers(k: SimplicialComplex) -> list[int]:
                     row[tau] = sign
         return rows
 
-    by_degree = exactla._cleared_pivots(partial(coboundary, p) for p in range(top - 1))
+    return levels, coboundary
+
+
+def betti_numbers(k: SimplicialComplex) -> list[int]:
+    """Dimensions of cohomology with rational coefficients, degrees 0..dim.
+
+    Ranked straight from packed cells, ``_packed_cells``, with no
+    coboundary matrix: the rows of each transposed coboundary, without
+    the rows cleared in the degree before, go straight to
+    ``exactla._cleared_pivots``.  ``exactla._eliminate`` walks the
+    p-simplices in the reverse of the key order and reduces each at its
+    smallest (p+1)-simplex.  The clearing loop counts the ranks under any
+    order once d.d = 0, which holds by the alternating-sign identity; so
+    these are the Betti numbers of the coboundary complex.
+    """
+    levels, coboundary = _packed_cells(k)
+    by_degree = exactla._cleared_pivots(partial(coboundary, p) for p in range(len(levels) - 1))
     ranks = [0, *map(len, by_degree), 0]
     return [len(level) - ranks[p] - ranks[p + 1] for p, level in enumerate(levels)]
 
@@ -227,21 +243,20 @@ def betti_numbers(k: SimplicialComplex) -> list[int]:
 def integral_cohomology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:
     """Per-degree (free rank, torsion invariant factors) with integer coefficients.
 
-    Computed from Smith normal forms of the same coboundary matrices used
-    for the rational Betti numbers: the free rank in degree p is
-    dim ker(delta^p) - rank(delta^{p-1}) and the torsion is carried by the
-    invariant factors of delta^{p-1} that exceed 1.
+    Computed from the Smith normal forms of the packed coboundaries of
+    ``_packed_cells``, each built whole, with no cleared rows: clearing is
+    sound over the rationals, but over the integers it would also need the
+    cleared pivots unimodular.  The builder writes the transpose of
+    delta^p, and SNF(A^T) has the invariant factors of SNF(A): UAV = D
+    with U and V unimodular gives V^T A^T U^T = D^T, the same diagonal.
+    The free rank in degree p is dim ker(delta^p) - rank(delta^{p-1}), and
+    the torsion is carried by the invariant factors of delta^{p-1} that
+    exceed 1.
     """
-    d = k.dim
-    if d < 0:
-        return []
-    counts = k.counts()
-    snfs = [exactla.smith_normal_form(coboundary_matrix(k, p)) for p in range(d)]
-    out = []
-    for p in range(d + 1):
-        rank_out = len(snfs[p]) if p < d else 0
-        rank_in = len(snfs[p - 1]) if p > 0 else 0
-        free = counts[p] - rank_out - rank_in
-        torsion = [f for f in (snfs[p - 1] if p > 0 else []) if f != 1]
-        out.append((free, torsion))
-    return out
+    levels, coboundary = _packed_cells(k)
+    # factors[p] belongs to the differential into degree p, factors[p + 1] to the one out of it
+    factors = [[], *(exactla._smith_factors(coboundary(p, set())) for p in range(len(levels) - 1)), []]
+    return [
+        (len(level) - len(factors[p]) - len(factors[p + 1]), [f for f in factors[p] if f != 1])
+        for p, level in enumerate(levels)
+    ]

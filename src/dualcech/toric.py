@@ -8,8 +8,9 @@ cohomology, so the boundary's cohomology is the Betti numbers of that
 complex; no stratum tables are written.  A fan is kept as its maximal
 cones, and no face closure is built: the dual complex is enumerated once,
 from the selected part of each maximal cone.  Each maximal cone is
-decided once, a full-dimensional one by the determinant of its rays and a
-smaller one by their Smith normal form.  No polytopes, no ampleness;
+decided once from its rays as sparse integer rows, a full-dimensional one
+by their determinant and a smaller one by their Smith normal form, with
+no matrix built.  No polytopes, no ampleness;
 projectivity is asserted by the caller.
 """
 
@@ -22,7 +23,6 @@ from typing import NamedTuple
 
 from . import exactla
 from .errors import InvalidInput, NecessaryConditionFailed, NotSmooth
-from .exactla import RationalMatrix
 from .simplicial import SimplicialComplex, betti_numbers, from_facets
 from .snc import CohomologyReport, Summand
 # combinatorial_cohomology_check is unused here; perfbench/spans.py traces it as a name bound in this module
@@ -57,17 +57,6 @@ def _is_primitive(vector: tuple[int, ...]) -> bool:
     return g == 1
 
 
-def _ray_matrix(rays: list[tuple[int, ...]], dim: int, cone: frozenset[int]) -> RationalMatrix:
-    """The rays of ``cone`` as the rows of an integer matrix, in ascending ray order.
-
-    ``make_fan`` has checked every ray (``dim`` ints) and every cone index,
-    so the nonzero coordinates are ints in bounds and are wrapped as they
-    are, without the constructor's checks.
-    """
-    entries = {(r, j): x for r, i in enumerate(sorted(cone)) for j, x in enumerate(rays[i]) if x}
-    return RationalMatrix._of(len(cone), dim, entries)
-
-
 def _maximal(cones: list[frozenset[int]]) -> list[frozenset[int]]:
     """The nonempty listed cones that lie strictly inside no other listed cone, sorted.
 
@@ -90,12 +79,14 @@ def make_fan(dim: int, rays, cones) -> Fan:
     The fan is the listed cones and their faces.  Every ray must occur in
     some cone, and every cone must be simplicial (linearly independent
     rays).  The maximal cones are read off the listed ones, and each is
-    decided once; faces inherit both verdicts.  A cone with ``dim`` rays
-    takes one determinant of its rays, ``exactla._determinant``: 0 means
-    not simplicial and +-1 unimodular.  A smaller cone goes through one
-    Smith normal form, since its unimodularity is a gcd of minors: as many
-    invariant factors as rays means simplicial, all of them 1 unimodular.
-    No face of a cone is ever enumerated here.
+    decided once; faces inherit both verdicts.  Each ray is held once as a
+    sparse row, its nonzero coordinates, and a cone hands copies of its
+    rays' rows to one elimination.  A cone with ``dim`` rays takes one
+    determinant, ``exactla._determinant``: 0 means not simplicial and +-1
+    unimodular.  A smaller cone takes one Smith normal form,
+    ``exactla._smith_factors``, since its unimodularity is a gcd of
+    minors: as many invariant factors as rays means simplicial, all of
+    them 1 unimodular.  No face of a cone is ever enumerated here.
     """
     if dim < 0:
         raise InvalidInput("fan dimension must be nonnegative")
@@ -129,7 +120,7 @@ def make_fan(dim: int, rays, cones) -> Fan:
             det = exactla._determinant([sparse[i].copy() for i in cone])
             simplicial, unimodular = det != 0, abs(det) == 1
         else:
-            factors = exactla.smith_normal_form(_ray_matrix(ray_tuples, dim, cone))
+            factors = exactla._smith_factors({i: sparse[i].copy() for i in cone})
             simplicial, unimodular = len(factors) == len(cone), all(d == 1 for d in factors)
         if not simplicial:
             raise InvalidInput(f"cone {sorted(cone)} is not simplicial")

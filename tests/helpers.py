@@ -12,7 +12,8 @@ matrix over every stratum at once,
 presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
 bicomplex laws block by block from triple-loop products, inverses
 from dense Gauss-Jordan elimination, invariant factors from the dense
-euclidean Smith normal form without unit peeling, the completeness test
+euclidean Smith normal form without unit peeling (integral cohomology
+from that form of each ``coboundary_matrix``), the completeness test
 of a fan from scans of every facet against every full cone, and toric
 boundaries as divisors whose tables write out every vanishing row.
 """
@@ -389,6 +390,15 @@ def oracle_betti(k: SimplicialComplex) -> list[int]:
         rank_out = ranks[p - 1] if p > 0 else 0
         out.append(len(levels[p]) - rank_in - rank_out)
     return out
+
+
+def oracle_integral_cohomology(k: SimplicialComplex) -> list[tuple[int, list[int]]]:
+    """Per-degree (free rank, torsion) from the dense Smith normal form of each ``coboundary_matrix``."""
+    factors = [[], *(oracle_smith_normal_form(simplicial.coboundary_matrix(k, p)) for p in range(k.dim)), []]
+    return [
+        (count - len(factors[p]) - len(factors[p + 1]), [f for f in factors[p] if f != 1])
+        for p, count in enumerate(k.counts())
+    ]
 
 
 def oracle_monomial_count(n: int, degree: int, constraints, mode: str) -> int:
@@ -1053,6 +1063,25 @@ def random_complex(rng: random.Random, max_vertices: int = 8) -> SimplicialCompl
         size = rng.randint(1, min(n, 4))
         facets.append(tuple(sorted(rng.sample(range(n), size))))
     return simplicial.from_facets(n, facets)
+
+
+def moore_space(m: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(vertex count, facets) of a Moore space with integral cohomology (Z, 0, Z/m).
+
+    A disk whose boundary wraps m times around a circle: the circle is
+    c_0, c_1, c_2 (vertices 0-2), the disk's boundary the 3m-gon
+    a_0..a_{3m-1} (vertices 3..3m+2), and o (vertex 3m+3) the disk's cone
+    point.  For each i there are the facets {c_i, c_{i+1}, a_i},
+    {c_{i+1}, a_i, a_{i+1}} and {o, a_i, a_{i+1}}, with c indices mod 3
+    and a indices mod 3m: the first two make a strip from the 3m-gon to the
+    circle, going round it m times, the third the disk.
+    """
+    o = 3 * m + 3
+    facets = []
+    for i in range(3 * m):
+        c, c_next, a, a_next = i % 3, (i + 1) % 3, 3 + i, 3 + (i + 1) % (3 * m)
+        facets += [(c, c_next, a), (c_next, a, a_next), (o, a, a_next)]
+    return o + 1, [tuple(sorted(f)) for f in facets]
 
 
 def random_unimodular(rng: random.Random, n: int, shears: int = 4) -> RationalMatrix:

@@ -432,6 +432,28 @@ def test_smith_normal_form_matches_dense_oracle_on_coboundaries_and_rays(seed):
     assert exactla.smith_normal_form(m) == oracle_smith_normal_form(m), rays
 
 
+@st.composite
+def integer_row_dicts(draw):
+    """Integer rows, column -> nonzero value, under huge row and column keys in shuffled order; some rows empty."""
+    keys = st.integers(0, 2**64)
+    columns = draw(st.lists(keys, max_size=7, unique=True))
+    values = st.sampled_from((1, -1, 2, -2, 3, -3, 4, 6, -6, 9, 10))
+    row = st.dictionaries(st.sampled_from(columns), values, max_size=len(columns)) if columns else st.just({})
+    rows = draw(st.lists(row, max_size=7)) + [{}] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows))
+    indices = draw(st.lists(keys, min_size=len(rows), max_size=len(rows), unique=True))
+    return dict(zip(indices, rows))
+
+
+@given(integer_row_dicts())
+def test_smith_factors_of_rows_match_dense_oracle(rows):
+    # the oracle takes the same matrix with rows and columns renumbered from 0
+    column_index = {j: n for n, j in enumerate(sorted({j for row in rows.values() for j in row}))}
+    entries = {(n, column_index[j]): v for n, row in enumerate(rows.values()) for j, v in row.items()}
+    m = RationalMatrix(len(rows), len(column_index), entries)
+    assert exactla._smith_factors(copy.deepcopy(rows)) == oracle_smith_normal_form(m)
+
+
 @given(st.integers(0, 2**31 - 1), st.sampled_from([(2, 6, 12), (3, 3, 9), (4,), (1, 2, 6, 12), (1, 1, 5, 10, 10)]))
 def test_smith_normal_form_of_a_disguised_diagonal(seed, chain):
     # U D V has the invariant factors of D for unimodular U and V; without

@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -155,8 +156,7 @@ def test_monomials_are_lexicographic():
 
 
 def test_split_matches_full_cech_oracle():
-    # every block up to s = 6 has d.d = 0 by oracle_matmul
-    blocks = {s: oracle_checked(localmodel.simplex_block(s)) for s in range(1, 7)}
+    # the block on s vertices has C(s, j) cells at joint j, the empty face at joint 0
     for spec in localmodel.sweep_specs(max_ambient=3, degree_bound=6):
         joints = len(spec.components) + 1
         table = []
@@ -164,17 +164,24 @@ def test_split_matches_full_cech_oracle():
             oracle = oracle_sheaf_cech_complex(spec, k)
             split_dims = [0] * joints
             for s, count in counts.items():
-                for j, dim in enumerate(blocks[s].space_dims):
-                    split_dims[j] += count * dim
+                for j in range(s + 1):
+                    split_dims[j] += count * comb(s, j)
             assert tuple(split_dims) == oracle.space_dims, (spec, k)
             table.append(tuple(oracle.cohomology()))
         assert verify_exactness(spec).homology == tuple(table), spec
 
 
-@pytest.mark.parametrize("s", range(1, 7))
-def test_simplex_block_augmentation_matches_validating_constructor(s):
-    # the all-ones augmentation is wrapped unchecked
-    got = localmodel.simplex_block(s).differentials[0]
-    want = RationalMatrix(s, 1, {(i, 0): 1 for i in range(s)})
-    assert (got.rows, got.cols, got._den, got._entries) == (want.rows, want.cols, want._den, want._entries)
-    assert all(type(v) is int for v in got._entries.values())
+@pytest.mark.parametrize("s", range(1, 9))
+def test_block_homology_is_read_off_the_betti_numbers_of_the_simplex(s):
+    # the augmented block as matrices: the all-ones column through the
+    # checking constructor, then the coboundaries; oracle_checked multiplies
+    # out d.d and ranks by Bareiss
+    simplex = simplicial.from_facets(s, [range(s)])
+    augmentation = RationalMatrix(s, 1, {(i, 0): 1 for i in range(s)})
+    coboundaries = [simplicial.coboundary_matrix(simplex, p) for p in range(s - 1)]
+    block = oracle_checked(simplicial.CochainComplex((1, *simplex.counts()), (augmentation, *coboundaries)))
+    b = simplicial.betti_numbers(simplex)
+    assert block.cohomology() == [0, b[0] - 1, *b[1:]]
+    # in degree 0 with unit multiplicities every component survives, so the table is one block
+    spec = make_local_model(s, range(1, s + 1), [1] * s, degree_bound=0)
+    assert verify_exactness(spec).homology == (tuple(block.cohomology()),)

@@ -10,7 +10,14 @@ from hypothesis import given, strategies as st
 from dualcech import exactla, simplicial
 from dualcech.errors import BadTuple
 
-from helpers import OracleCochainComplex, oracle_betti, oracle_smith_normal_form, random_complex
+from helpers import (
+    OracleCochainComplex,
+    moore_space,
+    oracle_betti,
+    oracle_integral_cohomology,
+    oracle_smith_normal_form,
+    random_complex,
+)
 
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -117,6 +124,21 @@ def test_integral_cohomology_of_joins_and_suspensions_of_the_projective_plane():
         assert simplicial.integral_cohomology(simplicial.from_facets(*suspension)) == expected, k
 
 
+def test_integral_cohomology_of_moore_spaces_has_odd_torsion():
+    assert simplicial.integral_cohomology(simplicial.from_facets(*moore_space(3))) == [(1, []), (0, []), (0, [3])]
+    assert simplicial.integral_cohomology(simplicial.from_facets(*moore_space(5))) == [(1, []), (0, []), (0, [5])]
+
+
+def test_integral_cohomology_of_joins_of_moore_spaces():
+    # by the join formula, as for the projective plane: Z/3 (x) Z/3 in
+    # reduced homology degree 3 and Tor(Z/3, Z/3) in degree 4, so Z/3 in
+    # cohomological degrees 4 and 5; Z/3 (x) Z/5 and Tor(Z/3, Z/5) vanish
+    m3, m5 = moore_space(3), moore_space(5)
+    expected = [(1, [])] + [(0, [])] * 3 + [(0, [3])] * 2
+    assert simplicial.integral_cohomology(simplicial.from_facets(*join(m3, m3))) == expected
+    assert simplicial.integral_cohomology(simplicial.from_facets(*join(m3, m5))) == [(1, [])] + [(0, [])] * 5
+
+
 def test_integral_cohomology_of_a_large_simplex_within_budget():
     # the dense Smith normal form alone took about 44 s here
     start = time.perf_counter()
@@ -134,18 +156,28 @@ def test_betti_against_boundary_matrix_oracle(seed):
     OracleCochainComplex(tuple(k.counts()), coboundaries)
 
 
-@given(st.integers(0, 2**31 - 1))
-def test_betti_on_sparse_vertex_labels_against_oracle(seed):
-    # a handful of vertices labelled from a range up to 2**40, facets up to dimension 5
-    rng = random.Random(seed)
+def sparse_label_complex(rng: random.Random) -> simplicial.SimplicialComplex:
+    """A handful of vertices labelled from a range up to 2**40, facets up to dimension 5."""
     vertex_count = rng.randint(1, 2**rng.randint(1, 40))
     used = rng.sample(range(vertex_count), min(vertex_count, rng.randint(1, 9)))
     facets = [
         tuple(sorted(rng.sample(used, rng.randint(1, min(len(used), 6)))))
         for _ in range(rng.randint(1, 6))
     ]
-    k = simplicial.from_facets(vertex_count, facets)
+    return simplicial.from_facets(vertex_count, facets)
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_betti_on_sparse_vertex_labels_against_oracle(seed):
+    k = sparse_label_complex(random.Random(seed))
     assert simplicial.betti_numbers(k) == oracle_betti(k)
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_integral_cohomology_against_coboundary_matrix_oracle(seed):
+    rng = random.Random(seed)
+    for k in (random_complex(rng), sparse_label_complex(rng)):
+        assert simplicial.integral_cohomology(k) == oracle_integral_cohomology(k), sorted(k.simplices)
 
 
 @given(st.integers(0, 2**31 - 1))

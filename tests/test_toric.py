@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from dualcech import simplicial, snc, toric
 from dualcech.errors import InvalidInput, NecessaryConditionFailed, NotSmooth
-from dualcech.exactla import RationalMatrix
 from dualcech.toric import CERTIFIED, UNCERTIFIED
 
 from helpers import (
@@ -245,20 +244,6 @@ def test_make_fan_on_the_maximal_cones_of_p1_power_14_stays_in_budget():
     assert time.perf_counter() - start < 5.0
     assert f.maximal == tuple(sorted(map(frozenset, cones), key=sorted))
     assert f.smooth
-
-
-@given(st.integers(0, 2**31 - 1))
-def test_ray_matrix_matches_validating_constructor(seed):
-    # make_fan hands _ray_matrix checked int rays, which it wraps unchecked
-    rng = random.Random(seed)
-    for dim, rays, cones in ORACLE_FANS:
-        rays = [tuple(ray) for ray in disguised_rays(rng, rays)]
-        for cone in map(frozenset, cones):
-            got = toric._ray_matrix(rays, dim, cone)
-            entries = {(r, j): rays[i][j] for r, i in enumerate(sorted(cone)) for j in range(dim)}
-            want = RationalMatrix(len(cone), dim, entries)
-            assert (got.rows, got.cols, got._den, got._entries) == (want.rows, want.cols, want._den, want._entries)
-            assert all(type(v) is int for v in got._entries.values())
 
 
 def _certificate_or_message(check, f) -> str:
