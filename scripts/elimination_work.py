@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     # checkouts from before the one pivot rule also pass a pivot order
     def counted(m, *rest, **options):
         # rows grouped by index, consumed by the call, or a matrix in older checkouts
-        nnz = sum(map(len, m.values())) if isinstance(m, dict) else len(m._entries)
+        nnz = sum(map(len, m.values())) if isinstance(m, dict) else len(m.nonzero_entries())
         start = perf_counter()
         pivots = original(m, *rest, **options)
         spent[0] += perf_counter() - start

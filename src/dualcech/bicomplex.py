@@ -83,18 +83,17 @@ def make_bicomplex(
     """Validate bicomplex data and assemble its total differential D = H + V.
 
     Missing cells have dimension 0 and missing maps are zero.  The shape of
-    each given map is checked.  Each map's numerators, scaled to the lcm
-    of the denominators of its degree, are written at the offsets of its
-    cells into one dict per total degree, grouped by row; D_m is that dict
-    over the lcm.  Then the three laws are checked at once, as
-    D_{m+1} D_m = 0 in each total degree m, a product over the row dicts:
-    the blocks of D_{m+1} D_m from (p, q) to (p+2, q), (p, q+2) and
-    (p+1, q+1) are H.H, V.V and VH + HV.  A failure names the block of a
-    nonzero entry, the first of them with the horizontal blocks by (q, p)
-    first, then the vertical ones by (p, q), then the mixed ones by (p, q).
-    Data in another sign convention is rejected rather than silently
-    reinterpreted.  Each degree is flattened once into ``RationalMatrix._of``:
-    its numerators are ints in bounds, the shapes having been checked.
+    each given map is checked, so each map is a block of
+    ``RationalMatrix._placed`` at the offsets of its cells in D_m, where m
+    is the total degree of its source; a horizontal and a vertical map
+    have different target cells, so no two blocks meet.  Then the three
+    laws are checked at once, as D_{m+1} D_m = 0 in each total degree m, a
+    product of the assembled matrices: the blocks of D_{m+1} D_m from
+    (p, q) to (p+2, q), (p, q+2) and (p+1, q+1) are H.H, V.V and VH + HV.
+    A failure names the block of a nonzero entry of a product, the first
+    of them with the horizontal blocks by (q, p) first, then the vertical
+    ones by (p, q), then the mixed ones by (p, q).  Data in another sign
+    convention is rejected rather than silently reinterpreted.
     """
     if not dims:
         raise InvalidBicomplex("a bicomplex needs at least one cell")
@@ -110,7 +109,7 @@ def make_bicomplex(
     diagonals = [_antidiagonal(width, height, m) for m in range(width + height + 1)]
     # per total degree, the index of the first basis vector of each cell
     offsets = [dict(zip(diag, accumulate((full_dims[c] for c in diag), initial=0))) for diag in diagonals]
-    blocks = [[] for _ in diagonals[1:]]  # per total degree m: (row offset, column offset, map) in D_m
+    blocks = [[] for _ in diagonals[1:]]  # per total degree m: the blocks of D_m
 
     def place(maps, kind, dp, dq):
         maps = dict(maps or {})
@@ -124,8 +123,8 @@ def make_bicomplex(
                     f"{kind} map at ({p},{q}) is {mat.rows}x{mat.cols}, "
                     f"expected {target}x{source}"
                 )
-            if mat._entries:  # so the target cell is on the grid
-                blocks[p + q].append((offsets[p + q + 1][(p + dp, q + dq)], offsets[p + q][(p, q)], mat))
+            if not mat.is_zero():  # so the target cell is on the grid
+                blocks[p + q].append((offsets[p + q + 1][(p + dp, q + dq)], offsets[p + q][(p, q)], 1, mat))
         if maps:
             key = next(iter(maps))
             raise InvalidBicomplex(f"{kind} map given at {key}, outside the grid")
@@ -133,31 +132,18 @@ def make_bicomplex(
     place(horizontal, "horizontal", 1, 0)
     place(vertical, "vertical", 0, 1)
     space_dims = tuple(sum(full_dims[c] for c in diag) for diag in diagonals)
-    degrees = []  # per total degree m: D_m as row -> column -> numerator (every row present), and its denominator
-    for m, placed in enumerate(blocks):
-        den = math.lcm(*(mat._den for _, _, mat in placed))
-        rows: dict[int, dict[int, int]] = {i: {} for i in range(space_dims[m + 1])}
-        for row, col, mat in placed:
-            scale = den // mat._den
-            for (i, j), v in mat._entries.items():
-                rows[row + i][col + j] = scale * v
-        degrees.append((rows, den))
-    broken = []  # (m, i, j): a nonzero entry of D_{m+1} D_m
-    for m, ((d, _), (after, _)) in enumerate(zip(degrees, degrees[1:])):
-        for i, row in after.items():
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for j, b in d[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            if any(acc.values()):
-                broken += [(m, i, j) for j, n in acc.items() if n]
+    differentials = tuple(
+        RationalMatrix._placed(space_dims[m + 1], space_dims[m], placed) for m, placed in enumerate(blocks)
+    )
+    # (m, i, j): a nonzero entry of D_{m+1} D_m
+    broken = [
+        (m, i, j)
+        for m, (d, after) in enumerate(zip(differentials, differentials[1:]))
+        for i, j, _ in (after @ d).nonzero_entries()
+    ]
     if broken:
         cells = [[c for c in diag for _ in range(full_dims[c])] for diag in diagonals]
         raise InvalidBicomplex(min(_law(cells[m][j], cells[m + 2][i]) for m, i, j in broken)[1])
-    differentials = tuple(
-        RationalMatrix._of(space_dims[m + 1], space_dims[m], {(i, j): v for i in rows for j, v in rows[i].items()}, den)
-        for m, (rows, den) in enumerate(degrees)
-    )
     return Bicomplex(width, height, full_dims, CochainComplex(space_dims, differentials))
 
 

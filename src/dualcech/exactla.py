@@ -44,31 +44,35 @@ the same zero pattern, so the pivots, the rank and the row space of the
 triangular system are the same.  Kernel vectors are read off that system
 with the free coordinates fixed to a unit vector; such a vector is
 unique, so the kernel basis does not depend on the scaling.
-``_eliminate`` takes the numerators already grouped by row: ``rank`` and
-``kernel_basis`` group a matrix's, and ``_cleared_pivots`` takes the rows
-of the transpose of each d_m, without the cleared columns, from a builder
-per degree: ``_by_column`` groups a matrix's numerators by column, and
-``simplicial.betti_numbers`` writes the rows of a coboundary straight
-from its packed cells, with no matrix.  A product multiplies the
-numerators of both operands over the product of their denominators.
+
+A matrix stores its numerators in the layout every elimination takes:
+grouped by row, row index -> column index -> nonzero int, with no empty
+row.  ``rank``, ``kernel_basis`` and ``smith_normal_form`` hand
+``_eliminate`` and ``_smith_factors`` a copy of those rows, and a product
+reads the rows of both operands as they are stored and multiplies over
+the product of their denominators.  ``_cleared_pivots`` takes the rows
+of the transpose of each d_m, without the cleared columns, from a
+builder per degree: ``_by_column`` regroups a matrix's numerators by
+column, and ``simplicial.betti_numbers`` writes the rows of a coboundary
+straight from its packed cells, with no matrix.
 
 A matrix enters through one of two doors.  The constructor, and
 ``from_rows``, ``zeros`` and ``identity`` on top of it, is for outside
-data: it checks the shape and every index, coerces each entry and brings
-the entries over one denominator.  ``_of`` is for numerators that are
-nonzero ints in bounds by construction; it checks nothing, and each
-caller says in its docstring why it needs no check.  Two kinds of caller
-use it: the matrices the package derives itself (products, blocks, the
-differentials its assemblers write at block offsets), and the parse
-door, ``formats._matrix``, which reads a JSON matrix straight to reduced
+data keyed by (row, column): it checks the shape and every index,
+coerces each entry and brings the entries over one denominator.  ``_of``
+takes numerators already grouped by row that are nonzero ints in bounds
+by construction; it checks nothing, and each caller says in its
+docstring why it needs no check.  Two kinds of caller use it: the
+matrices the package derives itself (products, and the block matrices
+of ``_placed``), and the doors that write rows straight from their
+source, ``formats._matrix``, which reads a JSON matrix to reduced
 numerators over their lcm and so has made the constructor's checks on
-the way.  The class keeps the algebra the package uses: products,
+the way, and ``simplicial.coboundary_matrix``.  ``_placed`` is the one
+block writer: the Cech differentials and the block-diagonal restrictions
+of ``presheaf``, and the total differential of ``bicomplex``, are its
+blocks at their offsets.  No other module reads the numerators or the
+denominator.  The class keeps the algebra the package uses: products,
 equality and reading entries back.
-
-Matrices are conceptually dense and row-major.  Internally only nonzero
-entries are stored, which keeps the differentials of large combinatorial
-complexes cheap; the representation is invisible through the API and
-cannot change any result.
 """
 
 from __future__ import annotations
@@ -81,14 +85,6 @@ from .errors import ShapeMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _by_row(entries: Mapping[tuple[int, int], int]) -> dict[int, dict[int, int]]:
-    """The entries grouped by row: row index -> column index -> value."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in entries.items():
-        rows.setdefault(i, {})[j] = v
-    return rows
 
 
 def as_fraction(value) -> Fraction:
@@ -111,17 +107,17 @@ class RationalMatrix:
     to or from the zero space and save every caller from special-casing
     empty complexes.
 
-    Entry (i, j) is ``_entries[(i, j)] / _den``: ``_entries`` holds the
-    nonzero integer numerators and ``_den > 0`` is one common denominator,
-    in lowest terms, gcd(``_den``, every numerator) = 1.  The form is
-    canonical, so equal matrices have equal ``_den`` and ``_entries``.
-    The constructor takes ``_den`` as the lcm of the reduced denominators
-    of its entries, which is already lowest terms: for a prime p dividing
-    ``_den``, the entry whose denominator holds the highest power of p has
-    a numerator that p does not divide.
+    Entry (i, j) is ``_num[i][j] / _den``: ``_num`` holds the nonzero
+    integer numerators grouped by row, with no empty row, and ``_den > 0``
+    is one common denominator, in lowest terms, gcd(``_den``, every
+    numerator) = 1.  The form is canonical, so equal matrices have equal
+    ``_den`` and ``_num``.  The constructor takes ``_den`` as the lcm of
+    the reduced denominators of its entries, which is already lowest
+    terms: for a prime p dividing ``_den``, the entry whose denominator
+    holds the highest power of p has a numerator that p does not divide.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_den")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], object]):
         if rows < 0 or cols < 0:
@@ -135,21 +131,54 @@ class RationalMatrix:
             if value:
                 values[(i, j)] = value
         den = lcm(*(v.denominator for v in values.values()))
-        self.rows, self.cols = rows, cols
-        self._entries = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        self._den = den
+        num: dict[int, dict[int, int]] = {}
+        for (i, j), v in values.items():
+            num.setdefault(i, {})[j] = v.numerator * (den // v.denominator)
+        self.rows, self.cols, self._num, self._den = rows, cols, num, den
 
     @classmethod
-    def _of(cls, rows: int, cols: int, entries: dict[tuple[int, int], int], den: int = 1) -> "RationalMatrix":
-        """Wrap nonzero in-bounds numerators over ``den > 0``, dividing out their common factor with ``den``."""
+    def _of(cls, rows: int, cols: int, num: dict[int, dict[int, int]], den: int = 1) -> "RationalMatrix":
+        """Wrap nonzero in-bounds numerators, grouped by row with no empty row, over ``den > 0``.
+
+        Their common factor with ``den`` is divided out.  The gcd runs row
+        by row and stops at the first row that brings it to 1; only when
+        no row does is every numerator divided.
+        """
         if den != 1:
-            g = gcd(den, *entries.values())
-            if g != 1:
+            g = den
+            for row in num.values():
+                g = gcd(g, *row.values())
+                if g == 1:
+                    break
+            else:
                 den //= g
-                entries = {k: v // g for k, v in entries.items()}
+                num = {i: {j: v // g for j, v in row.items()} for i, row in num.items()}
         m = object.__new__(cls)
-        m.rows, m.cols, m._entries, m._den = rows, cols, entries, den
+        m.rows, m.cols, m._num, m._den = rows, cols, num, den
         return m
+
+    @classmethod
+    def _placed(cls, rows: int, cols: int, blocks: list[tuple[int, int, int, "RationalMatrix"]]) -> "RationalMatrix":
+        """The ``rows`` x ``cols`` matrix holding each (row offset, column offset, sign, block) of ``blocks``.
+
+        The one block writer.  Every block's numerators are scaled to the
+        lcm of the block denominators, signed by its sign (+-1), and
+        written at its offsets.  The caller checks that each block fits at
+        its offsets and that no two blocks meet at an entry, so the
+        numerators are nonzero and in bounds, and a block's rows are
+        nonempty; blocks may share rows.
+        """
+        den = lcm(*(m._den for *_, m in blocks))
+        num: dict[int, dict[int, int]] = {}
+        for ri, ci, sign, m in blocks:
+            scale = sign * (den // m._den)
+            for i, row in m._num.items():
+                out = num.get(ri + i)
+                if out is None:
+                    out = num[ri + i] = {}
+                for j, v in row.items():
+                    out[ci + j] = scale * v
+        return cls._of(rows, cols, num, den)
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence], cols: int | None = None) -> "RationalMatrix":
@@ -178,28 +207,31 @@ class RationalMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        return Fraction(self._entries.get((i, j), 0), self._den)
+        return Fraction(self._num.get(i, {}).get(j, 0), self._den)
 
     def to_rows(self) -> list[list[Fraction]]:
         out = [[_ZERO] * self.cols for _ in range(self.rows)]
-        for (i, j), value in self._entries.items():
-            out[i][j] = Fraction(value, self._den)
+        for i, row in self._num.items():
+            for j, value in row.items():
+                out[i][j] = Fraction(value, self._den)
         return out
 
     def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
-        return [(i, j, Fraction(v, self._den)) for (i, j), v in sorted(self._entries.items())]
+        return [
+            (i, j, Fraction(v, self._den)) for i in sorted(self._num) for j, v in sorted(self._num[i].items())
+        ]
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._num
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        right = _by_row(other._entries)
-        entries: dict[tuple[int, int], int] = {}
-        for i, row in _by_row(self._entries).items():
+        right = other._num
+        num: dict[int, dict[int, int]] = {}
+        for i, row in self._num.items():
             acc: dict[int, int] = {}
             for k, a in row.items():
                 right_row = right.get(k)
@@ -207,10 +239,9 @@ class RationalMatrix:
                     continue
                 for j, b in right_row.items():
                     acc[j] = acc.get(j, 0) + a * b
-            for j, n in acc.items():
-                if n:
-                    entries[(i, j)] = n
-        return RationalMatrix._of(self.rows, other.cols, entries, self._den * other._den)
+            if any(acc.values()):
+                num[i] = acc if all(acc.values()) else {j: n for j, n in acc.items() if n}
+        return RationalMatrix._of(self.rows, other.cols, num, self._den * other._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -219,7 +250,7 @@ class RationalMatrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self._den == other._den
-            and self._entries == other._entries
+            and self._num == other._num
         )
 
     def __repr__(self) -> str:
@@ -228,7 +259,7 @@ class RationalMatrix:
                 " ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows)
             )
             return f"RationalMatrix({self.rows}x{self.cols}: [{body}])"
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
+        return f"RationalMatrix({self.rows}x{self.cols}, {sum(map(len, self._num.values()))} nonzero)"
 
 
 def _eliminate(rows: dict[int, dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
@@ -441,11 +472,13 @@ def _cleared_pivots(degrees: Iterable[Callable[[set[int]], dict[int, dict[int, i
 
 
 def _by_column(d: RationalMatrix, cleared: set[int]) -> dict[int, dict[int, int]]:
-    """The numerators of ``d`` by column, the rows of its transpose, without the columns in ``cleared``."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in d._entries.items():
-        if j not in cleared:
-            rows.setdefault(j, {})[i] = v
+    """The numerators of ``d`` by column, the rows of its transpose, without the columns in ``cleared``; a row may be empty."""
+    rows: dict[int, dict[int, int]] = {j: {} for j in range(d.cols) if j not in cleared}
+    for i, row in d._num.items():
+        for j, v in row.items():
+            column = rows.get(j)
+            if column is not None:
+                column[i] = v
     return rows
 
 
@@ -473,27 +506,26 @@ def _back_substitute(pivots: list[tuple[int, int, dict[int, int]]], ncols: int) 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank by sparse Gaussian elimination."""
-    return len(_eliminate(_by_row(m._entries)))
+    return len(_eliminate({i: dict(row) for i, row in m._num.items()}))
 
 
 def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     """Matrix whose columns form a basis of the null space of ``m``."""
-    return _back_substitute(_eliminate(_by_row(m._entries)), m.cols)
+    return _back_substitute(_eliminate({i: dict(row) for i, row in m._num.items()}), m.cols)
 
 
 def smith_normal_form(m: RationalMatrix) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of a matrix with integer entries.
 
-    An entry with a denominator other than 1 raises ``TypeError``; the
-    numerators, grouped by row, go to ``_smith_factors``.
+    An entry with a denominator other than 1 raises ``TypeError``, which
+    names the first such entry by row and column; a copy of the rows goes
+    to ``_smith_factors``.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), value in m._entries.items():
-        # in lowest terms some entry is fractional exactly when the denominator is not 1
-        if value % m._den:
-            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
-        rows.setdefault(i, {})[j] = value
-    return _smith_factors(rows)
+    # in lowest terms some entry is fractional exactly when the denominator is not 1
+    if m._den != 1:
+        i, j, value = next((i, j, v) for i, j, v in m.nonzero_entries() if v.denominator != 1)
+        raise TypeError(f"Smith normal form needs integer entries, got {value} at ({i},{j})")
+    return _smith_factors({i: dict(row) for i, row in m._num.items()})
 
 
 def _smith_factors(rows: dict[int, dict[int, int]]) -> list[int]:

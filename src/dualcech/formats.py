@@ -106,15 +106,18 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
 
     A plain ``int`` is a numerator over 1 as it stands, and a zero is no
     entry; every other entry goes through ``_ratio``, an ASCII "p/q" as two
-    ints.  The denominator is the lcm of the reduced denominators.  The
-    parse makes the constructor's checks itself: the shape against
-    ``rows`` and ``cols``, every index in bounds, every entry coerced and
-    the numerators in lowest terms over the lcm; so the result is wrapped
-    with ``RationalMatrix._of``.
+    ints.  Each row's nonzero numerators are kept as one row, by column,
+    the layout a matrix stores.  The denominator is the lcm of the reduced
+    denominators: every numerator is multiplied by it in place, and then
+    the entries that had a denominator, found through their row, are
+    divided by theirs.  The parse makes the constructor's checks itself:
+    the shape against ``rows`` and ``cols``, every index in bounds, every
+    entry coerced and the numerators in lowest terms over the lcm; so the
+    rows are wrapped with ``RationalMatrix._of``.
     """
     data = _list(value, path)
-    entries = {}
-    dens = {}  # the denominators other than 1
+    num = {}
+    dens = []  # (row's numerators, column, denominator) for the denominators other than 1
     width = None
     for i, row in enumerate(data):
         row = _list(row, f"{path}/{i}")
@@ -122,25 +125,30 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
             width = len(row)
         elif len(row) != width:
             raise SchemaError(f"{path}/{i}", "ragged matrix rows")
+        nums = {}
         for j, x in enumerate(row):
             if type(x) is not int:  # bool is no int here, and _ratio refuses it
                 x, d = _ratio(x, f"{path}/{i}/{j}")
                 if d != 1:
-                    dens[(i, j)] = d
+                    dens.append((nums, j, d))
             if x:
-                entries[(i, j)] = x
+                nums[j] = x
+        if nums:
+            num[i] = nums
     if cols is not None and width is not None and width != cols:
         raise SchemaError(path, f"expected {cols} columns, got {width}")
     if cols is None:
         cols = width if width is not None else 0
     if rows is not None and len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows, got {len(data)}")
-    den = lcm(*dens.values())
+    den = lcm(*(d for _, _, d in dens))
     if den != 1:
-        entries = {k: v * den for k, v in entries.items()}
-        for k, d in dens.items():
-            entries[k] //= d
-    return RationalMatrix._of(len(data), cols, entries, den)
+        for nums in num.values():
+            for j, v in nums.items():
+                nums[j] = v * den
+        for nums, j, d in dens:
+            nums[j] //= d
+    return RationalMatrix._of(len(data), cols, num, den)
 
 
 def _vertex_tuple(value, path) -> Simplex:

@@ -15,8 +15,10 @@ functoriality.  ``constant_presheaf``, the zero presheaf, ``direct_sum`` and
 the quotient of ``split_constant`` are functorial by construction, as their
 docstrings say, and are not checked again.  ``cech_complex`` only assembles
 matrices, and d.d = 0 is not checked a second time: it follows from
-functoriality.  A ``Presheaf`` built directly, around ``make_presheaf``,
-is the caller's to vouch for.  ``CochainComplex``, defined in
+functoriality.  It and ``direct_sum`` hand their blocks to the block
+writer of ``exactla``, ``RationalMatrix._placed``, and read no matrix's
+numerators themselves.  A ``Presheaf`` built directly, around
+``make_presheaf``, is the caller's to vouch for.  ``CochainComplex``, defined in
 ``simplicial`` and re-exported here, ranks the differentials in the one
 cleared reduction of ``exactla``.
 
@@ -31,7 +33,6 @@ matrices here, and the first refused restriction, are reproducible.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla, simplicial
@@ -143,11 +144,11 @@ def cech_complex(v: Presheaf) -> CochainComplex:
 
     Only assembles matrices.  The differential squares to zero because v
     is functorial: checked by ``make_presheaf`` where the restrictions
-    entered, or true by construction.  Each restriction's numerators,
-    scaled to the lcm of the denominators of its degree and signed by its
-    face, are written at the offsets of its two simplices.  A restriction
-    of the wrong shape raises ``ShapeMismatch``, so the numerators that
-    reach ``RationalMatrix._of`` are in bounds.
+    entered, or true by construction.  Each restriction, signed by its
+    face, is a block of ``RationalMatrix._placed`` at the offsets of its
+    two simplices.  A restriction of the wrong shape raises
+    ``ShapeMismatch``, so the blocks fit; two blocks of one degree never
+    meet, since each pair of simplices has its own rows and columns.
     """
     base = v.base
     top = base.dim
@@ -162,17 +163,13 @@ def cech_complex(v: Presheaf) -> CochainComplex:
         index = {s: i for i, s in enumerate(levels[p])}
         blocks = []
         for ti, tau in enumerate(levels[p + 1]):
-            blocks += [(ti, index[sigma], sign, v.restrictions[(sigma, tau)]) for sigma, sign in _faces(tau)]
-        den = lcm(*(mat._den for *_, mat in blocks))
-        entries: dict[tuple[int, int], int] = {}
-        for ti, si, sign, mat in blocks:
-            rows, cols = level_dims[p + 1][ti], level_dims[p][si]
-            if mat.rows != rows or mat.cols != cols:
-                raise ShapeMismatch(f"block ({ti},{si}) is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
-            ri, ci, scale = offsets[p + 1][ti], offsets[p][si], sign * (den // mat._den)
-            for (i, j), x in mat._entries.items():
-                entries[(ri + i, ci + j)] = scale * x
-        differentials.append(RationalMatrix._of(offsets[p + 1][-1], offsets[p][-1], entries, den))
+            for sigma, sign in _faces(tau):
+                si, mat = index[sigma], v.restrictions[(sigma, tau)]
+                rows, cols = level_dims[p + 1][ti], level_dims[p][si]
+                if mat.rows != rows or mat.cols != cols:
+                    raise ShapeMismatch(f"block ({ti},{si}) is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
+                blocks.append((offsets[p + 1][ti], offsets[p][si], sign, mat))
+        differentials.append(RationalMatrix._placed(offsets[p + 1][-1], offsets[p][-1], blocks))
     return CochainComplex(tuple(o[-1] for o in offsets), tuple(differentials))
 
 
@@ -185,9 +182,8 @@ def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
 
     Functorial when v and w are: a composite of block-diagonal maps is the
     block-diagonal map of the two summands' composites.  Each restriction
-    is the numerators of v's block and of w's block below and right of
-    it, over the lcm of their denominators: in bounds by construction, so
-    wrapped with ``RationalMatrix._of``.
+    is v's block with w's block below and right of it, written by
+    ``RationalMatrix._placed``.
     """
     if v.base != w.base:
         raise BaseMismatch("direct sum requires a common base complex")
@@ -195,10 +191,7 @@ def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
     restrictions = {}
     for pair in v.base.face_pairs:
         a, b = v.restrictions[pair], w.restrictions[pair]
-        den = lcm(a._den, b._den)
-        entries = {k: x * (den // a._den) for k, x in a._entries.items()}
-        entries.update({(a.rows + i, a.cols + j): x * (den // b._den) for (i, j), x in b._entries.items()})
-        restrictions[pair] = RationalMatrix._of(a.rows + b.rows, a.cols + b.cols, entries, den)
+        restrictions[pair] = RationalMatrix._placed(a.rows + b.rows, a.cols + b.cols, [(0, 0, 1, a), (a.rows, a.cols, 1, b)])
     return Presheaf(v.base, dims, restrictions)
 
 

@@ -169,14 +169,15 @@ def coboundary_matrix(k: SimplicialComplex, p: int) -> RationalMatrix:
     """Signed incidence matrix from p-simplices to (p+1)-simplices.
 
     Its entries are the signs of ``_faces``, nonzero integers at the
-    positions of two simplices of the levels, so they are wrapped as they
-    are, without the constructor's checks.
+    positions of two simplices of the levels, one row per (p+1)-simplex
+    with faces (each of them for p >= 0), so no row is empty; the rows
+    are wrapped as they are, without the constructor's checks.
     """
     lower = k.p_simplices(p)
     upper = k.p_simplices(p + 1)
     index = {s: i for i, s in enumerate(lower)}
-    entries = {(ri, index[face]): sign for ri, tau in enumerate(upper) for face, sign in _faces(tau)}
-    return RationalMatrix._of(len(upper), len(lower), entries)
+    num = {ri: row for ri, tau in enumerate(upper) if (row := {index[face]: sign for face, sign in _faces(tau)})}
+    return RationalMatrix._of(len(upper), len(lower), num)
 
 
 def _packed_cells(

@@ -204,11 +204,10 @@ def block_matrix(
 ) -> RationalMatrix:
     """Assemble a matrix from blocks; absent blocks are zero.
 
-    The assembler that ``cech_complex``, ``make_bicomplex`` and
-    ``direct_sum`` used before they wrote their numerators at block offsets
-    themselves: the numerators of each block are brought over the lcm of
-    the block denominators, and a block of the wrong shape raises
-    ``ShapeMismatch``.
+    The oracle of the block writer, ``RationalMatrix._placed``: each
+    block's entries, read through ``nonzero_entries``, are placed at its
+    offsets and the whole goes through the checking constructor.  A block
+    of the wrong shape raises ``ShapeMismatch``.
     """
     row_off = [0]
     for d in row_dims:
@@ -216,18 +215,16 @@ def block_matrix(
     col_off = [0]
     for d in col_dims:
         col_off.append(col_off[-1] + d)
-    den = lcm(*(block._den for block in blocks.values()))
-    entries: dict[tuple[int, int], int] = {}
+    entries = {}
     for (bi, bj), block in blocks.items():
         if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
             raise ShapeMismatch(
                 f"block ({bi},{bj}) is {block.rows}x{block.cols}, "
                 f"expected {row_dims[bi]}x{col_dims[bj]}"
             )
-        ri, ci, s = row_off[bi], col_off[bj], den // block._den
-        for (i, j), value in block._entries.items():
-            entries[(ri + i, ci + j)] = s * value
-    return RationalMatrix._of(row_off[-1], col_off[-1], entries, den)
+        for i, j, value in block.nonzero_entries():
+            entries[(row_off[bi] + i, col_off[bj] + j)] = value
+    return RationalMatrix(row_off[-1], col_off[-1], entries)
 
 
 def negated(m: RationalMatrix) -> RationalMatrix:
@@ -241,8 +238,9 @@ def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def same_storage(a: RationalMatrix, b: RationalMatrix) -> bool:
-    """``a`` and ``b`` hold the same shape, denominator and numerators."""
-    return (a.rows, a.cols, a._den, a._entries) == (b.rows, b.cols, b._den, b._entries)
+    """``a`` and ``b`` hold the same shape, denominator and numerators by row, and neither holds an empty row."""
+    rows_nonempty = all(a._num.values()) and all(b._num.values())
+    return rows_nonempty and (a.rows, a.cols, a._den, a._num) == (b.rows, b.cols, b._den, b._num)
 
 
 def oracle_is_functorial(v: Presheaf) -> bool:
@@ -310,11 +308,10 @@ def oracle_smith_normal_form(m: RationalMatrix) -> list[int]:
     """
     nr, nc = m.rows, m.cols
     a = [[0] * nc for _ in range(nr)]
-    for (i, j), value in m._entries.items():
-        # in lowest terms some entry is fractional exactly when the denominator is not 1
-        if value % m._den:
-            raise TypeError(f"Smith normal form needs integer entries, got {Fraction(value, m._den)} at ({i},{j})")
-        a[i][j] = value
+    for i, j, value in m.nonzero_entries():
+        if value.denominator != 1:
+            raise TypeError(f"Smith normal form needs integer entries, got {value} at ({i},{j})")
+        a[i][j] = value.numerator
     factors: list[int] = []
     t = 0
     while True:

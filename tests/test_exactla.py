@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcech import exactla, simplicial
+from dualcech import exactla, formats, simplicial
 from dualcech.errors import ShapeMismatch
 from dualcech.exactla import RationalMatrix
 
@@ -14,6 +14,7 @@ from helpers import (
     CompositionNonzero,
     block_matrix,
     disguised_rays,
+    negated,
     oracle_det,
     oracle_eliminate,
     oracle_homology_dim,
@@ -24,6 +25,7 @@ from helpers import (
     oracle_smith_normal_form,
     random_complex,
     random_unimodular,
+    same_storage,
 )
 
 
@@ -168,7 +170,7 @@ def test_static_pivot_order_gives_the_rank_and_a_triangular_system(data, rnd):
     rnd.shuffle(column_order)
     shuffled = [[data[i][j] for j in column_order] for i in row_order]
     m = RationalMatrix.from_rows(shuffled)
-    pivots = exactla._eliminate(exactla._by_row(m._entries))
+    pivots = exactla._eliminate({i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(shuffled)})
     assert len(pivots) == oracle_rank(data)
     assert len({r for _, r, _ in pivots}) == len(pivots)
     assert len({c for c, _, _ in pivots}) == len(pivots)
@@ -501,3 +503,77 @@ def test_euler_characteristic_of_two_term_complex(data):
     kernel = m.cols - exactla.rank(m)
     cokernel = m.rows - exactla.rank(m)
     assert m.cols - m.rows == kernel - cokernel
+
+
+# the storage is canonical: numerators grouped by row, no empty row, over
+# the lowest common denominator; every door must write what the checking
+# constructor writes from the same entries
+
+_CANCELLING = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)))
+
+
+def _rebuilt(m: RationalMatrix) -> RationalMatrix:
+    """``m`` built afresh by the checking constructor from its entries."""
+    return RationalMatrix(m.rows, m.cols, {(i, j): v for i, j, v in m.nonzero_entries()})
+
+
+@st.composite
+def _drawn_matrix(draw, rows, cols, entries=_CANCELLING):
+    return RationalMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_products_are_stored_canonically_and_cancel_to_no_row(r, k, c, data):
+    a, b = data.draw(_drawn_matrix(r, k)), data.draw(_drawn_matrix(k, c))
+    assert same_storage(a @ b, _rebuilt(a @ b))
+    # a times its kernel is zero in every row; stacked under another
+    # matrix, some rows of the product cancel and the others need not
+    kernel = exactla.kernel_basis(a)
+    zero = a @ kernel
+    assert zero.is_zero() and same_storage(zero, RationalMatrix.zeros(r, kernel.cols))
+    e = data.draw(_drawn_matrix(c, k))
+    stacked = RationalMatrix._placed(r + c, k, [(0, 0, 1, a), (r, 0, 1, e)]) @ kernel
+    assert same_storage(stacked, _rebuilt(stacked))
+    assert same_storage(stacked, RationalMatrix._placed(r + c, kernel.cols, [(r, 0, 1, e @ kernel)]))
+
+
+@st.composite
+def _blocks(draw):
+    """Row and column dims of a block grid, and blocks (row block, column block, sign, matrix) at distinct places."""
+    row_dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    col_dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    places = [(bi, bj) for bi in range(len(row_dims)) for bj in range(len(col_dims))]
+    chosen = draw(st.lists(st.sampled_from(places), unique=True, max_size=len(places)))
+    entries = st.one_of(_CANCELLING, _ENTRY)
+    return row_dims, col_dims, [
+        (bi, bj, draw(st.sampled_from((1, -1))), draw(_drawn_matrix(row_dims[bi], col_dims[bj], entries)))
+        for bi, bj in chosen
+    ]
+
+
+@given(_blocks())
+def test_block_writer_matches_the_block_matrix_oracle(drawn):
+    # blocks of different denominators and signs, several in one block row
+    row_dims, col_dims, blocks = drawn
+    row_off = [sum(row_dims[:k]) for k in range(len(row_dims) + 1)]
+    col_off = [sum(col_dims[:k]) for k in range(len(col_dims) + 1)]
+    placed = RationalMatrix._placed(
+        row_off[-1], col_off[-1], [(row_off[bi], col_off[bj], sign, m) for bi, bj, sign, m in blocks]
+    )
+    oracle = block_matrix(row_dims, col_dims, {(bi, bj): m if sign > 0 else negated(m) for bi, bj, sign, m in blocks})
+    assert same_storage(placed, oracle)
+    assert same_storage(placed, _rebuilt(placed))
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(2, 6), st.data())
+def test_parse_coboundary_and_of_doors_are_stored_canonically(rows, cols, factor, data):
+    m = data.draw(_drawn_matrix(rows, cols, st.one_of(_CANCELLING, _ENTRY)))
+    value = [[x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in row] for row in m.to_rows()]
+    assert same_storage(formats._matrix(value, "/m", rows, cols), _rebuilt(m))
+    # numerators and denominator sharing a factor are reduced by _of
+    scaled = {i: {j: v * factor for j, v in row.items()} for i, row in m._num.items()}
+    assert same_storage(RationalMatrix._of(rows, cols, scaled, m._den * factor), _rebuilt(m))
+    k = random_complex(random.Random(data.draw(st.integers(0, 2**31 - 1))))
+    for p in range(-1, k.dim + 1):
+        d = simplicial.coboundary_matrix(k, p)
+        assert same_storage(d, _rebuilt(d))

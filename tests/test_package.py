@@ -1,5 +1,6 @@
-"""The package's public surface: submodules on first use and the record types."""
+"""The package's public surface: submodules on first use, the record types, and who reads a matrix's storage."""
 
+import ast
 import json
 import os
 import subprocess
@@ -70,3 +71,17 @@ def test_records_read_by_name_refuse_assignment_and_compare_by_value(record):
     assert item == record(*values)
     assert item != record(*values[:-1], "other")
 
+
+
+def test_only_exactla_reads_the_matrix_storage():
+    # a matrix's numerators and denominator are exactla's; every other
+    # module builds matrices through its doors and its block writer
+    package = os.path.join(ROOT, "src", "dualcech")
+    readers = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            if any(isinstance(node, ast.Attribute) and node.attr in ("_num", "_den") for node in ast.walk(tree)):
+                readers.add(name)
+    assert readers == {"exactla.py"}

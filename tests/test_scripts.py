@@ -47,3 +47,20 @@ def test_make_inputs_builds_the_committed_documents():
     for path in committed:
         with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
             assert built[path] == handle.read(), path
+
+
+def test_same_process_pairs_runs_the_repository_against_itself():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "same_process_pairs.py"), ROOT, ROOT,
+         "--workload", "spectral_pages", "--seed", "1", "--rounds", "2"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *summary, last = proc.stdout.splitlines()
+    rounds = json.loads(last)
+    assert rounds["workload"] == "spectral_pages" and rounds["documents"] > 0
+    assert len(rounds["parent"]) == len(rounds["change"]) == 2
+    assert [line.split(":")[0] for line in summary[:2]] == ["parent", "change"]
+    assert summary[2].startswith("change won ") and summary[2].endswith("/2 rounds")
