@@ -10,8 +10,8 @@ N = 5, 5454 for N = 6.  Each model is checked through
 ``localmodel.verify_exactness``, which splits every degree into
 full-simplex blocks, one per survivor-set size, weighted by counts from a
 generating function (see the ``localmodel`` module docstring).  On a
-2-core x86-64 machine with Python 3.11 the default box takes about 0.16 s
-and N = 5 about 1.0 s through degree 8, and N = 6 about 8 s through
+2-core x86-64 machine with Python 3.11 the default box takes about 0.03 s
+and N = 5 about 0.18 s through degree 8, and N = 6 about 1.0 s through
 degree 12 (median of three runs).
 """
 

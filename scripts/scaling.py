@@ -12,8 +12,10 @@ four rows time start-up: ``verify-lemma31`` on ``inputs/lm_2_1_1.json``,
 ``inputs/pn_fan_2.json`` and ``degeneration`` on
 ``inputs/bicomplex_d2.json``, documents small enough that the process
 spends its time starting and loading the command's modules.  The rest
-are ``toric`` on the full boundary of P^8 to P^11 (the n + 1 maximal
-cones listed) and of (P^1)^7 to (P^1)^9 (the 2^k maximal cones listed),
+are ``verify-lemma31`` on the model in 6 variables with components
+x_1, x_2, x_3 of multiplicity 3 at degree bounds 1000 and 2000,
+``toric`` on the full boundary of P^8 to P^11 (the n + 1 maximal cones
+listed) and of (P^1)^7 to (P^1)^9 (the 2^k maximal cones listed),
 ``toric`` on P^9 and (P^1)^8 again with their rays moved by one GL(n, Z)
 matrix drawn from a fixed seed (``disguised_document``), so that no ray
 is a standard basis vector and deciding a cone takes real elimination,
@@ -150,6 +152,13 @@ def tensor_bicomplex_document(a: int, b: int) -> dict:
     return {"schema_version": 1, "kind": "bicomplex", "dims": dims, "horizontal": horizontal, "vertical": vertical}
 
 
+def local_model_document(degree_bound: int) -> dict:
+    return {
+        "schema_version": 1, "kind": "localmodel", "n": 6,
+        "components": [1, 2, 3], "multiplicities": [3, 3, 3], "degree_bound": degree_bound,
+    }
+
+
 def wall_time(tree: Path, command: str, document: Path, code: int = 0) -> float:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = perf_counter()
@@ -183,6 +192,10 @@ def main(argv=None) -> int:
             ("start betti", "betti", inputs / "projective_plane.json"),
             ("start toric", "toric", inputs / "pn_fan_2.json"),
             ("start degeneration", "degeneration", inputs / "bicomplex_d2.json", 2),
+        ]
+        rows += [
+            (f"verify-lemma31 K={k}", "verify-lemma31", written(f"lm_6_k{k}.json", local_model_document(k)))
+            for k in (1000, 2000)
         ]
         rows += [(f"toric P^{n}", "toric", written(f"p{n}_fan.json", projective_space_document(n))) for n in range(8, 12)]
         rows += [(f"toric (P^1)^{k}", "toric", written(f"p1_{k}_fan.json", p1_power_document(k))) for k in range(7, 10)]

@@ -7,7 +7,12 @@ Validation failures raise SchemaError carrying a JSON pointer to the
 offending field.
 
 Reports are plain dictionaries rendered with sorted keys, so identical
-inputs always produce byte-identical JSON.
+inputs always produce byte-identical JSON.  ``render_report`` writes
+exactly the bytes of ``json.dumps(report, sort_keys=True, indent=2)`` and
+a newline, and raises ``TypeError`` where that would, but walks the report
+itself: ``indent`` sends ``json.dumps`` to its pure-Python encoder, which
+costs a generator step per token, while the writer joins whole lists of
+ints at once and escapes strings with ``json``'s C routine.
 
 Modules load on first use.  At module level this file imports only
 ``errors`` and ``exactla``, which every parse needs; each ``parse_*``
@@ -394,4 +399,65 @@ def load_document(path: str) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte, without its pure-Python encoder."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` as JSON to ``out``, with ``indent`` (a newline and spaces) before its closing bracket.
+
+    ``json.dumps`` with ``indent=2`` writes each member of a nonempty
+    container on its own line, two spaces deeper, separated by commas, and
+    a dict's members as ``"key": value`` in sorted order of its items.  A
+    key that is no string is written as ``json.dumps`` writes it as a value
+    (``true``, ``null``, a number), within quotes, and a key of another type
+    raises ``TypeError``, as there.  A plain int, ``true``, ``false`` and
+    ``null`` are written directly, a list of plain ints in one join, a
+    string by ``json``'s own C escaper, and any other leaf by ``json.dumps``,
+    which raises ``TypeError`` on a value JSON cannot hold.
+    """
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif type(value) is int:
+        out.append(str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = json.dumps(key)
+            out.append(lead + _string(key) + ": ")
+            _write(item, inner, out)
+            lead = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + indent + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = "," + inner
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    else:
+        out.append(json.dumps(value))

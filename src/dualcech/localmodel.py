@@ -44,17 +44,25 @@ The coefficient of u^s t^k in the product is the number of degree-k
 monomials with |S(a)| = s.  Those with s = 0 are divisible by the product
 of the powers and vanish in every quotient; s >= 1 is exactly the basis of
 the whole configuration.  ``_survivor_table`` multiplies the component
-factors in one at a time, truncated above t^K (the term t^j of a factor
-sends the coefficient at t^i to t^(i+j), with one more u when j < r, so each
-step is a prefix sum), and then convolves with the n - m free coordinates,
-whose degree-j coefficient C(j + n - m - 1, j) counts the monomials of
-degree j in n - m variables.
+factors in one at a time, truncated above t^K, and then the series
+(1 - t)^-(n - m) of the n - m free coordinates, whose degree-j coefficient
+C(j + n - m - 1, j) counts the monomials of degree j in n - m variables.
+The products run on packed integers (Kronecker substitution: Schoenhage,
+1982): a series in t truncated at K becomes one int whose slot k, ``bits``
+bits wide, holds the coefficient of t^k, and the coefficients of u^0 ..
+u^m sit in rows of twice that many slots, so one big-int product
+multiplies every row by a series in t.  Every coefficient is nonnegative,
+so a product's slot k is the exact convolution sum as long as it fits its
+slot, and a carry out of a slot only moves upward; slots past K, which a
+mask drops, may overflow without touching the ones kept.  Every slot kept
+counts monomials of degree at most K in at most n variables, so it fits
+in ``bits = C(K + n - 1, n - 1).bit_length()`` (``_survivor_table`` has
+the proof).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
@@ -110,27 +118,48 @@ class ExactnessVerdict(NamedTuple):
         ]
 
 
-def _survivor_table(spec: LocalModelSpec) -> list[Counter[int]]:
-    """For each degree k <= K, the number of degree-k monomials with |S(a)| = s >= 1,
-    keyed by s: the coefficients of the module docstring's product."""
+def _survivor_table(spec: LocalModelSpec) -> list[list[int]]:
+    """For each degree k <= K, the number of degree-k monomials with |S(a)| = s, at index s.
+
+    These are the coefficients of the module docstring's product, packed as
+    it says.  Row s of ``poly`` is bits [s * stride, s * stride + width),
+    slot k of a row its bits [k * bits, (k + 1) * bits).  A component of
+    multiplicity r has the factor u * low + high, with low = 1 + ... +
+    t^(r-1) and high = t^r + ... + t^K in every row's layout, so it sends
+    row s to (row s) * high + (row s - 1) * low: one product by ``high``,
+    and one by ``low`` shifted up a row.  The free coordinates multiply
+    every row by ``series``.  Each product is masked to slots 0..K of rows
+    0..m.
+
+    Width.  A row and each factor are below 2^width, so a row's product is
+    below 2^stride and never reaches the next row.  Within a row, slot k of
+    a product is a sum of nonnegative terms, so with no carry into it the
+    slots up to K are exact, and a carry can only come from a slot below
+    that overflowed.  None does: after c factors, slot k of row s is the
+    number of degree-k monomials in the first c coordinates, with k <= K,
+    whose survivor set has s elements, and each partial product summed into
+    it is at most that.  So it is at most the number of degree-k monomials
+    in c <= n variables, C(k + c - 1, c - 1) <= C(K + n - 1, n - 1) < 2^bits;
+    a coefficient C(j + n - m - 1, j) of ``series`` obeys the same bound.
+    """
     top = spec.degree_bound
-    poly = [[1] + [0] * top]  # poly[s][k], the coefficient of u^s t^k
+    bits = comb(top + spec.ambient - 1, spec.ambient - 1).bit_length()
+    width = bits * (top + 1)
+    stride = 2 * width
+    row_mask = (1 << width) - 1
+    ones = row_mask // ((1 << bits) - 1)  # 1 in every slot 0..K
+    poly, mask = 1, row_mask
     for r in spec.multiplicities:
-        grown = [[0] * (top + 1) for _ in range(len(poly) + 1)]
-        for s, row in enumerate(poly):
-            prefix = [0, *accumulate(row)]
-            for k in range(top + 1):
-                low = max(k + 1 - r, 0)  # a = k - i >= r exactly for i < low
-                grown[s][k] += prefix[low]
-                grown[s + 1][k] += prefix[k + 1] - prefix[low]
-        poly = grown
+        low = ones & ((1 << bits * r) - 1)
+        mask |= mask << stride
+        poly = (poly * (ones ^ low) & mask) + ((poly * low & mask) << stride)
     free = spec.ambient - len(spec.components)
-    series = [comb(j + free - 1, j) if free else int(j == 0) for j in range(top + 1)]
-    table = []
-    for k in range(top + 1):
-        counts = (sum(row[i] * series[k - i] for i in range(k + 1)) for row in poly)
-        table.append(Counter({s: count for s, count in enumerate(counts) if s and count}))
-    return table
+    if free:
+        series = sum(comb(j + free - 1, j) << bits * j for j in range(top + 1))
+        poly = poly * series & mask
+    slot = (1 << bits) - 1
+    rows = [poly >> stride * s & row_mask for s in range(len(spec.components) + 1)]
+    return [[row >> bits * k & slot for row in rows] for k in range(top + 1)]
 
 
 def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
@@ -154,7 +183,9 @@ def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
     table = []
     for counts in _survivor_table(spec):
         row = [0] * joints
-        for s, count in counts.items():
+        for s, count in enumerate(counts):
+            if not (s and count):
+                continue
             if s not in block_homology:
                 b = simplicial.betti_numbers(simplicial.from_facets(s, [range(s)]))
                 block_homology[s] = [0, b[0] - 1, *b[1:]]

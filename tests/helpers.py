@@ -7,8 +7,9 @@ with a holder index that it replaced (on the row helpers the Smith normal
 form still uses), Betti numbers from chain boundary matrices (the
 homology route, not the cochain route the library uses), monomial counts
 from inclusion-exclusion, monomial quotient bases and survivor-set counts
-from listing every monomial, local-model homology from the full Cech
-matrix over every stratum at once,
+from listing every monomial, the survivor table of every degree by the
+prefix sums the packed products replaced, local-model homology from the
+full Cech matrix over every stratum at once,
 presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
 bicomplex laws block by block from triple-loop products, inverses
 from dense Gauss-Jordan elimination, invariant factors from the dense
@@ -26,7 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from typing import Iterator, Sequence
 
@@ -494,6 +495,30 @@ def oracle_survivor_counts(spec: LocalModelSpec, degree: int) -> Counter[int]:
     return Counter(
         sum(a[i] < r for i, r in bounds) for a in quotient_basis(spec, None, degree).exponents
     )
+
+
+def oracle_survivor_table(spec: LocalModelSpec) -> list[Counter[int]]:
+    """For each degree k <= K, the number of degree-k monomials with |S(a)| = s >= 1,
+    keyed by s: the coefficients of the generating function in the ``localmodel``
+    docstring, multiplied out by prefix sums and one convolution rather than packed."""
+    top = spec.degree_bound
+    poly = [[1] + [0] * top]  # poly[s][k], the coefficient of u^s t^k
+    for r in spec.multiplicities:
+        grown = [[0] * (top + 1) for _ in range(len(poly) + 1)]
+        for s, row in enumerate(poly):
+            prefix = [0, *accumulate(row)]
+            for k in range(top + 1):
+                low = max(k + 1 - r, 0)  # a = k - i >= r exactly for i < low
+                grown[s][k] += prefix[low]
+                grown[s + 1][k] += prefix[k + 1] - prefix[low]
+        poly = grown
+    free = spec.ambient - len(spec.components)
+    series = [comb(j + free - 1, j) if free else int(j == 0) for j in range(top + 1)]
+    table = []
+    for k in range(top + 1):
+        counts = (sum(row[i] * series[k - i] for i in range(k + 1)) for row in poly)
+        table.append(Counter({s: count for s, count in enumerate(counts) if s and count}))
+    return table
 
 
 class OracleCochainComplex(CochainComplex):

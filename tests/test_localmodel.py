@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -15,8 +16,14 @@ from helpers import (
     oracle_monomial_count,
     oracle_sheaf_cech_complex,
     oracle_survivor_counts,
+    oracle_survivor_table,
     quotient_basis,
 )
+
+
+def survivors(row: list[int]) -> Counter[int]:
+    """A row of ``_survivor_table`` keyed by s, as the oracles count: s = 0 and the zeros left out."""
+    return Counter({s: count for s, count in enumerate(row) if s and count})
 
 
 def test_default_degree_bound():
@@ -113,17 +120,17 @@ def test_degree_above_bound_rejected():
 
 def test_survivor_table_at_the_degree_bound_matches_enumeration():
     spec = make_local_model(3, [1, 3], [2, 1], degree_bound=4)
-    assert localmodel._survivor_table(spec)[4] == oracle_survivor_counts(spec, 4)
+    assert survivors(localmodel._survivor_table(spec)[4]) == oracle_survivor_counts(spec, 4)
 
 
 @st.composite
-def local_model_specs(draw):
-    """Ambient <= 7 with some coordinates free, multiplicities <= 4, degree bound <= 10."""
-    ambient = draw(st.integers(1, 7))
+def local_model_specs(draw, max_ambient=7, max_multiplicity=4, max_degree=10):
+    """Ambient <= 7 with some coordinates free, multiplicities <= 4, degree bound <= 10, by default."""
+    ambient = draw(st.integers(1, max_ambient))
     components = draw(st.sets(st.integers(1, ambient), min_size=1))
     size = len(components)
-    multiplicities = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
-    return make_local_model(ambient, sorted(components), multiplicities, draw(st.integers(0, 10)))
+    multiplicities = draw(st.lists(st.integers(1, max_multiplicity), min_size=size, max_size=size))
+    return make_local_model(ambient, sorted(components), multiplicities, draw(st.integers(0, max_degree)))
 
 
 @given(local_model_specs())
@@ -132,7 +139,24 @@ def local_model_specs(draw):
 def test_survivor_counts_match_enumeration(spec):
     table = localmodel._survivor_table(spec)
     for k in range(spec.degree_bound + 1):
-        assert table[k] == oracle_survivor_counts(spec, k), (spec, k)
+        assert survivors(table[k]) == oracle_survivor_counts(spec, k), (spec, k)
+
+
+@given(local_model_specs(max_ambient=9, max_multiplicity=6, max_degree=60))
+# one bit narrower, slot 59 of row 0 overflows: C(64, 8) > 2^32 of the
+# degree-59 monomials in 9 variables are divisible by x_1 x_2 x_3, and the
+# slot has bit_length(C(68, 8)) - 1 = 32 bits
+@example(make_local_model(9, [1, 2, 3], [1, 1, 1], degree_bound=60))
+@settings(max_examples=100)
+def test_survivor_table_matches_prefix_sum_oracle(spec):
+    # degree bounds past what listing monomials reaches; every slot is
+    # checked, s = 0 against the count of all degree-k monomials
+    table = localmodel._survivor_table(spec)
+    assert len(table) == spec.degree_bound + 1
+    for k, (row, counts) in enumerate(zip(table, oracle_survivor_table(spec))):
+        assert len(row) == len(spec.components) + 1
+        assert survivors(row) == counts, (spec, k)
+        assert row[0] == comb(k + spec.ambient - 1, spec.ambient - 1) - sum(counts.values()), (spec, k)
 
 
 def test_bad_component_indices_rejected():
@@ -163,7 +187,7 @@ def test_split_matches_full_cech_oracle():
         for k, counts in enumerate(localmodel._survivor_table(spec)):
             oracle = oracle_sheaf_cech_complex(spec, k)
             split_dims = [0] * joints
-            for s, count in counts.items():
+            for s, count in survivors(counts).items():
                 for j in range(s + 1):
                     split_dims[j] += count * comb(s, j)
             assert tuple(split_dims) == oracle.space_dims, (spec, k)
