@@ -125,7 +125,8 @@ def _survivor_table(spec: LocalModelSpec) -> list[list[int]]:
     it says.  Row s of ``poly`` is bits [s * stride, s * stride + width),
     slot k of a row its bits [k * bits, (k + 1) * bits).  A component of
     multiplicity r has the factor u * low + high, with low = 1 + ... +
-    t^(r-1) and high = t^r + ... + t^K in every row's layout, so it sends
+    t^(min(r, K + 1) - 1) and high = t^r + ... + t^K (zero when r > K) in
+    every row's layout, so it sends
     row s to (row s) * high + (row s - 1) * low: one product by ``high``,
     and one by ``low`` shifted up a row.  The free coordinates multiply
     every row by ``series``.  Each product is masked to slots 0..K of rows
@@ -150,7 +151,7 @@ def _survivor_table(spec: LocalModelSpec) -> list[list[int]]:
     ones = row_mask // ((1 << bits) - 1)  # 1 in every slot 0..K
     poly, mask = 1, row_mask
     for r in spec.multiplicities:
-        low = ones & ((1 << bits * r) - 1)
+        low = ones & ((1 << bits * min(r, top + 1)) - 1)  # r > K: every slot
         mask |= mask << stride
         poly = (poly * (ones ^ low) & mask) + ((poly * low & mask) << stride)
     free = spec.ambient - len(spec.components)

@@ -74,6 +74,25 @@ def test_verify_lemma31_degree_bound_flag(capsys):
     assert report["options"] == {"degree_bound": 3}
 
 
+def test_verify_lemma31_huge_multiplicity(capsys, tmp_path):
+    # a multiplicity far past an explicit degree bound costs nothing extra
+    doc = {
+        "schema_version": 1,
+        "kind": "localmodel",
+        "n": 2,
+        "components": [1, 2],
+        "multiplicities": [10**12, 1],
+        "degree_bound": 2,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["verify-lemma31", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["result"]["exact"] is True
+
+
 def test_verify_lemma31_wide_ambient(capsys, tmp_path):
     # more coordinates than the interpreter's default recursion limit
     doc = {

@@ -159,6 +159,15 @@ def test_survivor_table_matches_prefix_sum_oracle(spec):
         assert row[0] == comb(k + spec.ambient - 1, spec.ambient - 1) - sum(counts.values()), (spec, k)
 
 
+def test_huge_multiplicity_under_a_small_degree_bound():
+    # r far past K: low is every slot, high is zero, and no int of r * bits
+    # bits is built; a terabit-wide mask would raise MemoryError here
+    spec = make_local_model(3, [1, 3], [10**12, 2], degree_bound=4)
+    table = localmodel._survivor_table(spec)
+    assert [survivors(row) for row in table] == oracle_survivor_table(spec)
+    assert verify_exactness(spec).exact
+
+
 def test_bad_component_indices_rejected():
     with pytest.raises(InvalidInput):
         make_local_model(2, [2, 1], [1, 1])
