@@ -156,13 +156,18 @@ def cmd_euler(divisor, doc, args):
 def cmd_toric(fan_and_selected, doc, args):
     simplicial, toric = dualcech.simplicial, dualcech.toric
     fan, selected = fan_and_selected
-    # completeness is informational: the totals are the Betti numbers of
-    # the dual complex either way, and projectivity is the caller's assertion
+    # the totals are the Betti numbers of the dual complex, which assume that
+    # every selected stratum is complete.  A fan that passes the certificate
+    # has no cone of the kinds check_complete_strata refuses, so only a failed
+    # one is checked, after the selection is validated.  Projectivity is the
+    # caller's assertion
     try:
-        certificate = toric.completeness_certificate(fan)
+        certificate, failed = toric.completeness_certificate(fan), False
     except NecessaryConditionFailed as exc:
-        certificate = f"failed: {exc}"
+        certificate, failed = f"failed: {exc}", True
     delta = toric.boundary_complex(fan, selected)
+    if failed:
+        toric.check_complete_strata(fan, selected)
     totals = simplicial.betti_numbers(delta)
     # one Euler cross-check: face numbers against the alternating sum of the totals
     return {

@@ -6,6 +6,17 @@ as strings like "2/3" (or plain integers) so nothing is ever rounded.
 Validation failures raise SchemaError carrying a JSON pointer to the
 offending field.
 
+Every field is read through one reader, ``_at(doc, key, path, read,
+*args)``: it looks ``key`` up, refuses a missing required field, and
+hands the value to a typed reader (``_int``, ``_str``, ``_matrix``, a
+``parse_*``, ...) at the pointer ``path/key``.  Three collection readers
+compose with it: ``_each`` reads an array and names item i ``path/i``,
+``_keyed`` reads a simplex-keyed object such as ``dims``, ``unit`` or
+``matrices``, and ``_ints`` reads an array of integers in one loop.  Only
+the readers form pointers.  A missing optional field takes its default; a
+``null`` one is refused like any other value of the wrong type, as the
+schema refuses it.  A ``schema_version``, where present, must be 1.
+
 Reports are plain dictionaries rendered with sorted keys, so identical
 inputs always produce byte-identical JSON.  ``render_report`` writes
 exactly the bytes of ``json.dumps(report, sort_keys=True, indent=2)`` and
@@ -37,17 +48,46 @@ from .exactla import RationalMatrix, as_fraction
 
 if TYPE_CHECKING:
     from . import bicomplex, localmodel, presheaf, simplicial, snc, toric
-    from .simplicial import Simplex
 
 SCHEMA_VERSION = 1
 
+_REQUIRED = object()
 
-def _get(doc: Mapping, key: str, path: str, required: bool = True, default=None):
-    if key not in doc:
-        if required:
-            raise SchemaError(f"{path}/{key}", "missing required field")
-        return default
-    return doc[key]
+
+def _at(doc: Mapping, key: str, path: str, read, *args, default=_REQUIRED):
+    """``doc[key]`` read by ``read(value, path/key, *args)``; a missing field is ``default``, or refused without one."""
+    if key in doc:
+        return read(doc[key], f"{path}/{key}", *args)
+    if default is _REQUIRED:
+        raise SchemaError(f"{path}/{key}", "missing required field")
+    return default
+
+
+def _each(value, path, read, *args) -> list:
+    """An array, item i read by ``read`` at ``path/i``."""
+    return [read(item, f"{path}/{i}", *args) for i, item in enumerate(_list(value, path))]
+
+
+def _keyed(value, path, read, *args) -> dict:
+    """An object keyed by simplices such as "0,2", each value read by ``read`` at its key's pointer."""
+    out = {}
+    for key, item in _obj(value, path).items():
+        at = f"{path}/{key}"
+        try:
+            simplex = tuple(int(part) for part in key.split(","))
+        except ValueError:
+            raise SchemaError(at, f"bad simplex key {key!r}, expected e.g. '0,2'") from None
+        out[simplex] = read(item, at, *args)
+    return out
+
+
+def _ints(value, path, minimum=None) -> tuple[int, ...]:
+    """An array of integers as a tuple, each checked as ``_int`` checks it, in one loop."""
+    items = _list(value, path)
+    for i, x in enumerate(items):
+        if type(x) is not int or minimum is not None and x < minimum:
+            _int(x, f"{path}/{i}", minimum)  # raises, unless x is an int subclass in range
+    return tuple(items)
 
 
 def _int(value, path, minimum=None) -> int:
@@ -58,28 +98,19 @@ def _int(value, path, minimum=None) -> int:
     return value
 
 
-def _list(value, path) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected an array")
-    return value
+def _typed(kind: type, name: str):
+    """A reader that returns a value of type ``kind`` as it is and refuses any other as "expected <name>"."""
+
+    def read(value, path):
+        if not isinstance(value, kind):
+            raise SchemaError(path, f"expected {name}")
+        return value
+
+    return read
 
 
-def _obj(value, path) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, "expected an object")
-    return value
-
-
-def _str(value, path) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, "expected a string")
-    return value
-
-
-def _bool(value, path) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(path, "expected a boolean")
-    return value
+_list, _obj = _typed(list, "an array"), _typed(dict, "an object")
+_str, _bool = _typed(str, "a string"), _typed(bool, "a boolean")
 
 
 # the plain ASCII "p/q" form, read with two int calls; every other string
@@ -156,209 +187,130 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
     return RationalMatrix._of(len(data), cols, num, den)
 
 
-def _vertex_tuple(value, path) -> Simplex:
-    items = _list(value, path)
-    return tuple(_int(x, f"{path}/{i}") for i, x in enumerate(items))
-
-
-def _parse_simplex_key(key: str, path: str) -> Simplex:
-    try:
-        return tuple(int(part) for part in key.split(","))
-    except ValueError:
-        raise SchemaError(path, f"bad simplex key {key!r}, expected e.g. '0,2'") from None
-
-
 def parse_complex(doc: Mapping, path: str = "") -> simplicial.SimplicialComplex:
-    simplicial = dualcech.simplicial
-    vertex_count = _int(_get(doc, "vertex_count", path), f"{path}/vertex_count", minimum=0)
-    facets = _list(_get(doc, "facets", path), f"{path}/facets")
-    parsed = [_vertex_tuple(f, f"{path}/facets/{i}") for i, f in enumerate(facets)]
-    return simplicial.from_facets(vertex_count, parsed)
+    doc = _obj(doc, path)
+    vertex_count = _at(doc, "vertex_count", path, _int, 0)
+    return dualcech.simplicial.from_facets(vertex_count, _at(doc, "facets", path, _each, _ints))
 
 
-def parse_presheaf_data(
-    doc: Mapping, base: simplicial.SimplicialComplex, path: str
-) -> presheaf.Presheaf:
-    presheaf = dualcech.presheaf
-    dims_doc = _obj(_get(doc, "dims", path), f"{path}/dims")
-    dims = {}
-    for key, value in dims_doc.items():
-        s = _parse_simplex_key(key, f"{path}/dims/{key}")
-        dims[s] = _int(value, f"{path}/dims/{key}", minimum=0)
-    spec = _get(doc, "restrictions", path, required=False, default=[])
+def _restriction(item, path, dims) -> tuple:
+    item = _obj(item, path)
+    sigma = _at(item, "from", path, _ints)
+    tau = _at(item, "to", path, _ints)
+    return (sigma, tau), _at(item, "matrix", path, _matrix, dims.get(tau, 0), dims.get(sigma, 0))
+
+
+def _restrictions(spec, path, base, dims) -> dict:
+    if spec not in ("identity", "zero"):
+        return dict(_each(spec, path, _restriction, dims))
     restrictions = {}
-    if spec in ("identity", "zero"):
-        for sigma, tau in base.face_pairs:
-            if dims.get(sigma, 0) and dims.get(tau, 0):
-                if spec == "zero":
-                    restrictions[(sigma, tau)] = RationalMatrix.zeros(dims[tau], dims[sigma])
-                    continue
-                if dims[sigma] != dims[tau]:
-                    raise SchemaError(
-                        f"{path}/restrictions",
-                        f"'identity' needs equal dims, got {dims[sigma]} -> {dims[tau]}",
-                    )
-                restrictions[(sigma, tau)] = RationalMatrix.identity(dims[tau])
-    else:
-        for i, item in enumerate(_list(spec, f"{path}/restrictions")):
-            item = _obj(item, f"{path}/restrictions/{i}")
-            sigma = _vertex_tuple(_get(item, "from", f"{path}/restrictions/{i}"), f"{path}/restrictions/{i}/from")
-            tau = _vertex_tuple(_get(item, "to", f"{path}/restrictions/{i}"), f"{path}/restrictions/{i}/to")
-            matrix = _matrix(
-                _get(item, "matrix", f"{path}/restrictions/{i}"),
-                f"{path}/restrictions/{i}/matrix",
-                rows=dims.get(tau, 0),
-                cols=dims.get(sigma, 0),
-            )
-            restrictions[(sigma, tau)] = matrix
+    for sigma, tau in base.face_pairs:
+        if dims.get(sigma, 0) and dims.get(tau, 0):
+            if spec == "zero":
+                restrictions[(sigma, tau)] = RationalMatrix.zeros(dims[tau], dims[sigma])
+                continue
+            if dims[sigma] != dims[tau]:
+                raise SchemaError(path, f"'identity' needs equal dims, got {dims[sigma]} -> {dims[tau]}")
+            restrictions[(sigma, tau)] = RationalMatrix.identity(dims[tau])
+    return restrictions
+
+
+def parse_presheaf_data(doc: Mapping, base: simplicial.SimplicialComplex, path: str) -> presheaf.Presheaf:
+    presheaf = dualcech.presheaf
+    dims = _at(doc, "dims", path, _keyed, _int, 0)
+    restrictions = _at(doc, "restrictions", path, _restrictions, base, dims, default={})
     return presheaf.make_presheaf(base, dims, restrictions)
 
 
 def parse_presheaf(doc: Mapping, path: str = "") -> presheaf.Presheaf:
-    base = parse_complex(_obj(_get(doc, "complex", path), f"{path}/complex"), f"{path}/complex")
-    return parse_presheaf_data(doc, base, path)
+    return parse_presheaf_data(doc, _at(doc, "complex", path, parse_complex), path)
 
 
-def _parse_restriction_field(value, path):
-    if value is None:
-        return None
+def _component(item, path) -> snc.Component:
+    item = _obj(item, path)
+    return dualcech.snc.Component(_at(item, "name", path, _str), _at(item, "dim", path, _int, 0))
+
+
+def _flavor(value, path) -> str:
+    if value not in (dualcech.snc.SHEAF, dualcech.snc.DERHAM):
+        raise SchemaError(path, "expected 'sheaf' or 'derham'")
+    return value
+
+
+def _restriction_field(value, path):
     if value in ("zero", "constant"):
         return value
-    value = _obj(value, path)
-    matrices_doc = _obj(_get(value, "matrices", path), f"{path}/matrices")
-    out = {}
-    for key, mat in matrices_doc.items():
-        face = _parse_simplex_key(key, f"{path}/matrices/{key}")
-        out[face] = _matrix(mat, f"{path}/matrices/{key}")
-    return out
+    return _at(_obj(value, path), "matrices", path, _keyed, _matrix)
+
+
+def _table_row(row, path, tables) -> None:
+    """Read one row of a divisor's ``tables`` into ``tables``, refusing a second row for its key."""
+    snc = dualcech.snc
+    row = _obj(row, path)
+    t = _at(row, "tuple", path, _ints)
+    flavor = _at(row, "flavor", path, _flavor, default=snc.SHEAF)
+    r = _at(row, "r", path, _int, 0, default=0)
+    q = _at(row, "q", path, _int, 0)
+    dim = _at(row, "dim", path, _int, 0)
+    restriction = _at(row, "restriction", path, _restriction_field, default=None)
+    key = (t, flavor, r, q)
+    if key in tables:
+        raise SchemaError(path, f"duplicate table row for {key}")
+    tables[key] = snc.TableEntry(dim, restriction)
 
 
 def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
     snc = dualcech.snc
-    comps_doc = _list(_get(doc, "components", path), f"{path}/components")
-    components = []
-    for i, c in enumerate(comps_doc):
-        c = _obj(c, f"{path}/components/{i}")
-        components.append(
-            snc.Component(
-                _str(_get(c, "name", f"{path}/components/{i}"), f"{path}/components/{i}/name"),
-                _int(_get(c, "dim", f"{path}/components/{i}"), f"{path}/components/{i}/dim", minimum=0),
-            )
-        )
-    mults_doc = _get(doc, "multiplicities", path, required=False)
-    multiplicities = None
-    if mults_doc is not None:
-        multiplicities = [
-            _int(m, f"{path}/multiplicities/{i}", minimum=1)
-            for i, m in enumerate(_list(mults_doc, f"{path}/multiplicities"))
-        ]
-    strata = [
-        _vertex_tuple(t, f"{path}/strata/{i}")
-        for i, t in enumerate(_list(_get(doc, "strata", path), f"{path}/strata"))
-    ]
+    components = _at(doc, "components", path, _each, _component)
+    multiplicities = _at(doc, "multiplicities", path, _ints, 1, default=None)
+    strata = _at(doc, "strata", path, _each, _ints)
     tables = {}
-    for i, row in enumerate(_list(_get(doc, "tables", path, required=False, default=[]), f"{path}/tables")):
-        row_path = f"{path}/tables/{i}"
-        row = _obj(row, row_path)
-        t = _vertex_tuple(_get(row, "tuple", row_path), f"{row_path}/tuple")
-        flavor = _get(row, "flavor", row_path, required=False, default=snc.SHEAF)
-        if flavor not in (snc.SHEAF, snc.DERHAM):
-            raise SchemaError(f"{row_path}/flavor", "expected 'sheaf' or 'derham'")
-        r = _int(_get(row, "r", row_path, required=False, default=0), f"{row_path}/r", minimum=0)
-        q = _int(_get(row, "q", row_path), f"{row_path}/q", minimum=0)
-        dim = _int(_get(row, "dim", row_path), f"{row_path}/dim", minimum=0)
-        restriction = _parse_restriction_field(
-            _get(row, "restriction", row_path, required=False), f"{row_path}/restriction"
-        )
-        key = (t, flavor, r, q)
-        if key in tables:
-            raise SchemaError(row_path, f"duplicate table row for {key}")
-        tables[key] = snc.TableEntry(dim, restriction)
-    irreducible = _get(doc, "irreducible", path, required=False, default=True)
-    return snc.make_snc_divisor(
-        components,
-        strata,
-        tables,
-        multiplicities=multiplicities,
-        irreducible=_bool(irreducible, f"{path}/irreducible"),
-    )
+    _at(doc, "tables", path, _each, _table_row, tables, default=None)
+    irreducible = _at(doc, "irreducible", path, _bool, default=True)
+    return snc.make_snc_divisor(components, strata, tables, multiplicities=multiplicities, irreducible=irreducible)
 
 
 def parse_rational_check(doc: Mapping, divisor: snc.SncDivisor, path: str):
     snc = dualcech.snc
     section = _obj(doc, path)
-    claimed = _bool(_get(section, "claimed_rational", path), f"{path}/claimed_rational")
+    claimed = _at(section, "claimed_rational", path, _bool)
     delta = snc.dual_complex(divisor)
     sections_presheaf = parse_presheaf_data(section, delta, path)
-    unit_doc = _obj(_get(section, "unit", path), f"{path}/unit")
-    unit = {}
-    for key, vec in unit_doc.items():
-        s = _parse_simplex_key(key, f"{path}/unit/{key}")
-        unit[s] = [_rational(x, f"{path}/unit/{key}/{i}") for i, x in enumerate(_list(vec, f"{path}/unit/{key}"))]
-    return claimed, sections_presheaf, unit
+    return claimed, sections_presheaf, _at(section, "unit", path, _keyed, _each, _rational)
 
 
 def parse_fan(doc: Mapping, path: str = "") -> tuple[toric.Fan, list[int]]:
     toric = dualcech.toric
-    n = _int(_get(doc, "n", path), f"{path}/n", minimum=0)
-    rays = [
-        [_int(x, f"{path}/rays/{i}/{j}") for j, x in enumerate(_list(ray, f"{path}/rays/{i}"))]
-        for i, ray in enumerate(_list(_get(doc, "rays", path), f"{path}/rays"))
-    ]
-    cones = [
-        [_int(x, f"{path}/cones/{i}/{j}", minimum=0) for j, x in enumerate(_list(cone, f"{path}/cones/{i}"))]
-        for i, cone in enumerate(_list(_get(doc, "cones", path), f"{path}/cones"))
-    ]
-    fan = toric.make_fan(n, rays, cones)
-    selected_doc = _get(doc, "selected_rays", path, required=False)
-    if selected_doc is None:
-        selected = list(range(len(fan.rays)))
-    else:
-        selected = [
-            _int(x, f"{path}/selected_rays/{i}", minimum=0)
-            for i, x in enumerate(_list(selected_doc, f"{path}/selected_rays"))
-        ]
-    return fan, selected
+    n = _at(doc, "n", path, _int, 0)
+    rays = _at(doc, "rays", path, _each, _ints)
+    fan = toric.make_fan(n, rays, _at(doc, "cones", path, _each, _ints, 0))
+    selected = _at(doc, "selected_rays", path, _ints, 0, default=None)
+    return fan, list(range(len(fan.rays)) if selected is None else selected)
 
 
 def parse_localmodel(doc: Mapping, path: str = "") -> localmodel.LocalModelSpec:
     localmodel = dualcech.localmodel
-    n = _int(_get(doc, "n", path), f"{path}/n", minimum=1)
-    components = [
-        _int(x, f"{path}/components/{i}", minimum=1)
-        for i, x in enumerate(_list(_get(doc, "components", path), f"{path}/components"))
-    ]
-    multiplicities = [
-        _int(x, f"{path}/multiplicities/{i}", minimum=1)
-        for i, x in enumerate(_list(_get(doc, "multiplicities", path), f"{path}/multiplicities"))
-    ]
-    bound = _get(doc, "degree_bound", path, required=False)
-    if bound is not None:
-        bound = _int(bound, f"{path}/degree_bound", minimum=0)
+    n = _at(doc, "n", path, _int, 1)
+    components = _at(doc, "components", path, _ints, 1)
+    multiplicities = _at(doc, "multiplicities", path, _ints, 1)
+    bound = _at(doc, "degree_bound", path, _int, 0, default=None)
     return localmodel.make_local_model(n, components, multiplicities, bound)
+
+
+def _placed_matrix(item, path) -> tuple:
+    item = _obj(item, path)
+    return (_at(item, "p", path, _int, 0), _at(item, "q", path, _int, 0)), _at(item, "matrix", path, _matrix)
 
 
 def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex.Bicomplex:
     bicomplex = dualcech.bicomplex
-    dims_doc = _list(_get(doc, "dims", path), f"{path}/dims")
-    dims = {}
-    for q, row in enumerate(dims_doc):
-        for p, d in enumerate(_list(row, f"{path}/dims/{q}")):
-            dims[(p, q)] = _int(d, f"{path}/dims/{q}/{p}", minimum=0)
+    rows = _at(doc, "dims", path, _each, _ints, 0)
+    dims = {(p, q): d for q, row in enumerate(rows) for p, d in enumerate(row)}
     if not dims:
         raise SchemaError(f"{path}/dims", "bicomplex needs at least one cell")
-
-    def parse_maps(field):
-        out = {}
-        for i, item in enumerate(_list(_get(doc, field, path, required=False, default=[]), f"{path}/{field}")):
-            item_path = f"{path}/{field}/{i}"
-            item = _obj(item, item_path)
-            p = _int(_get(item, "p", item_path), f"{item_path}/p", minimum=0)
-            q = _int(_get(item, "q", item_path), f"{item_path}/q", minimum=0)
-            out[(p, q)] = _matrix(_get(item, "matrix", item_path), f"{item_path}/matrix")
-        return out
-
-    return bicomplex.make_bicomplex(dims, parse_maps("horizontal"), parse_maps("vertical"))
+    horizontal = _at(doc, "horizontal", path, _each, _placed_matrix, default=())
+    vertical = _at(doc, "vertical", path, _each, _placed_matrix, default=())
+    return bicomplex.make_bicomplex(dims, dict(horizontal), dict(vertical))
 
 
 PARSERS = {
@@ -382,6 +334,19 @@ def parse_document(doc: Mapping):
     return PARSERS[doc["kind"]](doc)
 
 
+def _kind(value, path) -> str:
+    kind = _str(value, path)
+    if kind not in KINDS:
+        raise SchemaError(path, f"unknown document kind {kind!r}, expected one of {KINDS}")
+    return kind
+
+
+def _version(value, path) -> int:
+    if _int(value, path) != SCHEMA_VERSION:
+        raise SchemaError(path, f"unsupported schema version {value}, expected {SCHEMA_VERSION}")
+    return value
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -392,9 +357,8 @@ def load_document(path: str) -> dict:
         # JSONDecodeError, UnicodeDecodeError and an int past Python's digit limit are ValueErrors
         raise SchemaError("", f"not valid JSON: {exc}") from None
     doc = _obj(doc, "")
-    kind = _str(_get(doc, "kind", ""), "/kind")
-    if kind not in KINDS:
-        raise SchemaError("/kind", f"unknown document kind {kind!r}, expected one of {KINDS}")
+    _at(doc, "kind", "", _kind)
+    _at(doc, "schema_version", "", _version, default=None)
     return doc
 
 

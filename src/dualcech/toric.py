@@ -10,8 +10,10 @@ cones, and no face closure is built: the dual complex is enumerated once,
 from the selected part of each maximal cone.  Each maximal cone is
 decided once from its rays as sparse integer rows, a full-dimensional one
 by their determinant and a smaller one by their Smith normal form, with
-no matrix built.  No polytopes, no ampleness;
-projectivity is asserted by the caller.
+no matrix built.  A selected ray whose stratum is visibly not complete,
+through a maximal cone that is not full-dimensional or a facet of one
+full-dimensional cone, is refused (``check_complete_strata``).  No
+polytopes, no ampleness; projectivity is asserted by the caller.
 """
 
 from __future__ import annotations
@@ -143,17 +145,28 @@ def _angular_compare(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return -_cross(u, v)
 
 
+def _facet_owners(top: list[frozenset[int]]) -> dict[frozenset[int], list[int]]:
+    """Each facet of the given full-dimensional cones, with the positions in ``top`` of the cones it lies in."""
+    owners: dict[frozenset[int], list[int]] = {}
+    for k, c in enumerate(top):
+        for i in c:
+            owners.setdefault(c - {i}, []).append(k)
+    return owners
+
+
 def completeness_certificate(f: Fan) -> str:
     """Exact completeness check in dimension <= 2, necessary conditions above.
 
     In dimension at least 3 only a partial test runs: every codimension-1
-    cone must lie in exactly two full-dimensional cones and those must form
-    a connected adjacency graph.  Passing yields "uncertified", not a
-    certificate; a failure names the offending codimension-1 cone that is
-    smallest by its sorted ray list.  The codimension-1 cones are the
-    facets of the full-dimensional cones and the maximal cones with n - 1
-    rays, since a cone with n - 1 rays is either maximal or a facet of a
-    cone with n.
+    cone must lie in exactly two full-dimensional cones, those must form
+    a connected adjacency graph, and no maximal cone may have fewer than
+    n - 1 rays, since every cone of a complete fan lies in a
+    full-dimensional one.  Passing yields "uncertified", not a
+    certificate; a failure names the offending cone that is smallest by
+    its sorted ray list, a codimension-1 one before a maximal one with
+    fewer rays.  The codimension-1 cones are the facets of the full-dimensional
+    cones and the maximal cones with n - 1 rays, since a cone with n - 1
+    rays is either maximal or a facet of a cone with n.
     """
     n = f.dim
     if n == 0:
@@ -189,10 +202,7 @@ def completeness_certificate(f: Fan) -> str:
     top = [c for c in f.maximal if len(c) == n]
     if not top:
         raise NecessaryConditionFailed("no full-dimensional cones")
-    owners: dict[frozenset[int], list[int]] = {}
-    for k, c in enumerate(top):
-        for i in c:
-            owners.setdefault(c - {i}, []).append(k)
+    owners = _facet_owners(top)
     counts = {facet: len(k) for facet, k in owners.items()}
     counts.update((c, 0) for c in f.maximal if len(c) == n - 1)
     bad = min(((sorted(c), count) for c, count in counts.items() if count != 2), default=None)
@@ -210,7 +220,36 @@ def completeness_certificate(f: Fan) -> str:
                     queue.append(k)
     if len(seen) != len(top):
         raise NecessaryConditionFailed("full-dimensional cones are not connected through facets")
+    # a maximal cone with n - 1 rays has failed the count above
+    stray = min((sorted(c) for c in f.maximal if len(c) < n - 1), default=None)
+    if stray is not None:
+        raise NecessaryConditionFailed(f"cone {stray} lies in no full-dimensional cone")
     return UNCERTIFIED
+
+
+def check_complete_strata(f: Fan, selected_rays) -> None:
+    """Refuse a selected ray whose stratum V(rho) is not complete.
+
+    V(rho) contains V(sigma) as a closed subvariety for every cone sigma
+    that contains rho, and a closed subvariety of a complete variety is
+    complete.  V(sigma) is a torus of positive dimension when sigma is a
+    maximal cone with fewer than n rays, and an affine line when sigma is
+    a facet of exactly one full-dimensional cone; either way V(rho) is not
+    complete, and the constant h^0 = 1 that ``toric_snc_cohomology``
+    assumes for it is wrong.  The refusal names the smallest such ray and,
+    for it, the smallest such cone by its sorted ray list.  A fan that
+    passes ``completeness_certificate`` has neither kind of cone, so the
+    caller need only run this when the certificate fails.
+    """
+    n = f.dim
+    selected = set(selected_rays)
+    owners = _facet_owners([c for c in f.maximal if len(c) == n])
+    bad = [(c, f"is maximal with fewer than {n} rays") for c in f.maximal if len(c) < n]
+    bad += [(c, "is a facet of only one full-dimensional cone") for c, k in owners.items() if len(k) == 1]
+    found = min(((ray, sorted(c), why) for c, why in bad for ray in c & selected), default=None)
+    if found is not None:
+        ray, cone, why = found
+        raise InvalidInput(f"the stratum of ray {ray} is not complete: cone {cone} {why}")
 
 
 def projective_space_fan(n: int) -> Fan:
@@ -255,7 +294,8 @@ def toric_snc_cohomology(f: Fan, selected_rays) -> CohomologyReport:
     row is the cohomology of the constant presheaf on the dual complex,
     whose Cech complex is its coboundary complex: the Betti numbers.  The
     constant h^0 = 1 on every stratum assumes complete strata, which the
-    caller asserts; ``completeness_certificate`` is not consulted.
+    caller establishes (``cli`` by a passing ``completeness_certificate``,
+    or else ``check_complete_strata``); neither is consulted here.
     """
     betti = betti_numbers(boundary_complex(f, selected_rays))
     summands = tuple(Summand(p, 0, b, "sheaf r=0 q=0") for p, b in enumerate(betti))

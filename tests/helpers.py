@@ -1033,9 +1033,11 @@ def oracle_facet_certificate(f: toric.Fan) -> str:
     """The completeness test of a fan of dimension >= 3 by direct scans.
 
     Every codimension-1 cone of the face closure, smallest sorted ray list
-    first, is compared with every full-dimensional cone, and the adjacency
-    graph is walked by comparing every pair of full cones.  Same verdicts
-    and messages as ``toric.completeness_certificate``.
+    first, is compared with every full-dimensional cone, the adjacency
+    graph is walked by comparing every pair of full cones, and every cone
+    of the closure with fewer than n - 1 rays is compared with every other
+    cone, to find the maximal ones.  Same verdicts and messages as
+    ``toric.completeness_certificate``.
     """
     n = f.dim
     cones = oracle_cone_closure(f.maximal)
@@ -1058,6 +1060,9 @@ def oracle_facet_certificate(f: toric.Fan) -> str:
                 queue.append(k)
     if len(seen) != len(top):
         raise NecessaryConditionFailed("full-dimensional cones are not connected through facets")
+    stray = [c for c in cones if 0 < len(c) < n - 1 and not any(c < other for other in cones)]
+    if stray:
+        raise NecessaryConditionFailed(f"cone {min(sorted(c) for c in stray)} lies in no full-dimensional cone")
     return toric.UNCERTIFIED
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcech import cli, formats, simplicial
+from dualcech.errors import DualCechError
 
 from helpers import (
     bicomplex_document,
@@ -378,19 +379,32 @@ def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
     assert run_cli(capsys, "toric", input_path("p1xp1_fan.json"), "--json") == reused
 
 
+A2_RESOLUTION = {"n": 2, "rays": [[1, 0], [1, 1], [1, 2], [1, 3]], "cones": [[0, 1], [1, 2], [2, 3]]}
+WEDGE = {"n": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
+# the fan of P^3 and the ray (1, 1, 0) listed as a cone of its own, which the completeness test fails
+STRAY_RAY = {
+    "n": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 0]],
+    "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [4]],
+}
+BOUNDARY_RAY = "the stratum of ray {0} is not complete: cone [{0}] is a facet of only one full-dimensional cone"
+
+
 def test_toric_incomplete_fan_still_computes(capsys, tmp_path):
-    doc = {
-        "kind": "fan",
-        "n": 2,
-        "rays": [[1, 0], [0, 1]],
-        "cones": [[0, 1]],
-    }
-    path = tmp_path / "wedge.json"
-    path.write_text(json.dumps(doc))
+    # the interior rays of the A_2 resolution cut out the exceptional curves,
+    # which are complete; the wedge's rays cut out affine lines
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"kind": "fan", **A2_RESOLUTION, "selected_rays": [1, 2]}))
     code, report = run_json(capsys, "toric", str(path))
     assert code == 0
     assert report["result"]["totals"] == [1, 0]
     assert report["result"]["completeness"].startswith("failed:")
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps({"kind": "fan", **WEDGE}))
+    assert cli.main(["toric", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not complete" in captured.err
 
 
 SINGULAR_FAN = {"n": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
@@ -405,8 +419,24 @@ P2_FAN = {"n": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], 
         (P2_FAN, [0, 3], "selected ray index out of range"),
         # smoothness is a property of the fan and is refused before the selection
         (SINGULAR_FAN, [], "boundary components of a singular fan are not handled"),
+        (A2_RESOLUTION, None, BOUNDARY_RAY.format(0)),
+        (WEDGE, None, BOUNDARY_RAY.format(0)),
+        (A2_RESOLUTION, [2, 3], BOUNDARY_RAY.format(3)),
+        (STRAY_RAY, [0, 4], "the stratum of ray 4 is not complete: cone [4] is maximal with fewer than 3 rays"),
+        # an incomplete stratum is refused after the selection is validated
+        (WEDGE, [0, 2], "selected ray index out of range"),
     ],
-    ids=["singular", "empty-selection", "out-of-range", "singular-before-empty"],
+    ids=[
+        "singular",
+        "empty-selection",
+        "out-of-range",
+        "singular-before-empty",
+        "a2-every-ray",
+        "wedge",
+        "a2-boundary-ray",
+        "stray-ray",
+        "out-of-range-before-stratum",
+    ],
 )
 def test_toric_refusals_and_their_order(capsys, tmp_path, fan, selected, message):
     doc = {"schema_version": 1, "kind": "fan", **fan}
@@ -687,10 +717,8 @@ def _slots(value, out):
     return out
 
 
-@settings(max_examples=200)
-@given(st.data())
-def test_cli_survives_mutated_documents(fuzz_inputs, data):
-    docs, path = fuzz_inputs
+def _mutated(docs, data):
+    """A committed document with one to three slots deleted, replaced or duplicated."""
     doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)))])
     for _ in range(data.draw(st.integers(1, 3))):
         container, key = data.draw(st.sampled_from(_slots(doc, [(None, None)])))
@@ -703,8 +731,65 @@ def test_cli_survives_mutated_documents(fuzz_inputs, data):
             container.insert(key, copy.deepcopy(container[key]))
         else:
             container[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
+    return doc
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_cli_survives_mutated_documents(fuzz_inputs, data):
+    docs, path = fuzz_inputs
+    doc = _mutated(docs, data)
     path.write_text(json.dumps(doc), encoding="utf-8")
     for command in cli.COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([command, str(path), "--json"])
         assert code in (0, 1, 2), (command, doc)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_documents_formats_accepts_validate_against_schema(fuzz_inputs, data):
+    # whatever formats accepts, the published schema accepts.  The converse
+    # does not hold, by design: formats also checks minimums, tuple order and
+    # matrix shapes, which the schema does not state.  The mutator adds no
+    # key, so the schema's refusal of unknown keys is not exercised here
+    docs, path = fuzz_inputs
+    doc = _mutated(docs, data)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        parsed = formats.parse_document(formats.load_document(str(path)))
+        if "rational_check" in doc:
+            formats.parse_rational_check(doc["rational_check"], parsed, "/rational_check")
+    except DualCechError:
+        return
+    assert schema_errors(doc, load_schema("input.v1.schema.json")) == [], doc
+
+
+# documents the schema refuses: a schema version other than 1, and null in an
+# optional field, which is refused rather than read as a missing field
+@pytest.mark.parametrize(
+    "command, name, field, value, message",
+    [
+        ("betti", "triangle_boundary.json", ["schema_version"], 2,
+         "/schema_version: unsupported schema version 2, expected 1"),
+        ("toric", "pn_fan_2.json", ["selected_rays"], None, "/selected_rays: expected an array"),
+        ("snc-cohomology", "pn_hyperplanes_2.json", ["multiplicities"], None, "/multiplicities: expected an array"),
+        ("verify-lemma31", "lm_2_1_1.json", ["degree_bound"], None, "/degree_bound: expected an integer"),
+        ("hodge", "three_lines_p2.json", ["tables", 0, "restriction"], None,
+         "/tables/0/restriction: expected an object"),
+    ],
+    ids=["schema-version-2", "null-selected-rays", "null-multiplicities", "null-degree-bound", "null-restriction"],
+)
+def test_documents_the_schema_refuses_exit_1(capsys, tmp_path, command, name, field, value, message):
+    with open(input_path(name), encoding="utf-8") as f:
+        doc = json.load(f)
+    holder = doc
+    for key in field[:-1]:
+        holder = holder[key]
+    holder[field[-1]] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -194,3 +194,21 @@ def test_report_writer_matches_json_dumps(value):
     assert _written(formats.render_report, value) == _written(
         lambda v: json.dumps(v, sort_keys=True, indent=2) + "\n", value
     )
+
+
+INT_ITEMS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.floats(), st.text(max_size=2))
+
+
+@given(st.one_of(st.lists(INT_ITEMS, max_size=5), INT_ITEMS), st.none() | st.integers(-1, 2))
+@example([1, True, 3], None)
+@example([2, 0, -1], 1)
+@settings(max_examples=300)
+def test_int_array_reader_matches_itemwise_reads(value, minimum):
+    # _ints is _each over _int written as one loop: same tuple, or the same first refusal
+    def outcome(read):
+        try:
+            return tuple(read(value, "/a", minimum))
+        except SchemaError as exc:
+            return ("error", exc.pointer, exc.message)
+
+    assert outcome(formats._ints) == outcome(lambda v, p, m: formats._each(v, p, formats._int, m))

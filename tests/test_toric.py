@@ -259,12 +259,19 @@ ONE_CONE_FAN = (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
 THREE_OWNER_FAN = (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, -1]], [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
 # a maximal 2-ray cone, [0, 1], lies in no full cone and comes before the facets of the octant
 STRAY_FACET_FAN = (3, [[-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1], [2, 3, 4]])
+# the fan of P^3 and a ray (1, 1, 0) listed as a cone of its own: every facet lies in two full cones
+STRAY_RAY_FAN = (
+    3,
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 0]],
+    [list(c) for c in combinations(range(4), 3)] + [[4]],
+)
 
 COMPLETENESS_FANS = [
     *ORACLE_FANS,
     ONE_CONE_FAN,
     THREE_OWNER_FAN,
     STRAY_FACET_FAN,
+    STRAY_RAY_FAN,
     # two closed shells of full cones, every facet in two cones, no facet shared between them
     (
         3,
@@ -285,13 +292,15 @@ def test_completeness_certificate_matches_direct_scans(seed):
         outcome = _certificate_or_message(toric.completeness_certificate, f)
         assert outcome == _certificate_or_message(oracle_facet_certificate, f), (dim, rays, cones)
         outcomes.add(outcome.split(" lies in ")[-1])
-    # certified shapes, facets with no owner, one or three, and a disconnected fan all occur
+    # certified shapes, facets with no owner, one or three, a disconnected fan
+    # and a stray cone all occur
     assert outcomes == {
         UNCERTIFIED,
         "0 full cones, expected 2",
         "1 full cones, expected 2",
         "3 full cones, expected 2",
         "failed: full-dimensional cones are not connected through facets",
+        "no full-dimensional cone",
     }
 
 
@@ -301,6 +310,7 @@ def test_completeness_certificate_matches_direct_scans(seed):
         (ONE_CONE_FAN, "codimension-1 cone [0, 1] lies in 1 full cones, expected 2"),
         (THREE_OWNER_FAN, "codimension-1 cone [0, 1] lies in 3 full cones, expected 2"),
         (STRAY_FACET_FAN, "codimension-1 cone [0, 1] lies in 0 full cones, expected 2"),
+        (STRAY_RAY_FAN, "cone [4] lies in no full-dimensional cone"),
     ],
 )
 def test_completeness_failure_names_the_smallest_facet(shape, message):
@@ -353,3 +363,40 @@ def test_boundary_complex_matches_closure_filter_oracle(seed):
         for selected in selections:
             got = _outcome(toric.boundary_complex, f, selected)
             assert got == _outcome(oracle_boundary_complex, f, selected), (dim, rays, selected)
+
+
+# the resolution of an A_2 point, whose boundary rays 0 and 3 each lie in one full cone
+A2_RESOLUTION_FAN = (2, [[1, 0], [1, 1], [1, 2], [1, 3]], [[0, 1], [1, 2], [2, 3]])
+WEDGE_FAN = (2, [[1, 0], [0, 1]], [[0, 1]])
+
+
+def _stratum_refusal(f, selected):
+    try:
+        toric.check_complete_strata(f, selected)
+    except InvalidInput as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_complete_strata_check_matches_direct_scan(seed):
+    # a ray's stratum is refused exactly when a cone of the face closure through
+    # it is maximal and not full-dimensional, or a facet of one full cone
+    rng = random.Random(seed)
+    refused_any = False
+    for dim, rays, cones in [*COMPLETENESS_FANS, A2_RESOLUTION_FAN, WEDGE_FAN]:
+        if not oracle_fan_verdict(dim, rays, cones)[0]:
+            continue
+        f = toric.make_fan(dim, disguised_rays(rng, rays), cones)
+        closure = oracle_cone_closure(f.maximal)
+        top = [c for c in closure if len(c) == dim]
+        stray = [c for c in closure if 0 < len(c) < dim and not any(c < d for d in closure)]
+        bad = stray + [c for c in closure if len(c) == dim - 1 and sum(c < t for t in top) == 1]
+        for ray in range(len(rays)):
+            refusal = _stratum_refusal(f, [ray])
+            assert (refusal is not None) == any(ray in c for c in bad), (dim, rays, cones, ray)
+            refused_any = refused_any or refusal is not None
+        # a fan that passes the certificate has no incomplete stratum
+        if _certificate_or_message(toric.completeness_certificate, f) in (CERTIFIED, UNCERTIFIED):
+            assert _stratum_refusal(f, range(len(rays))) is None
+    assert refused_any
