@@ -251,6 +251,25 @@ def p1xp1_fan() -> dict:
     }
 
 
+def a2_resolution_fan(selected_rays: list[int] | None = None) -> dict:
+    """The resolution of an A_2 point: its fan fails the completeness test.
+
+    With every ray selected, ``toric`` refuses ray 0, whose stratum is an
+    affine line; the interior rays 1 and 2 cut out the two exceptional
+    curves, which are complete, and give totals (1, 0).
+    """
+    doc = {
+        "kind": "fan",
+        "schema_version": 1,
+        "n": 2,
+        "rays": [[1, 0], [1, 1], [1, 2], [1, 3]],
+        "cones": [[0, 1], [1, 2], [2, 3]],
+    }
+    if selected_rays is not None:
+        doc["selected_rays"] = selected_rays
+    return doc
+
+
 def nonzero_d2_bicomplex() -> dict:
     """Three columns, two rows, one unavoidable differential on the second page."""
     return {
@@ -420,6 +439,8 @@ def main() -> None:
     for n in (1, 2, 3):
         write(f"pn_fan_{n}.json", pn_fan(n))
     write("p1xp1_fan.json", p1xp1_fan())
+    write("a2_resolution_fan.json", a2_resolution_fan())
+    write("a2_interior_rays.json", a2_resolution_fan([1, 2]))
     write(
         "lm_2_1_1.json",
         {

@@ -40,7 +40,6 @@ from .errors import (
     HodgeMismatch,
     InputError,
     InvalidInput,
-    NecessaryConditionFailed,
     SchemaError,
 )
 
@@ -156,18 +155,10 @@ def cmd_euler(divisor, doc, args):
 def cmd_toric(fan_and_selected, doc, args):
     simplicial, toric = dualcech.simplicial, dualcech.toric
     fan, selected = fan_and_selected
-    # the totals are the Betti numbers of the dual complex, which assume that
-    # every selected stratum is complete.  A fan that passes the certificate
-    # has no cone of the kinds check_complete_strata refuses, so only a failed
-    # one is checked, after the selection is validated.  Projectivity is the
+    # the totals are the Betti numbers of the dual complex; checked_boundary
+    # refuses a selected stratum that is not complete.  Projectivity is the
     # caller's assertion
-    try:
-        certificate, failed = toric.completeness_certificate(fan), False
-    except NecessaryConditionFailed as exc:
-        certificate, failed = f"failed: {exc}", True
-    delta = toric.boundary_complex(fan, selected)
-    if failed:
-        toric.check_complete_strata(fan, selected)
+    certificate, delta = toric.checked_boundary(fan, selected)
     totals = simplicial.betti_numbers(delta)
     # one Euler cross-check: face numbers against the alternating sum of the totals
     return {

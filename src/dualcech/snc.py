@@ -70,8 +70,7 @@ class Summand(NamedTuple):
 
 
 class CohomologyReport(NamedTuple):
-    """Total dimensions and the summands E^{p,q} they sum, as ``_assemble`` builds them
-    (``toric.toric_snc_cohomology`` builds its one row q = 0 the same way).
+    """Total dimensions and the summands E^{p,q} they sum, as ``_assemble`` builds them.
 
     ``totals[k]`` is the sum of ``dim`` over the summands with p + q = k.
     """
@@ -388,8 +387,9 @@ def combinatorial_cohomology_check(d: SncDivisor) -> CohomologyReport:
     cohomology is the Betti table of the dual complex; verify and return it.
 
     This is for divisors whose tables tabulate that vanishing, row by row.
-    Toric boundaries never come through here: ``toric.toric_snc_cohomology``
-    holds the vanishing by construction and ranks the dual complex itself.
+    Toric boundaries never come through here: ``toric.checked_boundary``
+    holds the vanishing by construction, and its dual complex is ranked
+    by ``simplicial.betti_numbers`` directly.
 
     Only the hypothesis is verified here: every table row above q = 0
     that ``structure_sheaf_cohomology`` would read, up to the largest

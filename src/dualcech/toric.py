@@ -10,10 +10,12 @@ cones, and no face closure is built: the dual complex is enumerated once,
 from the selected part of each maximal cone.  Each maximal cone is
 decided once from its rays as sparse integer rows, a full-dimensional one
 by their determinant and a smaller one by their Smith normal form, with
-no matrix built.  A selected ray whose stratum is visibly not complete,
-through a maximal cone that is not full-dimensional or a facet of one
-full-dimensional cone, is refused (``check_complete_strata``).  No
-polytopes, no ampleness; projectivity is asserted by the caller.
+no matrix built.  ``checked_boundary`` is the one path from a fan and a
+selection to the dual complex: it runs the completeness test and refuses
+a selected ray whose stratum is visibly not complete, through a maximal
+cone that is not full-dimensional or a facet of one full-dimensional
+cone (``check_complete_strata``).  No polytopes, no ampleness;
+projectivity is asserted by the caller.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import NamedTuple
 
 from . import exactla
 from .errors import InvalidInput, NecessaryConditionFailed, NotSmooth
-from .simplicial import SimplicialComplex, betti_numbers, from_facets
-from .snc import CohomologyReport, Summand
+from .simplicial import SimplicialComplex, from_facets
 # combinatorial_cohomology_check is unused here; perfbench/spans.py traces it as a name bound in this module
 from .snc import combinatorial_cohomology_check  # noqa: F401
 
@@ -235,11 +236,12 @@ def check_complete_strata(f: Fan, selected_rays) -> None:
     complete.  V(sigma) is a torus of positive dimension when sigma is a
     maximal cone with fewer than n rays, and an affine line when sigma is
     a facet of exactly one full-dimensional cone; either way V(rho) is not
-    complete, and the constant h^0 = 1 that ``toric_snc_cohomology``
-    assumes for it is wrong.  The refusal names the smallest such ray and,
-    for it, the smallest such cone by its sorted ray list.  A fan that
-    passes ``completeness_certificate`` has neither kind of cone, so the
-    caller need only run this when the certificate fails.
+    complete, and the constant h^0 = 1 that reading the boundary's
+    cohomology off the Betti numbers assumes for it is wrong.  The refusal
+    names the smallest such ray and, for it, the smallest such cone by its
+    sorted ray list.  A fan that passes ``completeness_certificate`` has
+    neither kind of cone, so ``checked_boundary`` runs this only when the
+    certificate fails.
     """
     n = f.dim
     selected = set(selected_rays)
@@ -285,18 +287,25 @@ def boundary_complex(f: Fan, selected_rays) -> SimplicialComplex:
     return from_facets(len(selected), facets)
 
 
-def toric_snc_cohomology(f: Fan, selected_rays) -> CohomologyReport:
-    """Structure-sheaf cohomology of the boundary configuration; purely combinatorial.
+def checked_boundary(f: Fan, selected_rays) -> tuple[str, SimplicialComplex]:
+    """The completeness verdict and the dual complex of the selected rays' boundary.
 
-    The stratum of a cone sigma is the toric variety V(sigma), which has
-    H^q(O) = 0 for q > 0 (Demazure vanishing), so by construction every
-    layer above q = 0 is identically zero and only E^{p,0} survives.  That
-    row is the cohomology of the constant presheaf on the dual complex,
-    whose Cech complex is its coboundary complex: the Betti numbers.  The
-    constant h^0 = 1 on every stratum assumes complete strata, which the
-    caller establishes (``cli`` by a passing ``completeness_certificate``,
-    or else ``check_complete_strata``); neither is consulted here.
+    Every stratum V(sigma) is a toric variety with H^q(O) = 0 for q > 0
+    (Demazure vanishing), so only the row q = 0 survives, and it is the
+    cohomology of the constant presheaf on the dual complex: the boundary's
+    structure-sheaf cohomology is ``betti_numbers`` of the complex returned.
+    The constant h^0 = 1 needs every selected stratum complete.  The
+    verdict is ``completeness_certificate``'s, or "failed: <reason>"; then,
+    after ``boundary_complex`` has validated the selection,
+    ``check_complete_strata`` refuses a selected ray whose stratum is not
+    complete.  A passing certificate rules out both kinds of cone it looks
+    for, so a complete fan pays nothing more.
     """
-    betti = betti_numbers(boundary_complex(f, selected_rays))
-    summands = tuple(Summand(p, 0, b, "sheaf r=0 q=0") for p, b in enumerate(betti))
-    return CohomologyReport(tuple(betti), summands)
+    try:
+        certificate = completeness_certificate(f)
+    except NecessaryConditionFailed as exc:
+        certificate = f"failed: {exc}"
+    delta = boundary_complex(f, selected_rays)
+    if certificate not in (CERTIFIED, UNCERTIFIED):
+        check_complete_strata(f, selected_rays)
+    return certificate, delta

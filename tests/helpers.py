@@ -1431,11 +1431,26 @@ def bicomplex_document(b: Bicomplex) -> dict:
 # ------------------------------------------------------- schema validation
 
 
+def json_equal(a, b) -> bool:
+    """Equality of JSON values: a boolean equals only the same boolean, and 1.0 equals 1.
+
+    Python's ``==`` has ``True == 1`` and ``[True] == [1]``, which JSON
+    Schema's ``enum`` and ``const`` do not.
+    """
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(json_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(json_equal, a, b))
+    return a == b
+
+
 def schema_errors(instance, schema, path="") -> list[str]:
     """Minimal JSON Schema checker for the subset used by the shipped schemas."""
     errs: list[str] = []
     if "enum" in schema:
-        if instance not in schema["enum"]:
+        if not any(json_equal(instance, allowed) for allowed in schema["enum"]):
             errs.append(f"{path or '/'}: {instance!r} not in enum {schema['enum']}")
             return errs
     expected = schema.get("type")

@@ -45,15 +45,16 @@ def test_acceptance_2_toric_boundaries():
     for n in (2, 3, 4, 5):
         start = time.perf_counter()
         fan = toric.projective_space_fan(n)
-        report = toric.toric_snc_cohomology(fan, range(len(fan.rays)))
+        _, delta = toric.checked_boundary(fan, range(len(fan.rays)))
+        totals = simplicial.betti_numbers(delta)
         elapsed = time.perf_counter() - start
         sphere = [1] + [0] * (n - 2) + [1]
-        assert list(report.totals) == sphere
+        assert totals == sphere
         assert elapsed < 1.0
     p1xp1 = toric.make_fan(
         2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]
     )
-    assert toric.toric_snc_cohomology(p1xp1, [0, 1, 2, 3]).totals == (1, 1)
+    assert simplicial.betti_numbers(toric.checked_boundary(p1xp1, [0, 1, 2, 3])[1]) == [1, 1]
     print("ACCEPTANCE 2 PASS: toric boundaries reproduce the Betti numbers of "
           "spheres for n=2..5 and (1,1) for the product of two lines")
 

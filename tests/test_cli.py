@@ -540,6 +540,37 @@ def test_inputs_validate_against_published_schema():
         assert schema_errors(doc, schema) == [], name
 
 
+def test_schema_enum_compares_json_values():
+    # JSON Schema's enum tells a boolean from a number, and has 1.0 equal to 1
+    doc = {"schema_version": 1, "kind": "fan", "n": 1, "rays": [[1], [-1]], "cones": [[0], [1]]}
+    schema = load_schema("input.v1.schema.json")
+    assert schema_errors(doc, schema) == []
+    assert schema_errors({**doc, "schema_version": True}, schema) != []
+    assert schema_errors({**doc, "schema_version": 1.0}, schema) == []
+    assert schema_errors(False, {"enum": [0]}) != []
+    assert schema_errors(1, {"enum": [True]}) != []
+    assert schema_errors([1], {"enum": [[True]]}) != []
+    assert schema_errors({"a": 1.0}, {"enum": [{"a": 1}]}) == []
+    assert schema_errors("1", {"enum": [1]}) != []
+
+
+def test_console_script_exits_with_mains_code(capsys, monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["dualcech"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.console_main
+    # a report, and a usage error (no input), which is an input error
+    for argv, code in ((["betti", input_path("projective_plane.json")], 0), (["betti"], 1)):
+        expected = (cli.main(argv), capsys.readouterr())
+        monkeypatch.setattr(sys, "argv", ["dualcech", *argv])
+        with pytest.raises(SystemExit) as caught:
+            entry()
+        assert (caught.value.code, capsys.readouterr()) == expected
+        assert caught.value.code == code
+
+
 def test_json_reports_are_deterministic(capsys):
     _, first = run_cli(capsys, "snc-cohomology", input_path("pn_hyperplanes_3.json"), "--json")
     _, second = run_cli(capsys, "snc-cohomology", input_path("pn_hyperplanes_3.json"), "--json")

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from itertools import combinations, product
@@ -5,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcech import simplicial, snc, toric
+from dualcech import cli, simplicial, snc, toric
 from dualcech.errors import InvalidInput, NecessaryConditionFailed, NotSmooth
 from dualcech.toric import CERTIFIED, UNCERTIFIED
 
@@ -108,11 +109,15 @@ def test_boundary_complex_rejects_empty_selection():
         toric.boundary_complex(toric.projective_space_fan(2), [])
 
 
+def boundary_betti(f, selected):
+    """The Betti numbers of the dual complex ``checked_boundary`` returns: the boundary's cohomology."""
+    return simplicial.betti_numbers(toric.checked_boundary(f, selected)[1])
+
+
 def test_toric_cohomology_spheres():
     for n in range(2, 7):
         f = toric.projective_space_fan(n)
-        report = toric.toric_snc_cohomology(f, range(len(f.rays)))
-        assert list(report.totals) == [1] + [0] * (n - 2) + [1]
+        assert boundary_betti(f, range(len(f.rays))) == [1] + [0] * (n - 2) + [1]
         # the dual complex is the boundary of the n-simplex
         full = tuple(range(n + 1))
         expected = simplicial.from_facets(n + 1, [full[:k] + full[k + 1 :] for k in range(n + 1)])
@@ -120,11 +125,11 @@ def test_toric_cohomology_spheres():
 
 
 def test_toric_cohomology_p1xp1():
-    assert toric.toric_snc_cohomology(p1xp1_fan(), [0, 1, 2, 3]).totals == (1, 1)
+    assert boundary_betti(p1xp1_fan(), [0, 1, 2, 3]) == [1, 1]
 
 
 def test_toric_cohomology_two_disjoint_rays():
-    assert toric.toric_snc_cohomology(p1xp1_fan(), [0, 2]).totals == (2,)
+    assert boundary_betti(p1xp1_fan(), [0, 2]) == [2]
 
 
 def test_boundary_euler_identity():
@@ -136,8 +141,8 @@ def test_boundary_euler_identity():
         (p1xp1_fan(), [0, 1]),
     ]:
         delta = toric.boundary_complex(fan, selected)
-        report = toric.toric_snc_cohomology(fan, selected)
-        assert report.alternating_sum() == simplicial.euler_characteristic(delta)
+        totals = boundary_betti(fan, selected)
+        assert sum((-1) ** k * b for k, b in enumerate(totals)) == simplicial.euler_characteristic(delta)
 
 
 def test_boundary_strata_downward_closed():
@@ -332,11 +337,16 @@ def test_toric_cohomology_matches_tabulated_vanishing_oracle(seed):
         # a repeated, unordered selection means the same set of rays
         for selected in (range(len(rays)), subset + subset[:1]):
             divisor = oracle_boundary_divisor(f, selected)
-            delta = toric.boundary_complex(f, selected)
-            report = toric.toric_snc_cohomology(f, selected)
+            certificate, delta = toric.checked_boundary(f, selected)
+            betti = simplicial.betti_numbers(delta)
+            # the one row q = 0, summand for summand, as the tabulated divisor assembles it
+            report = snc.CohomologyReport(
+                tuple(betti), tuple(snc.Summand(p, 0, b, "sheaf r=0 q=0") for p, b in enumerate(betti))
+            )
             assert report == snc.structure_sheaf_cohomology(divisor), (dim, rays, selected)
             assert delta == snc.dual_complex(divisor)
-            assert list(report.totals) == oracle_betti(delta)
+            assert betti == oracle_betti(delta)
+            assert certificate in (CERTIFIED, UNCERTIFIED)
 
 
 def _outcome(build, f, selected):
@@ -400,3 +410,49 @@ def test_complete_strata_check_matches_direct_scan(seed):
         if _certificate_or_message(toric.completeness_certificate, f) in (CERTIFIED, UNCERTIFIED):
             assert _stratum_refusal(f, range(len(rays))) is None
     assert refused_any
+
+
+def test_checked_boundary_on_the_a2_resolution():
+    # a boundary ray cuts out an affine line; the interior rays cut out the
+    # exceptional curves, which are complete
+    dim, rays, cones = A2_RESOLUTION_FAN
+    f = toric.make_fan(dim, rays, cones)
+    with pytest.raises(InvalidInput) as caught:
+        toric.checked_boundary(f, range(len(rays)))
+    assert str(caught.value) == (
+        "the stratum of ray 0 is not complete: cone [0] is a facet of only one full-dimensional cone"
+    )
+    certificate, delta = toric.checked_boundary(f, [1, 2])
+    assert certificate == "failed: rays 3 and 0 leave an angular gap of at least a half plane"
+    assert simplicial.betti_numbers(delta) == [1, 0]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_checked_boundary_answers_what_the_cli_answers(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    path = tmp_path / "fan.json"
+    outcomes = set()
+    for dim, rays, cones in [*COMPLETENESS_FANS, A2_RESOLUTION_FAN, WEDGE_FAN]:
+        if not oracle_fan_verdict(dim, rays, cones)[0]:
+            continue
+        rays = disguised_rays(rng, rays)
+        f = toric.make_fan(dim, rays, cones)
+        subset = rng.sample(range(len(rays)), rng.randint(1, len(rays)))
+        # every ray alone, so a failed certificate with a complete stratum occurs
+        for selected in (list(range(len(rays))), subset, [len(rays)], *([ray] for ray in range(len(rays)))):
+            doc = {"kind": "fan", "n": dim, "rays": rays, "cones": cones, "selected_rays": selected}
+            path.write_text(json.dumps(doc))
+            code = cli.main(["toric", str(path), "--json"])
+            out, err = capsys.readouterr()
+            try:
+                certificate, delta = toric.checked_boundary(f, selected)
+            except (InvalidInput, NotSmooth) as error:
+                assert (code, out, err) == (1, "", f"error: {error}\n"), (dim, rays, selected)
+                outcomes.add("refused")
+                continue
+            result = json.loads(out)["result"]
+            assert (code, err) == (0, ""), (dim, rays, selected)
+            assert result["completeness"] == certificate
+            assert result["totals"] == simplicial.betti_numbers(delta)
+            outcomes.add("failed" if certificate.startswith("failed: ") else certificate)
+    assert outcomes == {"refused", "failed", CERTIFIED, UNCERTIFIED}
