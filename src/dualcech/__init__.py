@@ -4,8 +4,8 @@ The submodules load on first use: ``import dualcech`` imports none of
 them, and ``dualcech.snc`` (or ``from dualcech import *``) imports a
 submodule the first time it is named.  ``cli`` and ``formats`` reach the
 layers that way, so each CLI command compiles and runs only the modules
-its path calls; ``verify-lemma31`` never pays for the presheaf, SNC,
-bicomplex and toric layers.
+its path calls; ``verify-lemma31`` never pays for the simplicial,
+presheaf, SNC, bicomplex and toric layers.
 """
 
 import importlib

@@ -17,10 +17,10 @@ Modules load on first use.  At module level this file imports only
 reads the layers it calls off the package (``dualcech.localmodel``),
 which imports a submodule the first time it is named.  A process that
 runs one command, as the shell does, then compiles and runs only that
-command's modules: ``verify-lemma31`` never loads the presheaf, SNC,
-bicomplex or toric layers.  After the first call the read is a plain
-module attribute: an import statement in the handler would run the
-import system's Python code on every call, about 2% of a
+command's modules: ``verify-lemma31`` never loads the simplicial,
+presheaf, SNC, bicomplex or toric layers.  After the first call the read
+is a plain module attribute: an import statement in the handler would run
+the import system's Python code on every call, about 2% of a
 ``verify-lemma31`` call.  Calls still go through module attributes, so
 a wrapper set on ``localmodel.verify_exactness`` is the function called.
 """

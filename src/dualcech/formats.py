@@ -12,10 +12,15 @@ hands the value to a typed reader (``_int``, ``_str``, ``_matrix``, a
 ``parse_*``, ...) at the pointer ``path/key``.  Three collection readers
 compose with it: ``_each`` reads an array and names item i ``path/i``,
 ``_keyed`` reads a simplex-keyed object such as ``dims``, ``unit`` or
-``matrices``, and ``_ints`` reads an array of integers in one loop.  Only
-the readers form pointers.  A missing optional field takes its default; a
-``null`` one is refused like any other value of the wrong type, as the
-schema refuses it.  A ``schema_version``, where present, must be 1.
+``matrices``, and ``_ints`` reads an array of integers in one loop.  Every
+other object has fixed keys, and its reader takes it through ``_record``,
+which refuses a key outside them at ``path/key``, as the schema's
+``additionalProperties: false`` does (the schema leaves a presheaf's
+``restrictions`` open; ``formats`` holds their items to their three keys
+all the same).  A top-level document's keys include ``kind`` and
+``schema_version`` (``_ENVELOPE``).  Only the readers form pointers.  A
+missing optional field takes its default; a ``null`` one is refused like
+any other value of the wrong type, as the schema refuses it.  A ``schema_version``, where present, must be 1.
 
 Reports are plain dictionaries rendered with sorted keys, so identical
 inputs always produce byte-identical JSON.  ``render_report`` writes
@@ -113,6 +118,31 @@ _list, _obj = _typed(list, "an array"), _typed(dict, "an object")
 _str, _bool = _typed(str, "a string"), _typed(bool, "a boolean")
 
 
+def _record(value, path, keys: frozenset) -> dict:
+    """An object whose keys all lie in ``keys``; its first other key is refused as an unknown field."""
+    value = _obj(value, path)
+    if not value.keys() <= keys:
+        unknown = next(key for key in value if key not in keys)
+        raise SchemaError(f"{path}/{unknown}", "unknown field")
+    return value
+
+
+# the keys of each fixed-key object, as the schema lists its properties
+_ENVELOPE = frozenset({"kind", "schema_version"})
+_COMPLEX = frozenset({"vertex_count", "facets"})
+_RESTRICTION = frozenset({"from", "to", "matrix"})
+_PRESHEAF = _ENVELOPE | {"complex", "dims", "restrictions"}
+_COMPONENT = frozenset({"name", "dim"})
+_MATRICES = frozenset({"matrices"})
+_TABLE_ROW = frozenset({"tuple", "flavor", "r", "q", "dim", "restriction"})
+_DIVISOR = _ENVELOPE | {"components", "multiplicities", "strata", "tables", "irreducible", "rational_check"}
+_RATIONAL_CHECK = frozenset({"claimed_rational", "dims", "restrictions", "unit"})
+_FAN = _ENVELOPE | {"n", "rays", "cones", "selected_rays"}
+_LOCALMODEL = _ENVELOPE | {"n", "components", "multiplicities", "degree_bound"}
+_PLACED_MATRIX = frozenset({"p", "q", "matrix"})
+_BICOMPLEX = _ENVELOPE | {"dims", "horizontal", "vertical"}
+
+
 # the plain ASCII "p/q" form, read with two int calls; every other string
 # goes through Fraction's own parser, which accepts more
 _RATIO = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
@@ -187,14 +217,15 @@ def _matrix(value, path, rows=None, cols=None) -> RationalMatrix:
     return RationalMatrix._of(len(data), cols, num, den)
 
 
-def parse_complex(doc: Mapping, path: str = "") -> simplicial.SimplicialComplex:
-    doc = _obj(doc, path)
+def parse_complex(doc: Mapping, path: str = "", keys=_ENVELOPE | _COMPLEX) -> simplicial.SimplicialComplex:
+    """A ``complex`` document, or with ``keys`` = ``_COMPLEX`` a presheaf's ``complex`` object."""
+    doc = _record(doc, path, keys)
     vertex_count = _at(doc, "vertex_count", path, _int, 0)
     return dualcech.simplicial.from_facets(vertex_count, _at(doc, "facets", path, _each, _ints))
 
 
 def _restriction(item, path, dims) -> tuple:
-    item = _obj(item, path)
+    item = _record(item, path, _RESTRICTION)
     sigma = _at(item, "from", path, _ints)
     tau = _at(item, "to", path, _ints)
     return (sigma, tau), _at(item, "matrix", path, _matrix, dims.get(tau, 0), dims.get(sigma, 0))
@@ -223,11 +254,12 @@ def parse_presheaf_data(doc: Mapping, base: simplicial.SimplicialComplex, path: 
 
 
 def parse_presheaf(doc: Mapping, path: str = "") -> presheaf.Presheaf:
-    return parse_presheaf_data(doc, _at(doc, "complex", path, parse_complex), path)
+    doc = _record(doc, path, _PRESHEAF)
+    return parse_presheaf_data(doc, _at(doc, "complex", path, parse_complex, _COMPLEX), path)
 
 
 def _component(item, path) -> snc.Component:
-    item = _obj(item, path)
+    item = _record(item, path, _COMPONENT)
     return dualcech.snc.Component(_at(item, "name", path, _str), _at(item, "dim", path, _int, 0))
 
 
@@ -240,13 +272,13 @@ def _flavor(value, path) -> str:
 def _restriction_field(value, path):
     if value in ("zero", "constant"):
         return value
-    return _at(_obj(value, path), "matrices", path, _keyed, _matrix)
+    return _at(_record(value, path, _MATRICES), "matrices", path, _keyed, _matrix)
 
 
 def _table_row(row, path, tables) -> None:
     """Read one row of a divisor's ``tables`` into ``tables``, refusing a second row for its key."""
     snc = dualcech.snc
-    row = _obj(row, path)
+    row = _record(row, path, _TABLE_ROW)
     t = _at(row, "tuple", path, _ints)
     flavor = _at(row, "flavor", path, _flavor, default=snc.SHEAF)
     r = _at(row, "r", path, _int, 0, default=0)
@@ -261,6 +293,7 @@ def _table_row(row, path, tables) -> None:
 
 def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
     snc = dualcech.snc
+    doc = _record(doc, path, _DIVISOR)
     components = _at(doc, "components", path, _each, _component)
     multiplicities = _at(doc, "multiplicities", path, _ints, 1, default=None)
     strata = _at(doc, "strata", path, _each, _ints)
@@ -272,7 +305,7 @@ def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
 
 def parse_rational_check(doc: Mapping, divisor: snc.SncDivisor, path: str):
     snc = dualcech.snc
-    section = _obj(doc, path)
+    section = _record(doc, path, _RATIONAL_CHECK)
     claimed = _at(section, "claimed_rational", path, _bool)
     delta = snc.dual_complex(divisor)
     sections_presheaf = parse_presheaf_data(section, delta, path)
@@ -281,6 +314,7 @@ def parse_rational_check(doc: Mapping, divisor: snc.SncDivisor, path: str):
 
 def parse_fan(doc: Mapping, path: str = "") -> tuple[toric.Fan, list[int]]:
     toric = dualcech.toric
+    doc = _record(doc, path, _FAN)
     n = _at(doc, "n", path, _int, 0)
     rays = _at(doc, "rays", path, _each, _ints)
     fan = toric.make_fan(n, rays, _at(doc, "cones", path, _each, _ints, 0))
@@ -290,6 +324,7 @@ def parse_fan(doc: Mapping, path: str = "") -> tuple[toric.Fan, list[int]]:
 
 def parse_localmodel(doc: Mapping, path: str = "") -> localmodel.LocalModelSpec:
     localmodel = dualcech.localmodel
+    doc = _record(doc, path, _LOCALMODEL)
     n = _at(doc, "n", path, _int, 1)
     components = _at(doc, "components", path, _ints, 1)
     multiplicities = _at(doc, "multiplicities", path, _ints, 1)
@@ -298,12 +333,13 @@ def parse_localmodel(doc: Mapping, path: str = "") -> localmodel.LocalModelSpec:
 
 
 def _placed_matrix(item, path) -> tuple:
-    item = _obj(item, path)
+    item = _record(item, path, _PLACED_MATRIX)
     return (_at(item, "p", path, _int, 0), _at(item, "q", path, _int, 0)), _at(item, "matrix", path, _matrix)
 
 
 def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex.Bicomplex:
     bicomplex = dualcech.bicomplex
+    doc = _record(doc, path, _BICOMPLEX)
     rows = _at(doc, "dims", path, _each, _ints, 0)
     dims = {(p, q): d for q, row in enumerate(rows) for p, d in enumerate(row)}
     if not dims:

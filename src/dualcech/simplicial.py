@@ -21,8 +21,7 @@ Each simplex is packed into one int, and the coboundaries are written
 from those keys straight into integer rows, with no matrix; d.d = 0
 holds there by the alternating-sign identity.  ``betti_numbers`` feeds
 the rows to the same reduction, and ``integral_cohomology`` takes their
-Smith normal forms; ``localmodel.verify_exactness`` reads its blocks off
-``betti_numbers``.  ``coboundary_matrix`` stays the matrix form of the
+Smith normal forms.  ``coboundary_matrix`` stays the matrix form of the
 same coboundaries, with no library caller, for the tests.
 """
 

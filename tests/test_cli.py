@@ -610,7 +610,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualcech.
 @pytest.mark.parametrize(
     "command, name, code, absent",
     [
-        ("verify-lemma31", "lm_2_1_1.json", 0, ["snc", "presheaf", "bicomplex", "toric"]),
+        ("verify-lemma31", "lm_2_1_1.json", 0, ["simplicial", "snc", "presheaf", "bicomplex", "toric"]),
         # the nonzero-d2 instance: both pages are computed and differ, so it exits 2
         ("degeneration", "bicomplex_d2.json", 2, ["snc", "presheaf", "toric", "localmodel"]),
         ("betti", "projective_plane.json", 0, ["snc", "presheaf", "bicomplex", "toric", "localmodel"]),
@@ -728,6 +728,9 @@ FUZZ_VALUES = (
     0, 1, -1, 2, 10, "1/2", "0", "x", "", None, True, False, 1.5,
     [], [0], [[1]], {}, "constant", "identity", "zero",
 )
+FUZZ_KEYS = (
+    "kind", "schema_version", "complex", "facets", "facts", "dims", "matrix", "r", "degree_bound", "0", "0,1",
+)
 
 
 @pytest.fixture(scope="module")
@@ -749,17 +752,21 @@ def _slots(value, out):
 
 
 def _mutated(docs, data):
-    """A committed document with one to three slots deleted, replaced or duplicated."""
+    """A committed document with one to three slots deleted, replaced or duplicated, or a key added beside one."""
     doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)))])
     for _ in range(data.draw(st.integers(1, 3))):
         container, key = data.draw(st.sampled_from(_slots(doc, [(None, None)])))
-        action = data.draw(st.sampled_from(("delete", "replace", "duplicate")))
+        action = data.draw(st.sampled_from(("delete", "replace", "duplicate", "add")))
         if container is None:
             doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
         elif action == "delete":
             del container[key]
         elif action == "duplicate" and isinstance(container, list):
             container.insert(key, copy.deepcopy(container[key]))
+        elif action == "add" and isinstance(container, dict):
+            # a field of some document kind, a misspelling, or a simplex key
+            added = data.draw(st.sampled_from(FUZZ_KEYS))
+            container[added] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
         else:
             container[key] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_VALUES)))
     return doc
@@ -782,8 +789,7 @@ def test_cli_survives_mutated_documents(fuzz_inputs, data):
 def test_documents_formats_accepts_validate_against_schema(fuzz_inputs, data):
     # whatever formats accepts, the published schema accepts.  The converse
     # does not hold, by design: formats also checks minimums, tuple order and
-    # matrix shapes, which the schema does not state.  The mutator adds no
-    # key, so the schema's refusal of unknown keys is not exercised here
+    # matrix shapes, which the schema does not state
     docs, path = fuzz_inputs
     doc = _mutated(docs, data)
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -796,8 +802,9 @@ def test_documents_formats_accepts_validate_against_schema(fuzz_inputs, data):
     assert schema_errors(doc, load_schema("input.v1.schema.json")) == [], doc
 
 
-# documents the schema refuses: a schema version other than 1, and null in an
-# optional field, which is refused rather than read as a missing field
+# documents the schema refuses: a schema version other than 1, null in an
+# optional field, which is refused rather than read as a missing field, and a
+# key that no reader of its object knows, at any depth
 @pytest.mark.parametrize(
     "command, name, field, value, message",
     [
@@ -808,8 +815,22 @@ def test_documents_formats_accepts_validate_against_schema(fuzz_inputs, data):
         ("verify-lemma31", "lm_2_1_1.json", ["degree_bound"], None, "/degree_bound: expected an integer"),
         ("hodge", "three_lines_p2.json", ["tables", 0, "restriction"], None,
          "/tables/0/restriction: expected an object"),
+        ("betti", "triangle_boundary.json", ["facts"], [[0, 1]], "/facts: unknown field"),
+        ("presheaf-cohomology", "vertex_presheaf_triangle.json", ["complex", "kind"], "complex",
+         "/complex/kind: unknown field"),
+        ("verify-lemma31", "lm_2_1_1.json", ["degree_bond"], 3, "/degree_bond: unknown field"),
+        ("toric", "pn_fan_2.json", ["selected_ray"], [0], "/selected_ray: unknown field"),
+        ("hodge", "three_lines_p2.json", ["tables", 0, "restricton"], "constant",
+         "/tables/0/restricton: unknown field"),
+        ("degeneration", "bicomplex_d2.json", ["horizontal", 0, "r"], 2, "/horizontal/0/r: unknown field"),
+        ("rational-check", "rational_triangle_check.json", ["rational_check", "claimed"], True,
+         "/rational_check/claimed: unknown field"),
     ],
-    ids=["schema-version-2", "null-selected-rays", "null-multiplicities", "null-degree-bound", "null-restriction"],
+    ids=[
+        "schema-version-2", "null-selected-rays", "null-multiplicities", "null-degree-bound", "null-restriction",
+        "unknown-top-level-key", "kind-in-nested-complex", "misspelled-degree-bound", "misspelled-selected-rays",
+        "misspelled-restriction", "unknown-placed-matrix-key", "unknown-rational-check-key",
+    ],
 )
 def test_documents_the_schema_refuses_exit_1(capsys, tmp_path, command, name, field, value, message):
     with open(input_path(name), encoding="utf-8") as f:

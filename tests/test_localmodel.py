@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from collections import Counter
 from itertools import product
 from math import comb
@@ -5,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualcech import localmodel, presheaf, simplicial
+from dualcech import cli, localmodel, presheaf, simplicial
 from dualcech.errors import InvalidInput
 from dualcech.exactla import RationalMatrix
 from dualcech.localmodel import make_local_model, verify_exactness
@@ -166,6 +169,23 @@ def test_huge_multiplicity_under_a_small_degree_bound():
     table = localmodel._survivor_table(spec)
     assert [survivors(row) for row in table] == oracle_survivor_table(spec)
     assert verify_exactness(spec).exact
+
+
+@pytest.mark.parametrize("degree_bound", [0, 6])
+def test_many_components_build_no_simplex(tmp_path, degree_bound):
+    # 40 components of multiplicity 1: a verdict that built the full simplex
+    # on s vertices would enumerate 2^40 cells at K = 0
+    spec = make_local_model(40, range(1, 41), [1] * 40, degree_bound)
+    verdict = verify_exactness(spec)
+    assert verdict.exact
+    assert verdict.homology == ((0,) * 41,) * (degree_bound + 1)
+    doc = {"kind": "localmodel", "n": 40, "components": list(range(1, 41)),
+           "multiplicities": [1] * 40, "degree_bound": degree_bound}
+    path = tmp_path / "lm_40.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify-lemma31", str(path), "--json"]) == 0
+    assert json.loads(out.getvalue())["result"]["exact"] is True
 
 
 def test_bad_component_indices_rejected():
