@@ -8,12 +8,12 @@ The box is ambient dimension <= N (default 4), any nonempty component
 subset, and multiplicities in {1, 2, 3}: 336 models for N = 4, 1359 for
 N = 5, 5454 for N = 6.  Each model goes through
 ``localmodel.verify_exactness``, which splits every degree into
-full-simplex blocks, one per survivor-set size, weighted by counts from a
-generating function, and builds no block: each is exact by the proof in
-the ``localmodel`` module docstring, so the time is that of the counts.
-On a 2-core x86-64 machine with Python 3.11 the default box takes about
-0.007 s and N = 5 about 0.03 s through degree 8, and N = 6 about 0.12 s
-through degree 12 (median of three runs).
+full-simplex blocks and neither builds nor counts them: each is exact by
+the proof in the ``localmodel`` module docstring, so the time is mostly
+that of building the models.  On a 2-core x86-64 machine with Python
+3.11 the default box takes about 0.001 s and N = 5 about 0.003 s through
+degree 8, and N = 6 about 0.012 s through degree 12 (in-process, median
+of three runs).
 """
 
 from __future__ import annotations

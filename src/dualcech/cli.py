@@ -12,6 +12,13 @@ input, 2 when the computation ran but a verified identity failed (a
 complex that is not exact, a Hodge mismatch, a failed degeneration, a
 flagged rationality obstruction).
 
+A command line that starts with a command is parsed by that command's
+subparser alone, not by the top-level parser and then again by the
+subparser; ``_parse_args`` says why the two give the same namespace.
+Whatever the subparser leaves over, and a line that starts with no
+command, goes through the full two-level parse, so every help, usage and
+error text is argparse's own.
+
 Modules load on first use.  At module level this file imports only
 ``formats`` and ``errors`` (``formats`` brings ``exactla``); each handler
 reads the layers it calls off the package (``dualcech.localmodel``),
@@ -335,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     It holds no state from any input: ``parse_args`` returns a fresh
     namespace on every call, and help and usage errors go to the streams
-    current at that call.
+    current at that call.  ``parser.commands`` maps each command to its
+    subparser, the subparsers action's own ``choices``.
     """
     parser = argparse.ArgumentParser(
         prog="dualcech",
@@ -357,13 +365,38 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if command.option is not None:
             cmd.add_argument(command.option, type=int, default=command.default, help=command.help)
+    parser.commands = sub.choices
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsed by the command's subparser alone where that gives the same.
+
+    When ``argv[0]`` names a command, its subparser parses ``argv[1:]``
+    into a namespace that already carries ``command``.  That is the work
+    ``parser.parse_args`` does, less its own pass over ``argv``: the
+    top-level parser's only option is ``-h``, and its subparsers action
+    takes the command and hands every argument after it, ``-h`` and
+    ``--`` included, to the subparser, which parses them into a fresh
+    namespace whose attributes are then set on one holding ``command``.
+    So whenever the subparser leaves nothing over, the two namespaces are
+    equal, and a help text or usage error raised on the way is the
+    subparser's in both.  What the subparser leaves over, and an ``argv``
+    that starts with no command (help, an unknown command, nothing at
+    all), goes to ``parser.parse_args``, so every other message stays
+    argparse's own.
+    """
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # keep exit code 2 reserved for failed identity checks; argparse
         # usage errors are input errors

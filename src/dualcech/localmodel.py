@@ -29,45 +29,20 @@ most one block per s, not a matrix over all strata in every degree.  No
 block is built at all: its homology is the reduced cohomology of the full
 simplex, which is contractible, so every block is exact and so is every
 graded piece.  That is Lemma 3.1 for the model, and ``verify_exactness``
-states the verdict from this proof and the counts, ranking nothing.
-
-The counts come from a generating function, not from listing monomials.
-Give x^a the weight u^|S(a)| t^|a|.  Both exponents are sums over
-coordinates (|S(a)| counts the components with a_i < r_i, |a| adds up
-every a_i), so the weight is a product of one weight per coordinate, and
-summing it over all a factors into one series per coordinate:
-
-    component of multiplicity r:  sum_{a >= 0} u^[a < r] t^a
-                                    = u (1 + t + ... + t^{r-1}) + t^r / (1 - t)
-    free coordinate:              sum_{a >= 0} t^a = 1 / (1 - t)
-
-The coefficient of u^s t^k in the product is the number of degree-k
-monomials with |S(a)| = s.  Those with s = 0 are divisible by the product
-of the powers and vanish in every quotient; s >= 1 is exactly the basis of
-the whole configuration.  ``_survivor_table`` multiplies the component
-factors in one at a time, truncated above t^K, and then the series
-(1 - t)^-(n - m) of the n - m free coordinates, whose degree-j coefficient
-C(j + n - m - 1, j) counts the monomials of degree j in n - m variables.
-The products run on packed integers (Kronecker substitution: Schoenhage,
-1982): a series in t truncated at K becomes one int whose slot k, ``bits``
-bits wide, holds the coefficient of t^k, and the coefficients of u^0 ..
-u^m sit in rows of twice that many slots, so one big-int product
-multiplies every row by a series in t.  Every coefficient is nonnegative,
-so a product's slot k is the exact convolution sum as long as it fits its
-slot, and a carry out of a slot only moves upward; slots past K, which a
-mask drops, may overflow without touching the ones kept.  Every slot kept
-counts monomials of degree at most K in at most n variables, so it fits
-in ``bits = C(K + n - 1, n - 1).bit_length()`` (``_survivor_table`` has
-the proof).
+states the verdict from this proof alone: it neither ranks nor counts.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInput
+
+
+# the verdict holds (K + 1)(m + 1) entries, and the report one row per degree;
+# a model past this many is refused before anything is allocated
+MAX_VERDICT_ENTRIES = 10**6
 
 
 class LocalModelSpec(NamedTuple):
@@ -101,6 +76,12 @@ def make_local_model(
         degree_bound = 2 * sum(multiplicities)
     if degree_bound < 0:
         raise InvalidInput("degree bound must be nonnegative")
+    entries = (degree_bound + 1) * (len(components) + 1)
+    if entries > MAX_VERDICT_ENTRIES:
+        raise InvalidInput(
+            f"degree bound {degree_bound} with {len(components)} components gives {entries} "
+            f"verdict entries, more than the cap of {MAX_VERDICT_ENTRIES}"
+        )
     return LocalModelSpec(ambient, components, multiplicities, degree_bound)
 
 
@@ -118,72 +99,28 @@ class ExactnessVerdict(NamedTuple):
         ]
 
 
-def _survivor_table(spec: LocalModelSpec) -> list[list[int]]:
-    """For each degree k <= K, the number of degree-k monomials with |S(a)| = s, at index s.
-
-    These are the coefficients of the module docstring's product, packed as
-    it says.  Row s of ``poly`` is bits [s * stride, s * stride + width),
-    slot k of a row its bits [k * bits, (k + 1) * bits).  A component of
-    multiplicity r has the factor u * low + high, with low = 1 + ... +
-    t^(min(r, K + 1) - 1) and high = t^r + ... + t^K (zero when r > K) in
-    every row's layout, so it sends
-    row s to (row s) * high + (row s - 1) * low: one product by ``high``,
-    and one by ``low`` shifted up a row.  The free coordinates multiply
-    every row by ``series``.  Each product is masked to slots 0..K of rows
-    0..m.
-
-    Width.  A row and each factor are below 2^width, so a row's product is
-    below 2^stride and never reaches the next row.  Within a row, slot k of
-    a product is a sum of nonnegative terms, so with no carry into it the
-    slots up to K are exact, and a carry can only come from a slot below
-    that overflowed.  None does: after c factors, slot k of row s is the
-    number of degree-k monomials in the first c coordinates, with k <= K,
-    whose survivor set has s elements, and each partial product summed into
-    it is at most that.  So it is at most the number of degree-k monomials
-    in c <= n variables, C(k + c - 1, c - 1) <= C(K + n - 1, n - 1) < 2^bits;
-    a coefficient C(j + n - m - 1, j) of ``series`` obeys the same bound.
-    """
-    top = spec.degree_bound
-    bits = comb(top + spec.ambient - 1, spec.ambient - 1).bit_length()
-    width = bits * (top + 1)
-    stride = 2 * width
-    row_mask = (1 << width) - 1
-    ones = row_mask // ((1 << bits) - 1)  # 1 in every slot 0..K
-    poly, mask = 1, row_mask
-    for r in spec.multiplicities:
-        low = ones & ((1 << bits * min(r, top + 1)) - 1)  # r > K: every slot
-        mask |= mask << stride
-        poly = (poly * (ones ^ low) & mask) + ((poly * low & mask) << stride)
-    free = spec.ambient - len(spec.components)
-    if free:
-        series = sum(comb(j + free - 1, j) << bits * j for j in range(top + 1))
-        poly = poly * series & mask
-    slot = (1 << bits) - 1
-    rows = [poly >> stride * s & row_mask for s in range(len(spec.components) + 1)]
-    return [[row >> bits * k & slot for row in rows] for k in range(top + 1)]
-
-
 def verify_exactness(spec: LocalModelSpec) -> ExactnessVerdict:
     """The graded pieces of the augmented complex in degrees 0..K, all exact by proof.
 
     Exactness at the first joint is injectivity of the augmentation; at the
     last joint it is surjectivity onto the deepest intersection.  Each
-    degree is a sum over s >= 1 of (its count in ``_survivor_table``)
-    copies of the simplex block of the module docstring: the coboundary
-    complex of the full simplex on s vertices, with Betti numbers b, and
-    the augmentation aug: k -> C^0 in front, the all-ones column.  It is
-    nonzero, so its rank is 1, and delta^0 aug = 0, since each edge gets
-    +1 and -1.  So the block's homology is 0 at joint 0, b_0 - 1 at joint
-    1, the kernel of delta^0 less the image of aug, and b_{p-1} at every
-    later joint p: (0, b_0 - 1, b_1, ..., b_{s-1}), the reduced cohomology
-    of the simplex (Munkres, *Elements of Algebraic Topology*).  A simplex
-    is a cone, so b = (1, 0, ..., 0) and every block is exact.  The verdict
-    therefore holds one zero row of m + 1 joints per degree of the table,
-    whatever the counts; the tests rank the blocks and the whole Cech
-    complex against it.
+    degree is a sum over s >= 1 of copies of the simplex block of the
+    module docstring, one per degree-k monomial with |S(a)| = s: the
+    coboundary complex of the full simplex on s vertices, with Betti
+    numbers b, and the augmentation aug: k -> C^0 in front, the all-ones
+    column.  It is nonzero, so its rank is 1, and delta^0 aug = 0, since
+    each edge gets +1 and -1.  So the block's homology is 0 at joint 0,
+    b_0 - 1 at joint 1, the kernel of delta^0 less the image of aug, and
+    b_{p-1} at every later joint p: (0, b_0 - 1, b_1, ..., b_{s-1}), the
+    reduced cohomology of the simplex (Munkres, *Elements of Algebraic
+    Topology*).  A simplex is a cone, so b = (1, 0, ..., 0) and every
+    block is exact.  The verdict therefore holds one zero row of m + 1
+    joints for each of the K + 1 degrees, whatever the number of copies,
+    so no monomial is counted; the tests rank the blocks and the whole
+    Cech complex against it.
     """
     zeros = (0,) * (len(spec.components) + 1)
-    return ExactnessVerdict(True, spec.degree_bound, (zeros,) * len(_survivor_table(spec)))
+    return ExactnessVerdict(True, spec.degree_bound, (zeros,) * (spec.degree_bound + 1))
 
 
 def sweep_specs(

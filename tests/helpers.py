@@ -7,31 +7,34 @@ with a holder index that it replaced (on the row helpers the Smith normal
 form still uses), Betti numbers from chain boundary matrices (the
 homology route, not the cochain route the library uses), monomial counts
 from inclusion-exclusion, monomial quotient bases and survivor-set counts
-from listing every monomial, the survivor table of every degree by the
-prefix sums the packed products replaced, local-model homology from the
-full Cech matrix over every stratum at once,
-presheaf functoriality, the d.d = 0 of ``OracleCochainComplex`` and the
-bicomplex laws block by block from triple-loop products, inverses
+from listing every monomial, local-model homology from the full Cech
+matrix over every stratum at once, presheaf functoriality, the d.d = 0
+of ``OracleCochainComplex`` and the bicomplex laws block by block from
+triple-loop products, inverses
 from dense Gauss-Jordan elimination, invariant factors from the dense
 euclidean Smith normal form without unit peeling (integral cohomology
 from that form of each ``coboundary_matrix``), the completeness test
-of a fan from scans of every facet against every full cone, and toric
-boundaries as divisors whose tables write out every vanishing row.
+of a fan from scans of every facet against every full cone, toric
+boundaries as divisors whose tables write out every vanishing row, and
+``cli.main``'s direct dispatch from the full two-level parse.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Iterator, Sequence
+from unittest import mock
 
-from dualcech import exactla, presheaf, simplicial, snc, toric
+from dualcech import cli, exactla, presheaf, simplicial, snc, toric
 from dualcech.bicomplex import _antidiagonal as antidiagonal
 from dualcech.bicomplex import INFINITY, Bicomplex, SpectralPage, make_bicomplex
 from dualcech.errors import (
@@ -495,30 +498,6 @@ def oracle_survivor_counts(spec: LocalModelSpec, degree: int) -> Counter[int]:
     return Counter(
         sum(a[i] < r for i, r in bounds) for a in quotient_basis(spec, None, degree).exponents
     )
-
-
-def oracle_survivor_table(spec: LocalModelSpec) -> list[Counter[int]]:
-    """For each degree k <= K, the number of degree-k monomials with |S(a)| = s >= 1,
-    keyed by s: the coefficients of the generating function in the ``localmodel``
-    docstring, multiplied out by prefix sums and one convolution rather than packed."""
-    top = spec.degree_bound
-    poly = [[1] + [0] * top]  # poly[s][k], the coefficient of u^s t^k
-    for r in spec.multiplicities:
-        grown = [[0] * (top + 1) for _ in range(len(poly) + 1)]
-        for s, row in enumerate(poly):
-            prefix = [0, *accumulate(row)]
-            for k in range(top + 1):
-                low = max(k + 1 - r, 0)  # a = k - i >= r exactly for i < low
-                grown[s][k] += prefix[low]
-                grown[s + 1][k] += prefix[k + 1] - prefix[low]
-        poly = grown
-    free = spec.ambient - len(spec.components)
-    series = [comb(j + free - 1, j) if free else int(j == 0) for j in range(top + 1)]
-    table = []
-    for k in range(top + 1):
-        counts = (sum(row[i] * series[k - i] for i in range(k + 1)) for row in poly)
-        table.append(Counter({s: count for s, count in enumerate(counts) if s and count}))
-    return table
 
 
 class OracleCochainComplex(CochainComplex):
@@ -1488,3 +1467,102 @@ def schema_errors(instance, schema, path="") -> list[str]:
         for i, item in enumerate(instance):
             errs.extend(schema_errors(item, schema["items"], f"{path}/{i}"))
     return errs
+
+
+# one document per kind; the divisor carries a rational_check section, so
+# rational-check has a report to write too
+DISPATCH_INPUTS = {
+    "complex": "triangle_boundary.json",
+    "presheaf": "vertex_presheaf_triangle.json",
+    "divisor": "rational_triangle_check.json",
+    "fan": "pn_fan_2.json",
+    "localmodel": "lm_2_1_1.json",
+    "bicomplex": "bicomplex_d2.json",
+}
+
+
+def dispatch_corpus(inputs: str) -> list[list[str]]:
+    """Command lines over every way ``cli.main`` parses: reports, help, and usage errors.
+
+    Every command with and without its document, with ``--json`` and with
+    ``--help``; each command's extra option good, bad, in the ``=`` form
+    and abbreviated; and, on ``verify-lemma31``, abbreviated flags,
+    ``--field`` in every form, ``--`` on either side of the document,
+    options before it, an extra positional and an unknown flag.  Then the
+    lines that start with no command.  ``inputs`` is the directory of the
+    committed documents.
+    """
+    corpus = []
+    for name, command in cli.COMMANDS.items():
+        doc = os.path.join(inputs, DISPATCH_INPUTS[command.kind])
+        corpus += [[name], [name, doc], [name, doc, "--json"], [name, "--help"]]
+        if command.option is not None:
+            abbreviated = command.option[: command.option.index("-", 2)]
+            corpus += [
+                [name, doc, command.option, "1"],
+                [name, doc, command.option, "one"],
+                [name, doc, command.option, "-1"],
+                [name, doc, f"{command.option}=2"],
+                [name, doc, abbreviated, "2"],
+                [name, doc, command.option],
+            ]
+    doc = os.path.join(inputs, DISPATCH_INPUTS["localmodel"])
+    lemma = "verify-lemma31"
+    corpus += [
+        [lemma, "-h"],
+        [lemma, doc, "--he"],
+        [lemma, doc, "--js"],
+        [lemma, doc, "--field", "rational"],
+        [lemma, doc, "--field", "real"],
+        [lemma, doc, "--field"],
+        [lemma, doc, "--field=rational"],
+        [lemma, doc, "--fi=real"],
+        [lemma, "--", doc],
+        [lemma, doc, "--"],
+        [lemma, doc, "--", "--json"],
+        [lemma, "--json", doc],
+        [lemma, "--field", "rational", "--degree-bound", "2", doc],
+        [lemma, doc, "extra.json"],
+        [lemma, doc, "--no-such-flag"],
+        [lemma, doc, "-x"],
+        [],
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        ["--json", lemma, doc],
+        ["no-such-command", doc],
+        ["verify", doc],
+    ]
+    return corpus
+
+
+def cli_outcome(argv: Sequence[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def dispatch_mismatches(inputs: str) -> list[tuple]:
+    """Each line of ``dispatch_corpus`` whose outcome differs with direct dispatch off, with both outcomes.
+
+    Runs under any Python with no test framework, so the corpus can be
+    checked on every interpreter ``pyproject.toml`` allows.
+    """
+    build = cli.build_parser.__wrapped__
+
+    def full_parse_parser():
+        # a fresh parser with no command map: main parses through parse_args alone
+        parser = build()
+        parser.commands = {}
+        return parser
+
+    mismatches = []
+    for argv in dispatch_corpus(inputs):
+        direct = cli_outcome(argv)
+        with mock.patch.object(cli, "build_parser", full_parse_parser):
+            full = cli_outcome(argv)
+        if direct != full:
+            mismatches.append((argv, direct, full))
+    return mismatches

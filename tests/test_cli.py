@@ -19,9 +19,11 @@ from dualcech.errors import DualCechError
 
 from helpers import (
     bicomplex_document,
+    cli_outcome,
     conjugate_bicomplex,
     direct_sum_bicomplex,
     disguised_rays,
+    dispatch_mismatches,
     oracle_betti,
     schema_errors,
     simplex_boundary_cochains,
@@ -377,6 +379,18 @@ def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cli.build_parser() is not cli.build_parser()
     assert run_cli(capsys, "toric", input_path("p1xp1_fan.json"), "--json") == reused
+
+
+def test_direct_dispatch_matches_the_full_parse(monkeypatch):
+    # argparse's behaviour differs between Python versions, so CI runs this
+    # test on the oldest and newest the package allows
+    assert dispatch_mismatches(INPUTS) == []
+    # and a report line really skips the top-level parse
+    parser = cli.build_parser.__wrapped__()
+    parser.parse_args = None
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    code, out, err = cli_outcome(["verify-lemma31", input_path("lm_2_1_1.json"), "--json"])
+    assert code == 0 and json.loads(out)["result"]["exact"] is True and err == ""
 
 
 A2_RESOLUTION = {"n": 2, "rays": [[1, 0], [1, 1], [1, 2], [1, 3]], "cones": [[0, 1], [1, 2], [2, 3]]}

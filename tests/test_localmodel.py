@@ -1,12 +1,10 @@
 import contextlib
 import io
 import json
-from collections import Counter
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from dualcech import cli, localmodel, presheaf, simplicial
 from dualcech.errors import InvalidInput
@@ -19,14 +17,8 @@ from helpers import (
     oracle_monomial_count,
     oracle_sheaf_cech_complex,
     oracle_survivor_counts,
-    oracle_survivor_table,
     quotient_basis,
 )
-
-
-def survivors(row: list[int]) -> Counter[int]:
-    """A row of ``_survivor_table`` keyed by s, as the oracles count: s = 0 and the zeros left out."""
-    return Counter({s: count for s, count in enumerate(row) if s and count})
 
 
 def test_default_degree_bound():
@@ -121,53 +113,8 @@ def test_degree_above_bound_rejected():
         quotient_basis(spec, None, 3)
 
 
-def test_survivor_table_at_the_degree_bound_matches_enumeration():
-    spec = make_local_model(3, [1, 3], [2, 1], degree_bound=4)
-    assert survivors(localmodel._survivor_table(spec)[4]) == oracle_survivor_counts(spec, 4)
-
-
-@st.composite
-def local_model_specs(draw, max_ambient=7, max_multiplicity=4, max_degree=10):
-    """Ambient <= 7 with some coordinates free, multiplicities <= 4, degree bound <= 10, by default."""
-    ambient = draw(st.integers(1, max_ambient))
-    components = draw(st.sets(st.integers(1, ambient), min_size=1))
-    size = len(components)
-    multiplicities = draw(st.lists(st.integers(1, max_multiplicity), min_size=size, max_size=size))
-    return make_local_model(ambient, sorted(components), multiplicities, draw(st.integers(0, max_degree)))
-
-
-@given(local_model_specs())
-@example(make_local_model(7, [2, 5, 6], [4, 1, 3], degree_bound=10))
-@settings(max_examples=150)
-def test_survivor_counts_match_enumeration(spec):
-    table = localmodel._survivor_table(spec)
-    for k in range(spec.degree_bound + 1):
-        assert survivors(table[k]) == oracle_survivor_counts(spec, k), (spec, k)
-
-
-@given(local_model_specs(max_ambient=9, max_multiplicity=6, max_degree=60))
-# one bit narrower, slot 59 of row 0 overflows: C(64, 8) > 2^32 of the
-# degree-59 monomials in 9 variables are divisible by x_1 x_2 x_3, and the
-# slot has bit_length(C(68, 8)) - 1 = 32 bits
-@example(make_local_model(9, [1, 2, 3], [1, 1, 1], degree_bound=60))
-@settings(max_examples=100)
-def test_survivor_table_matches_prefix_sum_oracle(spec):
-    # degree bounds past what listing monomials reaches; every slot is
-    # checked, s = 0 against the count of all degree-k monomials
-    table = localmodel._survivor_table(spec)
-    assert len(table) == spec.degree_bound + 1
-    for k, (row, counts) in enumerate(zip(table, oracle_survivor_table(spec))):
-        assert len(row) == len(spec.components) + 1
-        assert survivors(row) == counts, (spec, k)
-        assert row[0] == comb(k + spec.ambient - 1, spec.ambient - 1) - sum(counts.values()), (spec, k)
-
-
 def test_huge_multiplicity_under_a_small_degree_bound():
-    # r far past K: low is every slot, high is zero, and no int of r * bits
-    # bits is built; a terabit-wide mask would raise MemoryError here
     spec = make_local_model(3, [1, 3], [10**12, 2], degree_bound=4)
-    table = localmodel._survivor_table(spec)
-    assert [survivors(row) for row in table] == oracle_survivor_table(spec)
     assert verify_exactness(spec).exact
 
 
@@ -186,6 +133,37 @@ def test_many_components_build_no_simplex(tmp_path, degree_bound):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["verify-lemma31", str(path), "--json"]) == 0
     assert json.loads(out.getvalue())["result"]["exact"] is True
+
+
+def test_verdict_entries_are_capped():
+    # three components: four joints per degree
+    cap = localmodel.MAX_VERDICT_ENTRIES
+    assert len(verify_exactness(make_local_model(3, [1, 2, 3], [2, 2, 2], cap // 4 - 1)).homology) == cap // 4
+    for bound in (cap // 4, 10**12):
+        with pytest.raises(InvalidInput, match="verdict entries"):
+            make_local_model(3, [1, 2, 3], [2, 2, 2], bound)
+    # the default bound is twice the multiplicities' sum
+    with pytest.raises(InvalidInput, match="verdict entries"):
+        make_local_model(1, [1], [10**12])
+
+
+@pytest.mark.parametrize("through", ["field", "flag"])
+def test_huge_degree_bound_exits_1_without_traceback(tmp_path, capsys, through):
+    # a terabyte-sized verdict is refused before anything is allocated
+    doc = {"kind": "localmodel", "n": 3, "components": [1, 2, 3], "multiplicities": [2, 2, 2]}
+    argv = ["verify-lemma31", str(tmp_path / "lm.json"), "--json"]
+    if through == "field":
+        doc["degree_bound"] = 10**12
+    else:
+        argv += ["--degree-bound", str(10**12)]
+    (tmp_path / "lm.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: degree bound 1000000000000 with 3 components gives 4000000000004 "
+        "verdict entries, more than the cap of 1000000\n"
+    )
 
 
 def test_bad_component_indices_rejected():
@@ -213,10 +191,10 @@ def test_split_matches_full_cech_oracle():
     for spec in localmodel.sweep_specs(max_ambient=3, degree_bound=6):
         joints = len(spec.components) + 1
         table = []
-        for k, counts in enumerate(localmodel._survivor_table(spec)):
+        for k in range(spec.degree_bound + 1):
             oracle = oracle_sheaf_cech_complex(spec, k)
             split_dims = [0] * joints
-            for s, count in survivors(counts).items():
+            for s, count in oracle_survivor_counts(spec, k).items():
                 for j in range(s + 1):
                     split_dims[j] += count * comb(s, j)
             assert tuple(split_dims) == oracle.space_dims, (spec, k)
