@@ -51,6 +51,36 @@ def pn_hyperplanes(n: int) -> dict:
     }
 
 
+def general_hyperplanes(n: int, m: int) -> dict:
+    """m hyperplanes in general position in projective n-space.
+
+    Every k <= n of them meet in a P^(n-k), and no n + 1 of them meet.  The
+    stratum P^d has h^q of its r-forms delta_rq for r, q <= d and deRham
+    cohomology 1 in the even degrees up to 2d, and every nonzero
+    restriction is "constant".  No committed document is built from it;
+    ``scripts/scaling.py`` times ``hodge`` on it.
+    """
+    components = [{"name": f"H{i}", "dim": n - 1} for i in range(m)]
+    strata = [list(t) for size in range(1, min(n, m) + 1) for t in combinations(range(m), size)]
+    tables = []
+    for t in strata:
+        d = n - len(t)
+        for r in range(d + 1):
+            for q in range(d + 1):
+                row = {"tuple": t, "r": r, "q": q, "dim": int(r == q)}
+                tables.append({**row, "restriction": "constant"} if r == q else row)
+        for k in range(2 * d + 1):
+            row = {"tuple": t, "flavor": "derham", "q": k, "dim": int(k % 2 == 0)}
+            tables.append({**row, "restriction": "constant"} if k % 2 == 0 else row)
+    return {
+        "kind": "divisor",
+        "schema_version": 1,
+        "components": components,
+        "strata": strata,
+        "tables": tables,
+    }
+
+
 def elliptic_triangle() -> dict:
     """Three elliptic curves meeting pairwise in single points."""
     strata = [[0], [1], [2], [0, 1], [0, 2], [1, 2]]

@@ -33,7 +33,11 @@ boundaries, on 5x5, 6x5 and 6x6 vertices.  That bicomplex has the
 coboundary of the first factor times the identity as its horizontal
 maps and (-1)^p times the identity times the coboundary of the second as
 its vertical maps, every map given as a dense matrix of 0 and +-1; it
-degenerates at the second page, so the command exits 0.
+degenerates at the second page, so the command exits 0.  The last rows
+are ``hodge`` on m hyperplanes in general position in P^n
+(``make_inputs.general_hyperplanes``) at (n, m) = (5, 9), (6, 10) and
+(6, 12): every layer goes through the Cech complex and its functoriality
+check.
 The generated documents go to a temporary directory.  A run that exits
 other than 0 stops the script, except on ``bicomplex_d2.json``, the
 nonzero-d2 instance, where ``degeneration`` exits 2 by design and any
@@ -53,6 +57,8 @@ from itertools import combinations, product
 from pathlib import Path
 from statistics import median
 from time import perf_counter
+
+from make_inputs import general_hyperplanes
 
 
 def projective_space_document(n: int) -> dict:
@@ -225,6 +231,10 @@ def main(argv=None) -> int:
         rows += [
             (f"degeneration {a}x{b}", "degeneration", written(f"tensor_{a}x{b}.json", tensor_bicomplex_document(a, b)))
             for a, b in ((5, 5), (6, 5), (6, 6))
+        ]
+        rows += [
+            (f"hodge {m} hyperplanes P^{n}", "hodge", written(f"hyperplanes_{n}_{m}.json", general_hyperplanes(n, m)))
+            for n, m in ((5, 9), (6, 10), (6, 12))
         ]
         for label, command, path, *code in rows:
             times = [wall_time(tree, command, path, *code) for _ in range(args.runs)]

@@ -3,9 +3,10 @@
 Cells live at (p, q) for 0 <= p <= width, 0 <= q <= height.  Horizontal
 differentials move right, vertical ones move up, and the two must
 anticommute.  ``make_bicomplex`` assembles the total differential
-D = horizontal + vertical once, checks all three laws as D.D = 0, and
-stores the total complex on the ``Bicomplex``, which keeps no other copy
-of the maps; nothing assembles it again.
+D = horizontal + vertical once, checks all three laws as D.D = 0 with
+``CochainComplex.square_defects``, the check that ``presheaf`` makes of
+functoriality too, and stores the total complex on the ``Bicomplex``,
+which keeps no other copy of the maps; nothing assembles it again.
 
 Every page is read off one filtered reduction of the total complex.  The
 column filtration F^p (the cells with column >= p) is preserved by the
@@ -88,8 +89,9 @@ def make_bicomplex(
     is the total degree of its source; a horizontal and a vertical map
     have different target cells, so no two blocks meet.  Then the three
     laws are checked at once, as D_{m+1} D_m = 0 in each total degree m, a
-    product of the assembled matrices: the blocks of D_{m+1} D_m from
-    (p, q) to (p+2, q), (p, q+2) and (p+1, q+1) are H.H, V.V and VH + HV.
+    product of the assembled matrices (``square_defects`` of the total
+    complex): the blocks of D_{m+1} D_m from (p, q) to (p+2, q), (p, q+2)
+    and (p+1, q+1) are H.H, V.V and VH + HV.
     A failure names the block of a nonzero entry of a product, the first
     of them with the horizontal blocks by (q, p) first, then the vertical
     ones by (p, q), then the mixed ones by (p, q).  Data in another sign
@@ -132,19 +134,13 @@ def make_bicomplex(
     place(horizontal, "horizontal", 1, 0)
     place(vertical, "vertical", 0, 1)
     space_dims = tuple(sum(full_dims[c] for c in diag) for diag in diagonals)
-    differentials = tuple(
-        RationalMatrix._placed(space_dims[m + 1], space_dims[m], placed) for m, placed in enumerate(blocks)
+    total = CochainComplex(
+        space_dims, tuple(RationalMatrix._placed(space_dims[m + 1], space_dims[m], placed) for m, placed in enumerate(blocks))
     )
-    # (m, i, j): a nonzero entry of D_{m+1} D_m
-    broken = [
-        (m, i, j)
-        for m, (d, after) in enumerate(zip(differentials, differentials[1:]))
-        for i, j, _ in (after @ d).nonzero_entries()
-    ]
-    if broken:
+    if broken := total.square_defects():
         cells = [[c for c in diag for _ in range(full_dims[c])] for diag in diagonals]
         raise InvalidBicomplex(min(_law(cells[m][j], cells[m + 2][i]) for m, i, j in broken)[1])
-    return Bicomplex(width, height, full_dims, CochainComplex(space_dims, differentials))
+    return Bicomplex(width, height, full_dims, total)
 
 
 def _law(source: tuple[int, int], target: tuple[int, int]) -> tuple[tuple[int, int, int], str]:

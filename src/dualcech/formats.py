@@ -9,12 +9,16 @@ offending field.
 Every field is read through one reader, ``_at(doc, key, path, read,
 *args)``: it looks ``key`` up, refuses a missing required field, and
 hands the value to a typed reader (``_int``, ``_str``, ``_matrix``, a
-``parse_*``, ...) at the pointer ``path/key``.  Three collection readers
+``parse_*``, ...) at the pointer ``path/key``.  Four collection readers
 compose with it: ``_each`` reads an array and names item i ``path/i``,
-``_keyed`` reads a simplex-keyed object such as ``dims``, ``unit`` or
-``matrices``, and ``_ints`` reads an array of integers in one loop.  Every
-other object has fixed keys, and its reader takes it through ``_record``,
-which refuses a key outside them at ``path/key``, as the schema's
+``_entries`` reads an array of keyed entries, a presheaf's
+``restrictions``, a divisor's ``tables`` or a bicomplex's maps, into a
+dict, ``_keyed`` reads a simplex-keyed object such as ``dims``, ``unit``
+or ``matrices``, and ``_ints`` reads an array of integers in one loop.
+``_entries`` and ``_keyed`` refuse a second entry for one key at its own
+pointer rather than let it replace the first.  Every other object has
+fixed keys, and its reader takes it through ``_record``, which refuses a
+key outside them at ``path/key``, as the schema's
 ``additionalProperties: false`` does (the schema leaves a presheaf's
 ``restrictions`` open; ``formats`` holds their items to their three keys
 all the same).  A top-level document's keys include ``kind`` and
@@ -73,8 +77,23 @@ def _each(value, path, read, *args) -> list:
     return [read(item, f"{path}/{i}", *args) for i, item in enumerate(_list(value, path))]
 
 
+def _entries(value, path, read, *args) -> dict:
+    """An array of entries, item i read by ``read`` at ``path/i`` as a (key, value) pair; a repeated key is refused at its item."""
+    out = {}
+    for i, item in enumerate(_list(value, path)):
+        key, entry = read(item, f"{path}/{i}", *args)
+        if key in out:
+            raise SchemaError(f"{path}/{i}", f"duplicate entry for {key}")
+        out[key] = entry
+    return out
+
+
 def _keyed(value, path, read, *args) -> dict:
-    """An object keyed by simplices such as "0,2", each value read by ``read`` at its key's pointer."""
+    """An object keyed by simplices such as "0,2", each value read by ``read`` at its key's pointer.
+
+    Two keys that name one simplex, such as "0,1" and "0, 1", are refused
+    at the second.
+    """
     out = {}
     for key, item in _obj(value, path).items():
         at = f"{path}/{key}"
@@ -82,6 +101,8 @@ def _keyed(value, path, read, *args) -> dict:
             simplex = tuple(int(part) for part in key.split(","))
         except ValueError:
             raise SchemaError(at, f"bad simplex key {key!r}, expected e.g. '0,2'") from None
+        if simplex in out:
+            raise SchemaError(at, f"duplicate entry for {simplex}")
         out[simplex] = read(item, at, *args)
     return out
 
@@ -233,7 +254,7 @@ def _restriction(item, path, dims) -> tuple:
 
 def _restrictions(spec, path, base, dims) -> dict:
     if spec not in ("identity", "zero"):
-        return dict(_each(spec, path, _restriction, dims))
+        return _entries(spec, path, _restriction, dims)
     restrictions = {}
     for sigma, tau in base.face_pairs:
         if dims.get(sigma, 0) and dims.get(tau, 0):
@@ -275,8 +296,8 @@ def _restriction_field(value, path):
     return _at(_record(value, path, _MATRICES), "matrices", path, _keyed, _matrix)
 
 
-def _table_row(row, path, tables) -> None:
-    """Read one row of a divisor's ``tables`` into ``tables``, refusing a second row for its key."""
+def _table_row(row, path) -> tuple:
+    """One row of a divisor's ``tables`` as its key (tuple, flavor, r, q) and its entry."""
     snc = dualcech.snc
     row = _record(row, path, _TABLE_ROW)
     t = _at(row, "tuple", path, _ints)
@@ -285,10 +306,7 @@ def _table_row(row, path, tables) -> None:
     q = _at(row, "q", path, _int, 0)
     dim = _at(row, "dim", path, _int, 0)
     restriction = _at(row, "restriction", path, _restriction_field, default=None)
-    key = (t, flavor, r, q)
-    if key in tables:
-        raise SchemaError(path, f"duplicate table row for {key}")
-    tables[key] = snc.TableEntry(dim, restriction)
+    return (t, flavor, r, q), snc.TableEntry(dim, restriction)
 
 
 def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
@@ -297,8 +315,7 @@ def parse_divisor(doc: Mapping, path: str = "") -> snc.SncDivisor:
     components = _at(doc, "components", path, _each, _component)
     multiplicities = _at(doc, "multiplicities", path, _ints, 1, default=None)
     strata = _at(doc, "strata", path, _each, _ints)
-    tables = {}
-    _at(doc, "tables", path, _each, _table_row, tables, default=None)
+    tables = _at(doc, "tables", path, _entries, _table_row, default=None)
     irreducible = _at(doc, "irreducible", path, _bool, default=True)
     return snc.make_snc_divisor(components, strata, tables, multiplicities=multiplicities, irreducible=irreducible)
 
@@ -344,9 +361,9 @@ def parse_bicomplex(doc: Mapping, path: str = "") -> bicomplex.Bicomplex:
     dims = {(p, q): d for q, row in enumerate(rows) for p, d in enumerate(row)}
     if not dims:
         raise SchemaError(f"{path}/dims", "bicomplex needs at least one cell")
-    horizontal = _at(doc, "horizontal", path, _each, _placed_matrix, default=())
-    vertical = _at(doc, "vertical", path, _each, _placed_matrix, default=())
-    return bicomplex.make_bicomplex(dims, dict(horizontal), dict(vertical))
+    horizontal = _at(doc, "horizontal", path, _entries, _placed_matrix, default=None)
+    vertical = _at(doc, "vertical", path, _entries, _placed_matrix, default=None)
+    return bicomplex.make_bicomplex(dims, horizontal, vertical)
 
 
 PARSERS = {

@@ -10,12 +10,14 @@ two composites through the faces between them.
 
 Each check runs once, where the data enters.  ``make_presheaf`` is the one
 door for caller-supplied restrictions (presheaf documents, rational-check
-sections, explicit divisor tables); it checks shapes and then
-functoriality.  ``constant_presheaf``, the zero presheaf, ``direct_sum`` and
-the quotient of ``split_constant`` are functorial by construction, as their
-docstrings say, and are not checked again.  ``cech_complex`` only assembles
-matrices, and d.d = 0 is not checked a second time: it follows from
-functoriality.  It and ``direct_sum`` hand their blocks to the block
+sections, divisor tables, explicit or ``"constant"``); it checks shapes and
+then functoriality, as d.d = 0 on the Cech complex
+(``check_functoriality``), by the ``CochainComplex.square_defects`` that
+``bicomplex.make_bicomplex`` also uses.  ``constant_presheaf``, the zero
+presheaf, ``direct_sum`` and the quotient of ``split_constant`` are
+functorial by construction, as their docstrings say, and are not checked
+again.  ``cech_complex`` only assembles matrices, and d.d = 0 is not
+checked a second time.  It and ``direct_sum`` hand their blocks to the block
 writer of ``exactla``, ``RationalMatrix._placed``, and read no matrix's
 numerators themselves.  A ``Presheaf`` built directly, around
 ``make_presheaf``, is the caller's to vouch for.  ``CochainComplex``, defined in
@@ -110,21 +112,27 @@ def make_presheaf(
 
 
 def check_functoriality(v: Presheaf) -> None:
-    """Raise unless all two-step restriction composites are path independent."""
-    for rho in sorted(v.base.simplices):
-        if len(rho) < 3:
-            continue
-        faces = [tau for tau, _ in _faces(rho)]
-        for x, tau_x in enumerate(faces):
-            for tau_y in faces[x + 1 :]:
-                # tau_y omits a vertex after x, so its face x omits x as well
-                sigma = _faces(tau_y)[x][0]
-                via_x = v.restrictions[(tau_x, rho)] @ v.restrictions[(sigma, tau_x)]
-                via_y = v.restrictions[(tau_y, rho)] @ v.restrictions[(sigma, tau_y)]
-                if via_x != via_y:
-                    raise FunctorialityViolation(
-                        f"restriction composites {sigma} -> {rho} disagree"
-                    )
+    """Raise unless all two-step restriction composites are path independent.
+
+    Checked as d.d = 0 on the Cech complex, by ``square_defects``, one
+    product per degree.  A simplex rho and a face sigma of codimension 2,
+    rho without its vertices at positions x < y, have exactly two faces
+    between them: tau_x, rho without position x, and tau_y.  sigma is
+    face y - 1 of tau_x and tau_x face x of rho; sigma is face x of tau_y
+    and tau_y face y of rho.  So the block of d.d from sigma to rho is
+    (-1)^(x+y) (via_y - via_x), with via_x = R(tau_x, rho) R(sigma, tau_x),
+    and it is zero exactly when the two composites agree.  Each pair has
+    its own rows and columns, so the nonzero entries of d.d lie in the
+    blocks of the broken pairs.  The one refused is the first by rho in
+    lexicographic order, then by (x, y).
+    """
+    if broken := cech_complex(v).square_defects():
+        # cells[p][k]: the simplex of the k-th basis vector of degree p
+        cells = [[s for s in v.base.p_simplices(p) for _ in range(v.dim(s))] for p in range(v.base.dim + 1)]
+        pairs = {(cells[m + 2][i], cells[m][j]) for m, i, j in broken}
+        # by rho, then the positions (x, y) of rho that sigma omits
+        rho, _, sigma = min((rho, [k for k, w in enumerate(rho) if w not in sigma], sigma) for rho, sigma in pairs)
+        raise FunctorialityViolation(f"restriction composites {sigma} -> {rho} disagree")
 
 
 def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:

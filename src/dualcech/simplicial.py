@@ -12,14 +12,15 @@ states the orientation.
 matrices: its constructor checks the shapes, and ``cohomology`` ranks the
 differentials in one cleared reduction (``exactla._cleared_pivots``).
 That reduction is sound only when d.d = 0, which the constructor does not
-check: every builder knows it, either because it checked the identity
-where the data entered or because it holds by construction (the class
-docstring lists them).  Cech complexes of presheaves and total complexes
-of bicomplexes go through the class.  A simplicial complex does not:
-``_packed_cells`` is the one way the library writes its coboundaries.
-Each simplex is packed into one int, and the coboundaries are written
-from those keys straight into integer rows, with no matrix; d.d = 0
-holds there by the alternating-sign identity.  ``betti_numbers`` feeds
+check.  ``square_defects`` finds every entry where it fails, one product
+per degree: the two builders that take caller data call it on the
+complex they assembled, and the rest hold the identity by construction
+(the class docstring lists them).  Cech complexes of presheaves and
+total complexes of bicomplexes go through the class.  A simplicial
+complex does not: ``_packed_cells`` is the one way the library writes
+its coboundaries.  Each simplex is packed into one int, and the
+coboundaries are written from those keys straight into integer rows,
+with no matrix; d.d = 0 holds there by the alternating-sign identity.  ``betti_numbers`` feeds
 the rows to the same reduction, and ``integral_cohomology`` takes their
 Smith normal forms.  ``coboundary_matrix`` stays the matrix form of the
 same coboundaries, with no library caller, for the tests.
@@ -105,18 +106,20 @@ class CochainComplex:
     """Spaces C^0..C^top with differentials C^p -> C^{p+1} squaring to zero.
 
     The constructor checks shapes only: d_{m+1} d_m = 0 is known by the
-    caller.  The library builds cochain complexes at these doors alone:
+    caller.  The library builds cochain complexes at these doors alone.
+    Two check the identity with ``square_defects`` on the differential
+    they assembled, once, where the data enters:
 
-    - ``presheaf.cech_complex`` of a presheaf from ``make_presheaf``, which
-      checks functoriality, the identity that makes the Cech differential
-      square to zero;
-    - ``bicomplex.make_bicomplex``, which assembles the total differential
-      D = H + V of a bicomplex and checks D_{m+1} D_m = 0 on it in every
-      total degree m (its blocks are H^2, V^2 and HV + VH);
-    - builders that square to zero by construction: ``cech_complex`` of
-      constant and zero presheaves, of ``direct_sum`` and of the
-      ``split_constant`` quotient (functorial by construction, see their
-      docstrings).
+    - ``presheaf.make_presheaf`` checks its Cech complex, whose d.d = 0 is
+      functoriality (``presheaf.check_functoriality``); ``cech_complex``
+      of the presheaf it returns is not checked again;
+    - ``bicomplex.make_bicomplex`` checks the total differential
+      D = H + V of a bicomplex in every total degree m (the blocks of
+      D_{m+1} D_m are H^2, V^2 and HV + VH).
+
+    The rest square to zero by construction: ``cech_complex`` of constant
+    and zero presheaves, of ``direct_sum`` and of the ``split_constant``
+    quotient (functorial by construction, see their docstrings).
 
     A simplicial complex's coboundaries square to zero by the
     alternating-sign identity.  ``betti_numbers`` ranks them as packed
@@ -139,6 +142,14 @@ class CochainComplex:
                     f"differential {p} is {d.rows}x{d.cols}, expected "
                     f"{self.space_dims[p + 1]}x{self.space_dims[p]}"
                 )
+
+    def square_defects(self) -> list[tuple[int, int, int]]:
+        """(m, i, j) for every nonzero entry (i, j) of d_{m+1} d_m, one product per degree."""
+        return [
+            (m, i, j)
+            for m, (d, after) in enumerate(zip(self.differentials, self.differentials[1:]))
+            for i, j, _ in (after @ d).nonzero_entries()
+        ]
 
     def cohomology(self) -> list[int]:
         # ranks[p] is the rank of the differential into C^p, ranks[p + 1] of the one out of it

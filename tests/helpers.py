@@ -50,7 +50,7 @@ from dualcech.formats import _list
 from dualcech.exactla import RationalMatrix
 from dualcech.localmodel import LocalModelSpec
 from dualcech.presheaf import CochainComplex, Presheaf
-from dualcech.simplicial import SimplicialComplex
+from dualcech.simplicial import Simplex, SimplicialComplex
 from dualcech.snc import DERHAM, SHEAF, Component, SncDivisor, TableEntry
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -247,15 +247,17 @@ def same_storage(a: RationalMatrix, b: RationalMatrix) -> bool:
     return rows_nonempty and (a.rows, a.cols, a._den, a._num) == (b.rows, b.cols, b._den, b._num)
 
 
-def oracle_is_functorial(v: Presheaf) -> bool:
-    """Whether every two-step restriction composite is path independent.
+def oracle_broken_pairs(v: Presheaf) -> list[tuple[Simplex, Simplex]]:
+    """Every (sigma, rho) whose two restriction composites differ, in the order refusals name them.
 
-    For each simplex rho with at least three vertices and each pair of
-    positions x < y, the composites from rho minus both vertices through rho
-    minus one of them are dense ``oracle_matmul`` products of the
-    restriction rows.
+    The walk takes each simplex rho with at least three vertices in
+    lexicographic order, and each pair of its positions x < y in
+    lexicographic order; sigma is rho without both vertices.  The
+    composites from sigma to rho through rho minus one of them are dense
+    ``oracle_matmul`` products of the restriction rows.
     """
-    for rho in v.base.simplices:
+    broken = []
+    for rho in sorted(v.base.simplices):
         if len(rho) < 3:
             continue
         for x, y in combinations(range(len(rho)), 2):
@@ -267,8 +269,13 @@ def oracle_is_functorial(v: Presheaf) -> bool:
                 inner = v.restrictions[(sigma, tau)].to_rows()
                 composites.append(oracle_matmul(outer, inner, v.dim(sigma)))
             if composites[0] != composites[1]:
-                return False
-    return True
+                broken.append((sigma, rho))
+    return broken
+
+
+def oracle_is_functorial(v: Presheaf) -> bool:
+    """Whether every two-step restriction composite is path independent."""
+    return not oracle_broken_pairs(v)
 
 
 def oracle_minor_gcd(rows: list[list[int]], size: int) -> int:

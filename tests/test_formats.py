@@ -212,3 +212,93 @@ def test_int_array_reader_matches_itemwise_reads(value, minimum):
             return ("error", exc.pointer, exc.message)
 
     assert outcome(formats._ints) == outcome(lambda v, p, m: formats._each(v, p, formats._int, m))
+
+
+def _segment_presheaf(restrictions, dims=None) -> dict:
+    return {
+        "kind": "presheaf",
+        "complex": {"vertex_count": 2, "facets": [[0, 1]]},
+        "dims": dims or {"0": 1, "1": 1, "0,1": 1},
+        "restrictions": restrictions,
+    }
+
+
+def _segment_divisor(section=None, matrices=None) -> dict:
+    tables = [{"tuple": t, "r": 0, "q": 0, "dim": 1, "restriction": "constant"} for t in ([0], [1], [0, 1])]
+    tables += [{"tuple": [t], "r": 0, "q": 1, "dim": 0} for t in (0, 1)]
+    if matrices is not None:
+        tables.append({"tuple": [0, 1], "flavor": "derham", "q": 0, "dim": 1, "restriction": {"matrices": matrices}})
+    doc = {
+        "kind": "divisor",
+        "components": [{"name": "C0", "dim": 1}, {"name": "C1", "dim": 1}],
+        "strata": [[0], [1], [0, 1]],
+        "tables": tables,
+    }
+    if section is not None:
+        doc["rational_check"] = {"claimed_rational": True, "dims": {"0": 1, "1": 1, "0,1": 1}, **section}
+    return doc
+
+
+def _rational_check(doc):
+    return formats.parse_rational_check(doc["rational_check"], formats.parse_divisor(doc), "/rational_check")
+
+
+ONE = [["1"]]
+TO_EDGE = [{"from": [0], "to": [0, 1], "matrix": ONE}, {"from": [1], "to": [0, 1], "matrix": ONE}]
+REPEAT = {"from": [0], "to": [0, 1], "matrix": [["0"]]}
+UNIT = {"0": ["1"], "1": ["1"], "0,1": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, pointer, key",
+    [
+        # a presheaf's restrictions, the repeat after and before the first
+        (formats.parse_presheaf, _segment_presheaf(TO_EDGE + [REPEAT]), "/restrictions/2", ((0,), (0, 1))),
+        (formats.parse_presheaf, _segment_presheaf([REPEAT] + TO_EDGE), "/restrictions/1", ((0,), (0, 1))),
+        # a rational_check section reads its restrictions the same way
+        (
+            _rational_check,
+            _segment_divisor({"restrictions": TO_EDGE + [REPEAT], "unit": UNIT}),
+            "/rational_check/restrictions/2",
+            ((0,), (0, 1)),
+        ),
+        (
+            formats.parse_bicomplex,
+            {
+                "kind": "bicomplex",
+                "dims": [[1, 1]],
+                "horizontal": [{"p": 0, "q": 0, "matrix": [[1]]}, {"p": 0, "q": 0, "matrix": [[0]]}],
+            },
+            "/horizontal/1",
+            (0, 0),
+        ),
+        (
+            formats.parse_bicomplex,
+            {
+                "kind": "bicomplex",
+                "dims": [[1], [1]],
+                "vertical": [{"p": 0, "q": 0, "matrix": [[1]]}, {"p": 0, "q": 0, "matrix": [[1]]}],
+            },
+            "/vertical/1",
+            (0, 0),
+        ),
+        # keys of simplex-keyed objects that name one simplex
+        (
+            formats.parse_presheaf,
+            _segment_presheaf(TO_EDGE, {"0": 1, "1": 1, "0,1": 1, "0, 1": 0}),
+            "/dims/0, 1",
+            (0, 1),
+        ),
+        (
+            _rational_check,
+            _segment_divisor({"restrictions": "identity", "unit": {**UNIT, " 0": ["2"]}}),
+            "/rational_check/unit/ 0",
+            (0,),
+        ),
+        (formats.parse_divisor, _segment_divisor(matrices={"0": ONE, "1": ONE, "1 ": ONE}), "/tables/5/restriction/matrices/1 ", (1,)),
+    ],
+)
+def test_a_repeated_entry_is_refused_at_its_own_pointer(parse, doc, pointer, key):
+    with pytest.raises(SchemaError) as caught:
+        parse(doc)
+    assert (caught.value.pointer, caught.value.message) == (pointer, f"duplicate entry for {key}")

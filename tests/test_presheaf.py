@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualcech import presheaf, simplicial
 from dualcech.errors import (
@@ -23,6 +23,7 @@ from helpers import (
     conjugate_presheaf,
     hstack,
     oracle_cech_complex,
+    oracle_broken_pairs,
     oracle_checked,
     oracle_inverse,
     oracle_is_functorial,
@@ -125,6 +126,44 @@ def test_unchecked_presheaf_refused_by_cech_complex():
     complex_ = presheaf.cech_complex(v)
     with pytest.raises(CompositionNonzero):
         OracleCochainComplex(complex_.space_dims, complex_.differentials)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=150)
+def test_refusal_names_the_first_broken_pair_of_the_oracle_walk(seed):
+    # one restriction entry of a functorial presheaf moved: make_presheaf
+    # refuses exactly when the oracle finds a broken pair, and names the
+    # first one in the walk's order, rho lexicographic, then (x, y)
+    rng = random.Random(seed)
+    v = random_presheaf(rng, random_complex(rng, max_vertices=5))
+    restrictions = dict(v.restrictions)
+    movable = [pair for pair, m in restrictions.items() if m.rows and m.cols]
+    if movable:
+        pair = rng.choice(movable)
+        rows = restrictions[pair].to_rows()
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[i][j] += rng.choice([1, -1, Fraction(1, 2), 3])
+        restrictions[pair] = RationalMatrix.from_rows(rows)
+    broken = oracle_broken_pairs(presheaf.Presheaf(v.base, v.dims, restrictions))
+    if not broken:
+        presheaf.make_presheaf(v.base, v.dims, restrictions)
+        return
+    with pytest.raises(FunctorialityViolation) as caught:
+        presheaf.make_presheaf(v.base, v.dims, restrictions)
+    sigma, rho = broken[0]
+    assert str(caught.value) == f"restriction composites {sigma} -> {rho} disagree"
+
+
+def test_functoriality_check_makes_one_product_per_degree(monkeypatch):
+    # rank-1 identity data on the full simplex on 8 vertices: its Cech
+    # complex has 7 differentials, so d.d takes 6 products
+    base = simplicial.from_facets(8, [tuple(range(8))])
+    restrictions = {pair: RationalMatrix.identity(1) for pair in base.face_pairs}
+    products = []
+    matmul = RationalMatrix.__matmul__
+    monkeypatch.setattr(RationalMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    presheaf.make_presheaf(base, {s: 1 for s in base.simplices}, restrictions)
+    assert len(products) <= 6
 
 
 def test_direct_sum_dimension_additivity():
