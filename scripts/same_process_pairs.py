@@ -14,7 +14,8 @@ the wall time of identical code by up to 2x from one process to the next
 
 The documents of ``--workload`` for ``--seed`` come from
 ``perfbench/workloads.py`` of CHANGE_TREE and are written to the same
-temporary directory.  Each side first runs one untimed cycle.  A round
+temporary directory; a CHANGE_TREE without it stops the script with one
+``error:`` line.  Each side first runs one untimed cycle.  A round
 then runs one cycle per side, ``cli.main([command, document, "--json"])``
 on every document in order, and the side that runs first alternates, the
 parent first in the first round.  Every report is checked with
@@ -76,7 +77,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2, for the quartiles")
-    sys.path.insert(0, str(args.change.resolve() / "perfbench"))
+    bench = args.change.resolve() / "perfbench"
+    if not all((bench / name).is_file() for name in ("oracle.py", "workloads.py")):
+        raise SystemExit(f"error: {bench} holds no oracle.py and workloads.py to take the documents from")
+    sys.path.insert(0, str(bench))
     import oracle
     import workloads
 

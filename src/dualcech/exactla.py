@@ -198,11 +198,12 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, {})
+        # a negative shape goes to the constructor, which refuses it
+        return cls._of(rows, cols, {}) if rows >= 0 and cols >= 0 else cls(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._of(n, n, {i: {i: 1} for i in range(n)}) if n >= 0 else cls.zeros(n, n)
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

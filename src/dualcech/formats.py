@@ -16,23 +16,20 @@ compose with it: ``_each`` reads an array and names item i ``path/i``,
 dict, ``_keyed`` reads a simplex-keyed object such as ``dims``, ``unit``
 or ``matrices``, and ``_ints`` reads an array of integers in one loop.
 ``_entries`` and ``_keyed`` refuse a second entry for one key at its own
-pointer rather than let it replace the first.  Every other object has
-fixed keys, and its reader takes it through ``_record``, which refuses a
-key outside them at ``path/key``, as the schema's
-``additionalProperties: false`` does (the schema leaves a presheaf's
+pointer rather than let it replace the first, and ``load_document``
+refuses a key written twice in one JSON object, of which ``json`` would
+keep the last.  Every other object has fixed keys, and its reader takes it
+through ``_record``, which refuses a key outside them at ``path/key``, as
+the schema's ``additionalProperties: false`` does (the schema leaves a presheaf's
 ``restrictions`` open; ``formats`` holds their items to their three keys
 all the same).  A top-level document's keys include ``kind`` and
 ``schema_version`` (``_ENVELOPE``).  Only the readers form pointers.  A
 missing optional field takes its default; a ``null`` one is refused like
 any other value of the wrong type, as the schema refuses it.  A ``schema_version``, where present, must be 1.
 
-Reports are plain dictionaries rendered with sorted keys, so identical
-inputs always produce byte-identical JSON.  ``render_report`` writes
-exactly the bytes of ``json.dumps(report, sort_keys=True, indent=2)`` and
-a newline, and raises ``TypeError`` where that would, but walks the report
-itself: ``indent`` sends ``json.dumps`` to its pure-Python encoder, which
-costs a generator step per token, while the writer joins whole lists of
-ints at once and escapes strings with ``json``'s C routine.
+Reports are plain dictionaries rendered as one line with sorted keys, so
+identical inputs always produce byte-identical JSON; ``python3 -m
+json.tool`` indents one for reading.
 
 Modules load on first use.  At module level this file imports only
 ``errors`` and ``exactla``, which every parse needs; each ``parse_*``
@@ -400,10 +397,27 @@ def _version(value, path) -> int:
     return value
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice is refused, where ``json`` keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise SchemaError("", f"duplicate key {key!r} in one object")
+    return obj
+
+
+# one decoder for every document: ``json.loads`` with a hook builds a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -416,65 +430,5 @@ def load_document(path: str) -> dict:
 
 
 def render_report(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte, without its pure-Python encoder."""
-    out: list[str] = []
-    _write(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-_string = json.encoder.encode_basestring_ascii
-
-
-def _write(value, indent: str, out: list[str]) -> None:
-    """Append ``value`` as JSON to ``out``, with ``indent`` (a newline and spaces) before its closing bracket.
-
-    ``json.dumps`` with ``indent=2`` writes each member of a nonempty
-    container on its own line, two spaces deeper, separated by commas, and
-    a dict's members as ``"key": value`` in sorted order of its items.  A
-    key that is no string is written as ``json.dumps`` writes it as a value
-    (``true``, ``null``, a number), within quotes, and a key of another type
-    raises ``TypeError``, as there.  A plain int, ``true``, ``false`` and
-    ``null`` are written directly, a list of plain ints in one join, a
-    string by ``json``'s own C escaper, and any other leaf by ``json.dumps``,
-    which raises ``TypeError`` on a value JSON cannot hold.
-    """
-    if isinstance(value, str):
-        out.append(_string(value))
-    elif type(value) is int:
-        out.append(str(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        lead = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-                key = json.dumps(key)
-            out.append(lead + _string(key) + ": ")
-            _write(item, inner, out)
-            lead = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        if all(type(x) is int for x in value):
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + indent + "]")
-            return
-        lead = "[" + inner
-        for item in value:
-            out.append(lead)
-            _write(item, inner, out)
-            lead = "," + inner
-        out.append(indent + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True or value is False:
-        out.append("true" if value else "false")
-    else:
-        out.append(json.dumps(value))
+    """``report`` as one line of JSON with sorted keys, by the standard library's C encoder."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"

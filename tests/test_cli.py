@@ -533,8 +533,9 @@ def test_reports_validate_against_published_schema(capsys):
         ("rational-check", "segment_rational_check.json"),
     ]
     for command, name in invocations:
-        _, report = run_json(capsys, command, input_path(name))
-        assert schema_errors(report, schema) == [], command
+        _, out = run_cli(capsys, command, input_path(name), "--json")
+        assert out.endswith("\n") and out.count("\n") == 1, command
+        assert schema_errors(json.loads(out), schema) == [], command
 
 
 def test_command_and_kind_tables_match_published_schemas():
@@ -589,6 +590,30 @@ def test_json_reports_are_deterministic(capsys):
     _, first = run_cli(capsys, "snc-cohomology", input_path("pn_hyperplanes_3.json"), "--json")
     _, second = run_cli(capsys, "snc-cohomology", input_path("pn_hyperplanes_3.json"), "--json")
     assert first == second
+
+
+# the exact stdout of two small --json reports: one line, sorted keys, no spaces
+PINNED_REPORTS = [
+    (
+        ["verify-lemma31", "inputs/lm_2_1_1.json", "--degree-bound", "1"],
+        '{"command":"verify-lemma31","input":"inputs/lm_2_1_1.json","ok":true,"options":{"degree_bound":1},'
+        '"result":{"degree_bound":1,"exact":true,"per_degree":[{"degree":0,"homology":[0,0,0]},'
+        '{"degree":1,"homology":[0,0,0]}],"verdict_text":"exact in all degrees <= 1"},"schema_version":1}\n',
+    ),
+    (
+        ["betti", "inputs/triangle_boundary.json"],
+        '{"command":"betti","input":"inputs/triangle_boundary.json","ok":true,"options":{},'
+        '"result":{"betti":[1,1],"euler_characteristic":0},"schema_version":1}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_REPORTS, ids=[argv[0] for argv, _ in PINNED_REPORTS])
+def test_json_report_bytes_are_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(ROOT)
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == expected
 
 
 def test_text_output_mentions_totals(capsys):
@@ -646,18 +671,32 @@ def test_command_loads_only_the_modules_it_calls(command, name, code, absent):
     assert not {f"dualcech.{m}" for m in absent} & set(loaded), loaded
 
 
-# documents that json.load refuses with something other than JSONDecodeError
+# documents that json.load refuses with something other than JSONDecodeError,
+# or reads by keeping the last of two equal keys in one object; each is
+# refused as it is read, before its kind is checked, with this error line
+NOT_JSON = "error: /: not valid JSON: "
 HOSTILE_DOCUMENTS = {
-    "deep_array": b"[" * 100_000 + b"]" * 100_000,  # RecursionError
-    "long_integer": b"1" * 5_000,  # ValueError past Python's 4300-digit limit
-    "bad_byte": b"\xff",  # UnicodeDecodeError
+    "deep_array": (b"[" * 100_000 + b"]" * 100_000, NOT_JSON),  # RecursionError
+    "long_integer": (b"1" * 5_000, NOT_JSON),  # ValueError past Python's 4300-digit limit
+    "bad_byte": (b"\xff", NOT_JSON),  # UnicodeDecodeError
+    "byte_order_mark": (b"\xef\xbb\xbf{}", NOT_JSON + "Unexpected UTF-8 BOM"),
+    # presheaf-cohomology would answer (2) from the second value
+    "repeated_dims_key": (
+        b'{"kind": "presheaf", "complex": {"vertex_count": 1, "facets": [[0]]}, "dims": {"0": 1, "0": 2}}',
+        "error: /: duplicate key '0' in one object",
+    ),
+    "repeated_top_level_key": (
+        b'{"kind": "complex", "vertex_count": 1, "facets": [], "kind": "complex"}',
+        "error: /: duplicate key 'kind' in one object",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
 def test_hostile_json_exits_one_without_traceback(tmp_path, name):
+    text, error = HOSTILE_DOCUMENTS[name]
     path = tmp_path / f"{name}.json"
-    path.write_bytes(HOSTILE_DOCUMENTS[name])
+    path.write_bytes(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     proc = subprocess.run(
@@ -670,7 +709,7 @@ def test_hostile_json_exits_one_without_traceback(tmp_path, name):
     assert proc.returncode == 1
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: /: not valid JSON: "), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(error), proc.stderr
 
 
 def test_toric_projective_boundaries_at_depth(capsys, tmp_path):

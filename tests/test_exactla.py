@@ -100,6 +100,21 @@ def test_kernel_of_zero_row_matrix_is_identity():
     assert k == RationalMatrix.identity(3)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 4)])
+def test_zeros_and_identity_store_what_the_constructor_stores(rows, cols):
+    assert same_storage(RationalMatrix.zeros(rows, cols), RationalMatrix(rows, cols, {}))
+    eye = RationalMatrix(rows, rows, {(i, i): 1 for i in range(rows)})
+    assert same_storage(RationalMatrix.identity(rows), eye)
+
+
+@pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1), (-2, 3)])
+def test_zeros_and_identity_refuse_a_negative_shape(rows, cols):
+    with pytest.raises(ShapeMismatch, match="negative matrix shape"):
+        RationalMatrix.zeros(rows, cols)
+    with pytest.raises(ShapeMismatch, match="negative matrix shape"):
+        RationalMatrix.identity(min(rows, cols))
+
+
 def test_inverse_round_trip():
     m = RationalMatrix.from_rows([[2, 1], [1, 1]])
     assert oracle_inverse(m) @ m == RationalMatrix.identity(2)

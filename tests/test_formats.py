@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -146,54 +145,6 @@ def test_matrix_refusals_keep_their_pointer_and_text(value, pointer, message):
     with pytest.raises(SchemaError) as caught:
         formats._matrix(value, "/m")
     assert (caught.value.pointer, caught.value.message) == (pointer, message)
-
-
-# JSON leaves with the escapes and sizes the writer must match, and a few
-# values json.dumps refuses (a set, bytes, a complex, a bare object)
-REPORT_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-3, 3),
-    st.integers(-(2**200), 2**200),
-    st.floats(),
-    st.text(),
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\ud800", "\U0001f600", "a\tb\nc\r"]),
-)
-REFUSED_LEAVES = st.sampled_from([{1}, b"x", 1j, object()])
-REPORT_KEYS = st.one_of(st.text(), st.integers(-(2**70), 2**70), st.floats(), st.booleans(), st.none())
-REPORT_VALUES = st.recursive(
-    st.one_of(REPORT_LEAVES, REPORT_LEAVES, REPORT_LEAVES, REFUSED_LEAVES),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.lists(st.integers(-(2**70), 2**70), max_size=4),
-        st.dictionaries(st.text(max_size=3), children, max_size=4),
-        st.dictionaries(REPORT_KEYS, children, max_size=3),
-    ),
-    max_leaves=20,
-)
-
-
-def _written(render, value):
-    try:
-        return render(value)
-    except TypeError:
-        return TypeError
-
-
-@given(REPORT_VALUES)
-@example({"b": [1, -(2**70), 0], "a": {"": (), "x": {}, "y": []}, "c": [True, None, 1.5]})
-@example(["\"\\\x00\u00e9", ("t", (1, 2)), [[]], {3: "k", -1: None}])
-@example({True: 1, None: 2})
-@example({(1, 2): 0})
-@example({"set": {1}})
-@example({1: 2, "mixed": 3})
-@settings(max_examples=400)
-def test_report_writer_matches_json_dumps(value):
-    # byte for byte where json.dumps writes the value, TypeError where it refuses it
-    assert _written(formats.render_report, value) == _written(
-        lambda v: json.dumps(v, sort_keys=True, indent=2) + "\n", value
-    )
 
 
 INT_ITEMS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), st.booleans(), st.none(), st.floats(), st.text(max_size=2))

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 from math import comb
@@ -73,6 +75,50 @@ def test_same_process_pairs_runs_the_repository_against_itself():
     assert len(rounds["parent"]) == len(rounds["change"]) == 2
     assert [line.split(":")[0] for line in summary[:2]] == ["parent", "change"]
     assert summary[2].startswith("change won ") and summary[2].endswith("/2 rounds")
+
+
+def test_same_process_pairs_stops_with_one_line_without_perfbench(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "same_process_pairs.py"), ROOT, str(tmp_path),
+         "--workload", "spectral_pages", "--seed", "1", "--rounds", "2"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "old, new, rewrites, differs",
+    [
+        # re-encoded reports: json runs rewritten to equal values, none differs
+        ('separators=(",", ":")', "indent=2", True, False),
+        # a changed error text differs in text and json mode alike
+        ("must be integers or 'p/q' strings", "must be integers or p/q strings", False, True),
+    ],
+    ids=["reencoded", "changed-error"],
+)
+def test_compare_reports_reads_json_runs_as_values(tmp_path, old, new, rewrites, differs):
+    # a copy of the checkout's sources, scripts and documents with old replaced by new in formats.py
+    for part in ("src/dualcech", "scripts", "inputs", "tests/data"):
+        shutil.copytree(os.path.join(ROOT, part), tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    formats_py = tmp_path / "src" / "dualcech" / "formats.py"
+    text = formats_py.read_text(encoding="utf-8")
+    assert old in text
+    formats_py.write_text(text.replace(old, new), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "compare_reports.py"), ROOT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == int(differs), proc.stderr
+    *differing, summary = proc.stdout.splitlines()
+    runs, identical, rewritten, failed = map(int, re.findall(r"\d+", summary))
+    assert runs == identical + rewritten + failed
+    assert (rewritten > 0, failed > 0) == (rewrites, differs)
+    assert len(differing) == failed and all(line.startswith("differs: ") for line in differing)
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 5) for m in range(1, 7)])
