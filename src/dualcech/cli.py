@@ -12,12 +12,14 @@ input, 2 when the computation ran but a verified identity failed (a
 complex that is not exact, a Hodge mismatch, a failed degeneration, a
 flagged rationality obstruction).
 
-A command line that starts with a command is parsed by that command's
-subparser alone, not by the top-level parser and then again by the
-subparser; ``_parse_args`` says why the two give the same namespace.
-Whatever the subparser leaves over, and a line that starts with no
-command, goes through the full two-level parse, so every help, usage and
-error text is argparse's own.
+A well-formed report line, a command followed by its document and only
+exact ``--json``, ``--field rational`` and the command's own option with
+an integer value, is read straight off its ``COMMANDS`` row, without
+argparse; ``_plain_args`` says why that gives argparse's namespace.
+Every other line, help, usage errors, abbreviations, the ``=`` form,
+``--`` and negative values included, goes through ``build_parser()``'s
+full two-level parse, so every help, usage and error text is argparse's
+own.  ``argparse`` is imported only then.
 
 Modules load on first use.  At module level this file imports only
 ``formats`` and ``errors`` (``formats`` brings ``exactla``); each handler
@@ -34,9 +36,9 @@ a wrapper set on ``localmodel.verify_exactness`` is the function called.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import dualcech
@@ -51,6 +53,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import bicomplex, snc
 
 
@@ -257,16 +261,23 @@ class Command(NamedTuple):
     ``main`` checks the document's kind against ``kind`` before anything is
     parsed, parses the document with the kind's parser and calls
     ``handler(parsed, doc, args)``; only ``rational-check`` reads ``doc``,
-    for its ``rational_check`` section.  ``option`` is the flag of an
-    integer option with ``default`` and ``help``; the report's ``options``
-    echo its value unless that is None.
+    for its ``rational_check`` section.  ``args`` is the parsed command
+    line, read by attribute only: an ``argparse.Namespace`` or the
+    ``SimpleNamespace`` of ``_plain_args``.  ``option`` is the flag of an
+    integer option with ``default`` and ``help``, stored at ``dest``; the
+    report's ``options`` echo its value unless that is None.
     """
 
     kind: str
-    handler: Callable[[Any, dict, argparse.Namespace], tuple[dict, int]]
+    handler: Callable[[Any, dict, Any], tuple[dict, int]]
     option: str | None = None
     default: int | None = None
     help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        """argparse's attribute name for ``option``: the flag less its ``--``, with ``_`` for ``-``."""
+        return self.option[2:].replace("-", "_")
 
 
 COMMANDS = {
@@ -289,26 +300,25 @@ COMMANDS = {
 }
 
 
-def _render_value(value, indent=""):
-    lines = []
+def _render_value(value, indent: str, lines: list[str]) -> None:
+    """Append the text lines of ``value`` to ``lines``: one list for the whole report, so each line is built once."""
     if isinstance(value, dict):
         width = max((len(str(k)) for k in value), default=0)
         for key in value:
             inner = value[key]
             if isinstance(inner, (dict, list)) and inner and not _is_flat(inner):
                 lines.append(f"{indent}{key}:")
-                lines.extend(_render_value(inner, indent + "  "))
+                _render_value(inner, indent + "  ", lines)
             else:
                 lines.append(f"{indent}{str(key).ljust(width)}  {_flat(inner)}")
     elif isinstance(value, list):
         for item in value:
             if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.extend(_render_value(item, indent + "  "))
+                _render_value(item, indent + "  ", lines)
             else:
                 lines.append(f"{indent}- {_flat(item)}")
     else:
         lines.append(f"{indent}{_flat(value)}")
-    return lines
 
 
 def _is_flat(value) -> bool:
@@ -331,20 +341,23 @@ def _flat(value) -> str:
 
 def render_text(report: dict) -> str:
     lines = [f"command: {report['command']}", f"input: {report['input']}"]
-    lines.extend(_render_value(report["result"]))
-    lines.append(f"ok: {_flat(report['ok'])}")
-    return "\n".join(lines) + "\n"
+    _render_value(report["result"], "", lines)
+    # the empty last line ends the text in a newline without copying it
+    lines += [f"ok: {_flat(report['ok'])}", ""]
+    return "\n".join(lines)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+    """The command-line parser, built once per process, for the lines ``_plain_args`` does not read.
 
     It holds no state from any input: ``parse_args`` returns a fresh
     namespace on every call, and help and usage errors go to the streams
-    current at that call.  ``parser.commands`` maps each command to its
-    subparser, the subparsers action's own ``choices``.
+    current at that call.  ``argparse`` is imported here, so a process
+    that only writes reports never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dualcech",
         description=(
@@ -365,42 +378,75 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if command.option is not None:
             cmd.add_argument(command.option, type=int, default=command.default, help=command.help)
-    parser.commands = sub.choices
     return parser
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, parsed by the command's subparser alone where that gives the same.
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off the ``COMMANDS`` row, or None.
 
-    When ``argv[0]`` names a command, its subparser parses ``argv[1:]``
-    into a namespace that already carries ``command``.  That is the work
-    ``parser.parse_args`` does, less its own pass over ``argv``: the
-    top-level parser's only option is ``-h``, and its subparsers action
-    takes the command and hands every argument after it, ``-h`` and
-    ``--`` included, to the subparser, which parses them into a fresh
-    namespace whose attributes are then set on one holding ``command``.
-    So whenever the subparser leaves nothing over, the two namespaces are
-    equal, and a help text or usage error raised on the way is the
-    subparser's in both.  What the subparser leaves over, and an ``argv``
-    that starts with no command (help, an unknown command, nothing at
-    all), goes to ``parser.parse_args``, so every other message stays
+    The line is read here only when ``argv[0]`` is a command and every
+    later token is exactly ``--json``, exactly ``--field`` followed by
+    exactly ``rational``, exactly the row's ``option`` followed by a token
+    that does not start with ``-`` and that ``int()`` accepts, or the
+    document: one token that does not start with ``-`` (``""`` included),
+    which must be there.  argparse reads such a line the same way (the
+    top-level parser's only option is ``-h``, so the command goes to its
+    subparsers action and every later token to that command's subparser):
+
+    - it classifies a token that does not start with ``-`` as a
+      positional, so the document and each option's value are arguments,
+      never flags, and a second document would be an error;
+    - it matches an exact option string before it tries abbreviations,
+      so each flag here is that flag and nothing else;
+    - ``--json`` is ``store_true``, ``--field`` has ``choices=["rational"]``
+      and the row's option has ``type=int``, which calls ``int()`` on the
+      token; a flag given twice keeps its last value, as here;
+    - an option not given takes its default: False, ``"rational"`` and
+      the row's ``default``.
+
+    Every other line is left to argparse (None), so its help, usage
+    errors, abbreviations, the ``=`` form, ``--`` and negative values stay
     argparse's own.
     """
-    subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    args = {"command": argv[0], "input": None, "json": False, "field": "rational"}
+    if command.option is not None:
+        args[command.dest] = command.default
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            args["json"] = True
+        elif token == "--field":
+            if next(tokens, None) != "rational":
+                return None
+        elif token == command.option:
+            value = next(tokens, "")
+            if value.startswith("-"):
+                return None
+            try:
+                args[command.dest] = int(value)
+            except ValueError:
+                return None
+        elif args["input"] is None and not token.startswith("-"):
+            args["input"] = token
+        else:
+            return None
+    return None if args["input"] is None else SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        # keep exit code 2 reserved for failed identity checks; argparse
-        # usage errors are input errors
-        return 0 if exc.code == 0 else 1
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # keep exit code 2 reserved for failed identity checks; argparse
+            # usage errors are input errors
+            return 0 if exc.code == 0 else 1
     command = COMMANDS[args.command]
     try:
         doc = formats.load_document(args.input)
@@ -433,9 +479,8 @@ def main(argv=None) -> int:
 def _echo_options(command: Command, args) -> dict:
     if command.option is None:
         return {}
-    key = command.option[2:].replace("-", "_")  # argparse's dest for the flag
-    value = getattr(args, key)
-    return {} if value is None else {key: value}
+    value = getattr(args, command.dest)
+    return {} if value is None else {command.dest: value}
 
 
 def console_main() -> None:

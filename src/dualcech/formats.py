@@ -18,7 +18,7 @@ or ``matrices``, and ``_ints`` reads an array of integers in one loop.
 ``_entries`` and ``_keyed`` refuse a second entry for one key at its own
 pointer rather than let it replace the first, and ``load_document``
 refuses a key written twice in one JSON object, of which ``json`` would
-keep the last.  Every other object has fixed keys, and its reader takes it
+keep the last, at the pointer of that object.  Every other object has fixed keys, and its reader takes it
 through ``_record``, which refuses a key outside them at ``path/key``, as
 the schema's ``additionalProperties: false`` does (the schema leaves a presheaf's
 ``restrictions`` open; ``formats`` holds their items to their three keys
@@ -397,14 +397,42 @@ def _version(value, path) -> int:
     return value
 
 
+class _RepeatedKey(Exception):
+    """A JSON object wrote one key twice; ``_object`` knows no pointer, so ``load_document`` looks for it."""
+
+
 def _object(pairs: list) -> dict:
     """A JSON object's (key, value) pairs as a dict; a key given twice is refused, where ``json`` keeps the last."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen = set()
-        key = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise SchemaError("", f"duplicate key {key!r} in one object")
+        raise _RepeatedKey
     return obj
+
+
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, in document order and with repeated keys kept."""
+
+
+def _repeated_key(value, path: str) -> SchemaError | None:
+    """The refusal of the first object that repeats a key, in the order the decoder closes objects, at its pointer.
+
+    ``value`` is decoded with ``_Pairs`` objects.  The decoder closes an
+    object after every object inside it, in document order, so this walk
+    visits objects in the order ``_object`` sees them.
+    """
+    if not isinstance(value, list):
+        return None
+    for key, item in value if isinstance(value, _Pairs) else enumerate(value):
+        refusal = _repeated_key(item, f"{path}/{key}")
+        if refusal is not None:
+            return refusal
+    if isinstance(value, _Pairs):
+        seen = set()
+        for key, _ in value:
+            if key in seen:
+                return SchemaError(path, f"duplicate key {key!r} in one object")
+            seen.add(key)
+    return None
 
 
 # one decoder for every document: ``json.loads`` with a hook builds a new one per call
@@ -417,7 +445,12 @@ def load_document(path: str) -> dict:
             text = handle.read()
         if text.startswith("\ufeff"):  # refused as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        doc = _DECODER.decode(text)
+        try:
+            doc = _DECODER.decode(text)
+        except _RepeatedKey:
+            # decode again keeping every pair, to name the object; text the
+            # first decode stopped short of may still be refused as not JSON
+            raise _repeated_key(json.JSONDecoder(object_pairs_hook=_Pairs).decode(text), "") from None
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:

@@ -16,7 +16,7 @@ euclidean Smith normal form without unit peeling (integral cohomology
 from that form of each ``coboundary_matrix``), the completeness test
 of a fan from scans of every facet against every full cone, toric
 boundaries as divisors whose tables write out every vanishing row, and
-``cli.main``'s direct dispatch from the full two-level parse.
+``cli.main``'s table path from argparse's full two-level parse.
 """
 
 from __future__ import annotations
@@ -1492,12 +1492,13 @@ def dispatch_corpus(inputs: str) -> list[list[str]]:
     """Command lines over every way ``cli.main`` parses: reports, help, and usage errors.
 
     Every command with and without its document, with ``--json`` and with
-    ``--help``; each command's extra option good, bad, in the ``=`` form
-    and abbreviated; and, on ``verify-lemma31``, abbreviated flags,
-    ``--field`` in every form, ``--`` on either side of the document,
-    options before it, an extra positional and an unknown flag.  Then the
-    lines that start with no command.  ``inputs`` is the directory of the
-    committed documents.
+    ``--help``; each command's extra option good, bad, in the ``=`` form,
+    abbreviated, and with values ``int()`` reads but that are not plain
+    digits; and, on ``verify-lemma31``, abbreviated flags, ``--field`` in
+    every form, flags given twice, ``--`` on either side of the document,
+    options before it, an empty document, an extra positional and an
+    unknown flag.  Then the lines that start with no command.  ``inputs``
+    is the directory of the committed documents.
     """
     corpus = []
     for name, command in cli.COMMANDS.items():
@@ -1512,7 +1513,9 @@ def dispatch_corpus(inputs: str) -> list[list[str]]:
                 [name, doc, f"{command.option}=2"],
                 [name, doc, abbreviated, "2"],
                 [name, doc, command.option],
+                [name, doc, command.option, ""],
             ]
+            corpus += [[name, doc, command.option, value] for value in (" 7", "+2", "1_0", "\u0663")]
     doc = os.path.join(inputs, DISPATCH_INPUTS["localmodel"])
     lemma = "verify-lemma31"
     corpus += [
@@ -1529,6 +1532,12 @@ def dispatch_corpus(inputs: str) -> list[list[str]]:
         [lemma, doc, "--", "--json"],
         [lemma, "--json", doc],
         [lemma, "--field", "rational", "--degree-bound", "2", doc],
+        [lemma, "--degree-bound", "2", "--json", doc],
+        [lemma, doc, "--json", "--json"],
+        [lemma, doc, "--field", "rational", "--field", "rational"],
+        [lemma, doc, "--degree-bound", "1", "--degree-bound", "2"],
+        [lemma, ""],
+        [lemma, "", "--json"],
         [lemma, doc, "extra.json"],
         [lemma, doc, "--no-such-flag"],
         [lemma, doc, "-x"],
@@ -1552,24 +1561,36 @@ def cli_outcome(argv: Sequence[str]) -> tuple[int, str, str]:
 
 
 def dispatch_mismatches(inputs: str) -> list[tuple]:
-    """Each line of ``dispatch_corpus`` whose outcome differs with direct dispatch off, with both outcomes.
+    """Each line of ``dispatch_corpus`` whose outcome differs with the table path off, with both outcomes.
 
-    Runs under any Python with no test framework, so the corpus can be
-    checked on every interpreter ``pyproject.toml`` allows.
+    Off, ``cli._plain_args`` reads no line, so ``main`` parses every line
+    with ``build_parser().parse_args``.  Runs under any Python with no test
+    framework, so the corpus can be checked on every interpreter
+    ``pyproject.toml`` allows.
     """
-    build = cli.build_parser.__wrapped__
-
-    def full_parse_parser():
-        # a fresh parser with no command map: main parses through parse_args alone
-        parser = build()
-        parser.commands = {}
-        return parser
-
     mismatches = []
     for argv in dispatch_corpus(inputs):
-        direct = cli_outcome(argv)
-        with mock.patch.object(cli, "build_parser", full_parse_parser):
+        table = cli_outcome(argv)
+        with mock.patch.object(cli, "_plain_args", lambda argv: None):
             full = cli_outcome(argv)
-        if direct != full:
-            mismatches.append((argv, direct, full))
+        if table != full:
+            mismatches.append((argv, table, full))
     return mismatches
+
+
+def plain_args_mismatch(argv: Sequence[str]) -> tuple | None:
+    """``argv`` with both namespaces when ``cli._plain_args`` reads it to other values than argparse; else None.
+
+    A line the table path leaves to argparse is no mismatch.  argparse's
+    refusal of a line the table path read counts as one, with its exit
+    code in place of its namespace.
+    """
+    plain = cli._plain_args(list(argv))
+    if plain is None:
+        return None
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = vars(cli.build_parser().parse_args(list(argv)))
+    except SystemExit as exc:
+        full = exc.code
+    return None if vars(plain) == full else (list(argv), vars(plain), full)

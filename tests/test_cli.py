@@ -23,8 +23,10 @@ from helpers import (
     conjugate_bicomplex,
     direct_sum_bicomplex,
     disguised_rays,
+    dispatch_corpus,
     dispatch_mismatches,
     oracle_betti,
+    plain_args_mismatch,
     schema_errors,
     simplex_boundary_cochains,
     tensor_bicomplex,
@@ -381,16 +383,37 @@ def test_parser_is_reused_without_carrying_state(capsys, monkeypatch):
     assert run_cli(capsys, "toric", input_path("p1xp1_fan.json"), "--json") == reused
 
 
-def test_direct_dispatch_matches_the_full_parse(monkeypatch):
+def test_table_path_matches_the_full_parse(monkeypatch):
     # argparse's behaviour differs between Python versions, so CI runs this
     # test on the oldest and newest the package allows
+    corpus = dispatch_corpus(INPUTS)
     assert dispatch_mismatches(INPUTS) == []
-    # and a report line really skips the top-level parse
-    parser = cli.build_parser.__wrapped__()
-    parser.parse_args = None
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    # the corpus takes both paths
+    read = sum(cli._plain_args(argv) is not None for argv in corpus)
+    assert 0 < read < len(corpus)
+    # and a report line never builds the parser
+    def no_parser():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
     code, out, err = cli_outcome(["verify-lemma31", input_path("lm_2_1_1.json"), "--json"])
     assert code == 0 and json.loads(out)["result"]["exact"] is True and err == ""
+
+
+# every flag in full and abbreviated, and values each path might read otherwise
+ARGV_TOKENS = [
+    *cli.COMMANDS,
+    "--json", "--js", "--field", "--fi", "--degree-bound", "--degree", "--form-degree",
+    "--form", "--max-page", "--max", "--help", "-h", "--", "rational", "real", "3", "-3",
+    "x.json", "",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(cli.COMMANDS)), st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+def test_table_path_namespace_matches_argparse(command, tokens):
+    assert plain_args_mismatch([command, *tokens]) is None
+    assert plain_args_mismatch(tokens) is None
 
 
 A2_RESOLUTION = {"n": 2, "rays": [[1, 0], [1, 1], [1, 2], [1, 3]], "cones": [[0, 1], [1, 2], [2, 3]]}
@@ -636,14 +659,30 @@ def test_console_entry_point_subprocess():
     assert json.loads(proc.stdout)["result"]["betti"] == [1, 1]
 
 
-# one command in a fresh interpreter: its exit code and the package modules it loaded
+# one command in a fresh interpreter: its exit code and the package modules
+# it loaded, and argparse if that was loaded
 LOADED_MODULES = """
 import contextlib, io, json, sys
 from dualcech import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualcech."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualcech.") or m == "argparse")]))
 """
+
+
+def loaded_modules(*argv) -> tuple[int, list[str]]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, loaded
 
 
 @pytest.mark.parametrize(
@@ -656,19 +695,13 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dualcech.
     ],
 )
 def test_command_loads_only_the_modules_it_calls(command, name, code, absent):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, command, input_path(name)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    got_code, loaded = json.loads(proc.stdout)
+    got_code, loaded = loaded_modules(command, input_path(name))
     assert got_code == code
     assert not {f"dualcech.{m}" for m in absent} & set(loaded), loaded
+    # a report line is read off the command table; only help builds the parser
+    assert "argparse" not in loaded
+    help_code, help_loaded = loaded_modules(command, "--help")
+    assert help_code == 0 and "argparse" in help_loaded
 
 
 # documents that json.load refuses with something other than JSONDecodeError,
@@ -683,8 +716,15 @@ HOSTILE_DOCUMENTS = {
     # presheaf-cohomology would answer (2) from the second value
     "repeated_dims_key": (
         b'{"kind": "presheaf", "complex": {"vertex_count": 1, "facets": [[0]]}, "dims": {"0": 1, "0": 2}}',
-        "error: /: duplicate key '0' in one object",
+        "error: /dims: duplicate key '0' in one object",
     ),
+    # the first object the decoder closes with a key written twice is named
+    "repeated_key_in_an_array": (
+        b'{"kind": "complex", "facets": [{"a": 1}, {"b": {"c": 1, "c": 2}}], "facets": []}',
+        "error: /facets/1/b: duplicate key 'c' in one object",
+    ),
+    # the decoder stops at the repeated key; the text after it is not JSON
+    "repeated_key_then_not_json": (b'{"kind": {"a": 1, "a": 2}, "facets": nope}', NOT_JSON),
     "repeated_top_level_key": (
         b'{"kind": "complex", "vertex_count": 1, "facets": [], "kind": "complex"}',
         "error: /: duplicate key 'kind' in one object",
