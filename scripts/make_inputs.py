@@ -32,33 +32,15 @@ def write(name: str, doc: dict, directory: str = OUT) -> None:
     print(f"wrote {os.path.relpath(path)}")
 
 
-def pn_hyperplanes(n: int) -> dict:
-    """The n+1 coordinate hyperplane configuration in projective n-space."""
-    components = [{"name": f"H{i}", "dim": n - 1} for i in range(n + 1)]
-    strata = [list(t) for size in range(1, n + 1) for t in combinations(range(n + 1), size)]
-    tables = []
-    for t in strata:
-        bound = (n - 1) - (len(t) - 1)
-        tables.append({"tuple": t, "r": 0, "q": 0, "dim": 1, "restriction": "constant"})
-        for q in range(1, bound + 1):
-            tables.append({"tuple": t, "r": 0, "q": q, "dim": 0})
-    return {
-        "kind": "divisor",
-        "schema_version": 1,
-        "components": components,
-        "strata": strata,
-        "tables": tables,
-    }
-
-
 def general_hyperplanes(n: int, m: int) -> dict:
     """m hyperplanes in general position in projective n-space.
 
     Every k <= n of them meet in a P^(n-k), and no n + 1 of them meet.  The
     stratum P^d has h^q of its r-forms delta_rq for r, q <= d and deRham
     cohomology 1 in the even degrees up to 2d, and every nonzero
-    restriction is "constant".  No committed document is built from it;
-    ``scripts/scaling.py`` times ``hodge`` on it.
+    restriction is "constant".  With m = n + 1 it is the coordinate
+    hyperplanes, the committed ``pn_hyperplanes_<n>.json``;
+    ``scripts/scaling.py`` times ``hodge`` on larger m.
     """
     components = [{"name": f"H{i}", "dim": n - 1} for i in range(m)]
     strata = [list(t) for size in range(1, min(n, m) + 1) for t in combinations(range(m), size)]
@@ -130,9 +112,11 @@ def rational_triangle_check() -> dict:
     extra sections a multiplicity can contribute) projecting onto the
     constants over the edges; the check must split off the unit section and
     flag b_1 = 1 as an obstruction, conditional on the open degeneration
-    statement.
+    statement.  Of the three lines' tables it keeps the structure-sheaf
+    rows alone.
     """
-    doc = pn_hyperplanes(2)
+    doc = general_hyperplanes(2, 3)
+    doc["tables"] = [row for row in doc["tables"] if row.get("flavor") != "derham" and row["r"] == 0]
     doc["multiplicities"] = [2, 1, 1]
     vertices = ["0", "1", "2"]
     edges = [[0, 1], [0, 2], [1, 2]]
@@ -461,7 +445,7 @@ def main() -> None:
         },
     )
     for n in (2, 3, 4, 5):
-        write(f"pn_hyperplanes_{n}.json", pn_hyperplanes(n))
+        write(f"pn_hyperplanes_{n}.json", general_hyperplanes(n, n + 1))
     write("elliptic_triangle.json", elliptic_triangle())
     write("three_lines_p2.json", three_lines_p2())
     write("rational_triangle_check.json", rational_triangle_check())

@@ -106,12 +106,7 @@ def cmd_integral(complex_, doc, args):
 
 
 def cmd_presheaf_cohomology(v, doc, args):
-    presheaf = dualcech.presheaf
-    complex_ = presheaf.cech_complex(v)
-    return {
-        "cohomology": complex_.cohomology(),
-        "space_dims": list(complex_.space_dims),
-    }, 0
+    return {"cohomology": v.cech.cohomology(), "space_dims": list(v.cech.space_dims)}, 0
 
 
 def cmd_snc_cohomology(divisor, doc, args):

@@ -2,27 +2,31 @@
 
 A presheaf assigns a dimension to every simplex and a restriction matrix
 to every codimension-1 face inclusion; restrictions point from smaller
-simplices to larger ones.  Deeper restrictions are composites, and their
-path independence (functoriality) is exactly what makes the Cech
-differential square to zero: the block of d.d from a face sigma to a
+simplices to larger ones.  A restriction into or out of a zero space is
+the zero map, and no presheaf here stores it: a face pair missing from
+``restrictions`` is that zero map.  Deeper restrictions are composites,
+and their path independence (functoriality) is exactly what makes the
+Cech differential square to zero: the block of d.d from a face sigma to a
 simplex rho two dimensions up is +-(via_x - via_y), the difference of the
 two composites through the faces between them.
 
-Each check runs once, where the data enters.  ``make_presheaf`` is the one
-door for caller-supplied restrictions (presheaf documents, rational-check
-sections, divisor tables, explicit or ``"constant"``); it checks shapes and
-then functoriality, as d.d = 0 on the Cech complex
+Each check runs once, where the data enters, and each Cech complex is
+assembled once.  ``make_presheaf`` is the one door for caller-supplied
+restrictions (presheaf documents, rational-check sections, divisor
+tables, explicit or ``"constant"``); it checks shapes and then
+functoriality, as d.d = 0 on the presheaf's Cech complex ``Presheaf.cech``
 (``check_functoriality``), by the ``CochainComplex.square_defects`` that
-``bicomplex.make_bicomplex`` also uses.  ``constant_presheaf``, the zero
-presheaf, ``direct_sum`` and the quotient of ``split_constant`` are
-functorial by construction, as their docstrings say, and are not checked
-again.  ``cech_complex`` only assembles matrices, and d.d = 0 is not
-checked a second time.  It and ``direct_sum`` hand their blocks to the block
-writer of ``exactla``, ``RationalMatrix._placed``, and read no matrix's
-numerators themselves.  A ``Presheaf`` built directly, around
-``make_presheaf``, is the caller's to vouch for.  ``CochainComplex``, defined in
-``simplicial`` and re-exported here, ranks the differentials in the one
-cleared reduction of ``exactla``.
+``bicomplex.make_bicomplex`` also uses.  ``Presheaf.cech`` keeps that
+complex, and ``presheaf_cohomology`` ranks the complex that was checked.
+``constant_presheaf``, the zero presheaf, ``direct_sum`` and the quotient
+of ``split_constant`` are functorial by construction, as their docstrings
+say, and are not checked again.  ``cech_complex`` only assembles
+matrices, and d.d = 0 is not checked a second time.  It and ``direct_sum``
+hand their blocks to the block writer of ``exactla``,
+``RationalMatrix._placed``, and read no matrix's numerators themselves.  A
+``Presheaf`` built directly, around ``make_presheaf``, is the caller's to
+vouch for.  ``CochainComplex``, defined in ``simplicial`` and re-exported
+here, ranks the differentials in the one cleared reduction of ``exactla``.
 
 The cells and faces come from ``simplicial``: the summands of each
 cochain group follow the level of the base complex, the lexicographic
@@ -34,8 +38,10 @@ matrices here, and the first refused restriction, are reproducible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from . import exactla, simplicial
 from .errors import (
@@ -51,7 +57,14 @@ from .exactla import RationalMatrix
 from .simplicial import CochainComplex, Simplex, SimplicialComplex, _faces  # CochainComplex re-exported
 
 
-class Presheaf(NamedTuple):
+@dataclass(frozen=True)
+class Presheaf:
+    """Dimensions on the simplices of ``base`` and restrictions on its face pairs.
+
+    A face pair missing from ``restrictions`` is the zero map.  ``cech``
+    is the Cech complex, assembled on first use and then kept.
+    """
+
     base: SimplicialComplex
     dims: Mapping[Simplex, int]
     restrictions: Mapping[tuple[Simplex, Simplex], RationalMatrix]
@@ -62,6 +75,10 @@ class Presheaf(NamedTuple):
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
 
+    @cached_property
+    def cech(self) -> CochainComplex:
+        return cech_complex(self)
+
 
 def make_presheaf(
     base: SimplicialComplex,
@@ -70,10 +87,12 @@ def make_presheaf(
 ) -> Presheaf:
     """Validate and normalize presheaf data.
 
-    Simplices missing from ``dims`` get dimension 0.  Restrictions into or
-    out of a zero space are filled in as zero matrices; every other
-    codimension-1 restriction must be supplied.  The result is checked for
-    functoriality before it is returned.
+    Simplices missing from ``dims`` get dimension 0.  Every restriction
+    given must have the shape of its two spaces.  One into or out of a zero
+    space may be omitted, and is not stored either way: it is the zero
+    map.  Every other codimension-1 restriction must be supplied.  The
+    result is checked for functoriality on its Cech complex, which it
+    keeps as ``cech``, before it is returned.
     """
     full_dims: dict[Simplex, int] = {}
     for s in base.simplices:
@@ -85,28 +104,22 @@ def make_presheaf(
         if s not in base.simplices:
             raise ShapeMismatch(f"dimension given for {s}, which is not in the base complex")
     restrictions = dict(restrictions or {})
-    full_restrictions: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
+    kept: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
     for sigma, tau in base.face_pairs:
         ds, dt = full_dims[sigma], full_dims[tau]
         given = restrictions.pop((sigma, tau), None)
-        if given is None:
-            if ds == 0 or dt == 0:
-                full_restrictions[(sigma, tau)] = RationalMatrix.zeros(dt, ds)
-            else:
+        if given is not None and (given.rows != dt or given.cols != ds):
+            raise ShapeMismatch(f"restriction {sigma} -> {tau} is {given.rows}x{given.cols}, expected {dt}x{ds}")
+        if ds and dt:
+            if given is None:
                 raise UnderdeterminedRestrictions(
                     f"no restriction matrix for {sigma} -> {tau} (dims {ds} -> {dt})"
                 )
-        else:
-            if given.rows != dt or given.cols != ds:
-                raise ShapeMismatch(
-                    f"restriction {sigma} -> {tau} is {given.rows}x{given.cols}, "
-                    f"expected {dt}x{ds}"
-                )
-            full_restrictions[(sigma, tau)] = given
+            kept[(sigma, tau)] = given
     if restrictions:
         key = next(iter(restrictions))
         raise ShapeMismatch(f"restriction given for {key}, which is not a codimension-1 inclusion")
-    v = Presheaf(base, full_dims, full_restrictions)
+    v = Presheaf(base, full_dims, kept)
     check_functoriality(v)
     return v
 
@@ -114,19 +127,21 @@ def make_presheaf(
 def check_functoriality(v: Presheaf) -> None:
     """Raise unless all two-step restriction composites are path independent.
 
-    Checked as d.d = 0 on the Cech complex, by ``square_defects``, one
-    product per degree.  A simplex rho and a face sigma of codimension 2,
-    rho without its vertices at positions x < y, have exactly two faces
-    between them: tau_x, rho without position x, and tau_y.  sigma is
-    face y - 1 of tau_x and tau_x face x of rho; sigma is face x of tau_y
-    and tau_y face y of rho.  So the block of d.d from sigma to rho is
+    Checked as d.d = 0 on the Cech complex ``v.cech``, by
+    ``square_defects``, one product per degree; the complex is kept, so
+    the complex checked is the one ``presheaf_cohomology`` ranks.  A
+    simplex rho and a face sigma of codimension 2, rho without its
+    vertices at positions x < y, have exactly two faces between them:
+    tau_x, rho without position x, and tau_y.  sigma is face y - 1 of
+    tau_x and tau_x face x of rho; sigma is face x of tau_y and tau_y face
+    y of rho.  So the block of d.d from sigma to rho is
     (-1)^(x+y) (via_y - via_x), with via_x = R(tau_x, rho) R(sigma, tau_x),
     and it is zero exactly when the two composites agree.  Each pair has
     its own rows and columns, so the nonzero entries of d.d lie in the
     blocks of the broken pairs.  The one refused is the first by rho in
     lexicographic order, then by (x, y).
     """
-    if broken := cech_complex(v).square_defects():
+    if broken := v.cech.square_defects():
         # cells[p][k]: the simplex of the k-th basis vector of degree p
         cells = [[s for s in v.base.p_simplices(p) for _ in range(v.dim(s))] for p in range(v.base.dim + 1)]
         pairs = {(cells[m + 2][i], cells[m][j]) for m, i, j in broken}
@@ -139,11 +154,11 @@ def constant_presheaf(base: SimplicialComplex, d: int) -> Presheaf:
     """Every simplex gets dimension d with identity restrictions.
 
     Functorial by construction: every composite is the identity.  With
-    d = 0 this is the zero presheaf, whose composites are 0x0.
+    d = 0 this is the zero presheaf, which stores no maps.
     """
     ident = RationalMatrix.identity(d)
     dims = {s: d for s in base.simplices}
-    restrictions = {pair: ident for pair in base.face_pairs}
+    restrictions = {pair: ident for pair in base.face_pairs} if d else {}
     return Presheaf(base, dims, restrictions)
 
 
@@ -154,9 +169,11 @@ def cech_complex(v: Presheaf) -> CochainComplex:
     is functorial: checked by ``make_presheaf`` where the restrictions
     entered, or true by construction.  Each restriction, signed by its
     face, is a block of ``RationalMatrix._placed`` at the offsets of its
-    two simplices.  A restriction of the wrong shape raises
-    ``ShapeMismatch``, so the blocks fit; two blocks of one degree never
-    meet, since each pair of simplices has its own rows and columns.
+    two simplices.  A block with a zero side is skipped before its
+    restriction is looked up: it is the zero map, stored or not.  A
+    restriction of the wrong shape raises ``ShapeMismatch``, so the blocks
+    fit; two blocks of one degree never meet, since each pair of simplices
+    has its own rows and columns.
     """
     base = v.base
     top = base.dim
@@ -171,9 +188,13 @@ def cech_complex(v: Presheaf) -> CochainComplex:
         index = {s: i for i, s in enumerate(levels[p])}
         blocks = []
         for ti, tau in enumerate(levels[p + 1]):
+            if not (rows := level_dims[p + 1][ti]):
+                continue
             for sigma, sign in _faces(tau):
-                si, mat = index[sigma], v.restrictions[(sigma, tau)]
-                rows, cols = level_dims[p + 1][ti], level_dims[p][si]
+                si = index[sigma]
+                if not (cols := level_dims[p][si]):
+                    continue
+                mat = v.restrictions[(sigma, tau)]
                 if mat.rows != rows or mat.cols != cols:
                     raise ShapeMismatch(f"block ({ti},{si}) is {mat.rows}x{mat.cols}, expected {rows}x{cols}")
                 blocks.append((offsets[p + 1][ti], offsets[p][si], sign, mat))
@@ -182,7 +203,7 @@ def cech_complex(v: Presheaf) -> CochainComplex:
 
 
 def presheaf_cohomology(v: Presheaf) -> list[int]:
-    return cech_complex(v).cohomology()
+    return v.cech.cohomology()
 
 
 def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
@@ -190,16 +211,21 @@ def direct_sum(v: Presheaf, w: Presheaf) -> Presheaf:
 
     Functorial when v and w are: a composite of block-diagonal maps is the
     block-diagonal map of the two summands' composites.  Each restriction
-    is v's block with w's block below and right of it, written by
-    ``RationalMatrix._placed``.
+    between nonzero sums is v's block with w's block below and right of it,
+    written by ``RationalMatrix._placed``; a summand's missing block is its
+    zero map and is not placed.
     """
     if v.base != w.base:
         raise BaseMismatch("direct sum requires a common base complex")
     dims = {s: v.dim(s) + w.dim(s) for s in v.base.simplices}
     restrictions = {}
     for pair in v.base.face_pairs:
-        a, b = v.restrictions[pair], w.restrictions[pair]
-        restrictions[pair] = RationalMatrix._placed(a.rows + b.rows, a.cols + b.cols, [(0, 0, 1, a), (a.rows, a.cols, 1, b)])
+        sigma, tau = pair
+        if dims[sigma] and dims[tau]:
+            blocks = [(0, 0, 1, v.restrictions[pair])] if pair in v.restrictions else []
+            if pair in w.restrictions:
+                blocks.append((v.dim(tau), v.dim(sigma), 1, w.restrictions[pair]))
+            restrictions[pair] = RationalMatrix._placed(dims[tau], dims[sigma], blocks)
     return Presheaf(v.base, dims, restrictions)
 
 
@@ -267,6 +293,7 @@ def split_constant(v: Presheaf, unit: Mapping[Simplex, Sequence]) -> tuple[tuple
     q_restrictions = {
         pair: projections[pair[1]] @ v.restrictions[pair] @ embeddings[pair[0]]
         for pair in base.face_pairs
+        if q_dims[pair[0]] and q_dims[pair[1]]
     }
     quotient = Presheaf(base, q_dims, q_restrictions)
     total = presheaf_cohomology(v)

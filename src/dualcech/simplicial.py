@@ -111,15 +111,17 @@ class CochainComplex:
     they assembled, once, where the data enters:
 
     - ``presheaf.make_presheaf`` checks its Cech complex, whose d.d = 0 is
-      functoriality (``presheaf.check_functoriality``); ``cech_complex``
-      of the presheaf it returns is not checked again;
+      functoriality (``presheaf.check_functoriality``), and keeps it as
+      ``Presheaf.cech``; ``presheaf_cohomology`` ranks that complex, which
+      is neither assembled nor checked again;
     - ``bicomplex.make_bicomplex`` checks the total differential
       D = H + V of a bicomplex in every total degree m (the blocks of
       D_{m+1} D_m are H^2, V^2 and HV + VH).
 
     The rest square to zero by construction: ``cech_complex`` of constant
     and zero presheaves, of ``direct_sum`` and of the ``split_constant``
-    quotient (functorial by construction, see their docstrings).
+    quotient (functorial by construction, see their docstrings), each
+    assembled once, as ``Presheaf.cech``, when it is first ranked.
 
     A simplicial complex's coboundaries square to zero by the
     alternating-sign identity.  ``betti_numbers`` ranks them as packed

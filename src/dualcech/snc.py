@@ -186,21 +186,14 @@ def _resolve_restriction(
     raise InvalidInput(f"unrecognized restriction shorthand {spec!r} at {tau}")
 
 
-def build_presheaf(d: SncDivisor, r: int, q: int, flavor: str = SHEAF) -> Presheaf:
-    """Presheaf on the dual complex carrying the tabulated (r, q) cohomology data."""
-    if flavor not in (SHEAF, DERHAM):
-        raise InvalidInput(f"unknown flavor {flavor!r}")
-    if flavor == DERHAM and r != 0:
-        raise InvalidInput("derham layers have no form degree; pass r=0")
-    delta = dual_complex(d)
-    layer = _layer(d, delta, r, q, flavor)
-    return constant_presheaf(delta, 0) if layer is None else layer
+def layer(d: SncDivisor, delta: SimplicialComplex, r: int, q: int, flavor: str = SHEAF) -> Presheaf:
+    """The (r, q) presheaf of one flavor on ``delta``, the dual complex of d.
 
-
-def _layer(
-    d: SncDivisor, delta: SimplicialComplex, r: int, q: int, flavor: str
-) -> Presheaf | None:
-    """The (r, q) presheaf on ``delta``, or None when every table dimension is zero."""
+    When every table dimension is zero this is the zero presheaf,
+    ``constant_presheaf(delta, 0)``, and no restriction is resolved or
+    checked.  Restrictions into or out of a zero space are the zero map
+    and are not resolved either.
+    """
     if q == 0 and (flavor == DERHAM or r == 0):
         # degree-0 cohomology of a connected irreducible stratum is the
         # constants, so this layer is the constant presheaf by fiat
@@ -213,13 +206,12 @@ def _layer(
         return constant_presheaf(delta, 1)
     dims = {t: table_dim(d, t, flavor, r, q) for t in d.strata}
     if not any(dims.values()):
-        return None
-    # make_presheaf fills in the zero maps into or out of a zero space
-    restrictions: dict[tuple[Simplex, Simplex], RationalMatrix] = {}
-    for sigma, tau in delta.face_pairs:
-        ds, dt = dims[sigma], dims[tau]
-        if ds and dt:
-            restrictions[(sigma, tau)] = _resolve_restriction(d, flavor, r, q, sigma, tau, ds, dt)
+        return constant_presheaf(delta, 0)
+    restrictions = {
+        (sigma, tau): _resolve_restriction(d, flavor, r, q, sigma, tau, dims[sigma], dims[tau])
+        for sigma, tau in delta.face_pairs
+        if dims[sigma] and dims[tau]
+    }
     return presheaf_mod.make_presheaf(delta, dims, restrictions)
 
 
@@ -230,22 +222,23 @@ def _max_stratum_bound(d: SncDivisor) -> int:
 def _assemble(d: SncDivisor, r: int, flavor: str, q_top: int) -> CohomologyReport:
     """Totals and summands of the layers q = 0..q_top of one (r, flavor) family.
 
-    An all-zero layer is never built: it has 0 groups in every degree, so
-    no check on it can fail.  A nonzero layer is the constant q = 0
-    presheaf, functorial by construction, or came through make_presheaf,
-    which checked its shapes and functoriality; either way its Cech
-    differential squares to zero, and presheaf_cohomology ranks it
-    without checking that again.
+    Each layer comes from ``layer``.  An all-zero layer is neither checked
+    nor assembled nor ranked: it has 0 groups in every degree, so no check
+    on it can fail.  A nonzero layer is the constant q = 0 presheaf,
+    functorial by construction, or came through make_presheaf, which
+    checked its shapes and functoriality on its Cech complex and kept it;
+    either way that differential squares to zero, and presheaf_cohomology
+    ranks the same complex without assembling or checking it again.
     """
     delta = dual_complex(d)
-    layers = [_layer(d, delta, r, q, flavor) for q in range(q_top + 1)]
+    layers = [layer(d, delta, r, q, flavor) for q in range(q_top + 1)]
     if delta.dim < 0:
         return CohomologyReport((), ())
-    q_eff = max((q for q, v in enumerate(layers) if v is not None), default=0)
+    q_eff = max((q for q, v in enumerate(layers) if not v.is_zero()), default=0)
     zero = [0] * (delta.dim + 1)
     summands = []
     for q, v in enumerate(layers[: q_eff + 1]):
-        h = zero if v is None else presheaf_cohomology(v)
+        h = zero if v.is_zero() else presheaf_cohomology(v)
         label = f"derham q={q}" if flavor == DERHAM else f"sheaf r={r} q={q}"
         summands.extend(Summand(p, q, dim, label) for p, dim in enumerate(h))
     totals = [0] * (delta.dim + q_eff + 1)

@@ -247,6 +247,33 @@ def same_storage(a: RationalMatrix, b: RationalMatrix) -> bool:
     return rows_nonempty and (a.rows, a.cols, a._den, a._num) == (b.rows, b.cols, b._den, b._num)
 
 
+def oracle_restriction(v: Presheaf, sigma: Simplex, tau: Simplex) -> RationalMatrix:
+    """The restriction sigma -> tau of ``v``; a face pair missing from ``v.restrictions`` is the zero map."""
+    mat = v.restrictions.get((sigma, tau))
+    return RationalMatrix.zeros(v.dim(tau), v.dim(sigma)) if mat is None else mat
+
+
+@contextlib.contextmanager
+def recorded_cech_work() -> Iterator[tuple[list[CochainComplex], list[CochainComplex]]]:
+    """Every Cech complex ``presheaf.cech_complex`` assembles in the block, and every complex ranked.
+
+    Yields two lists that fill as the block runs: the complexes assembled,
+    and those whose ``CochainComplex.cohomology`` was called.
+    """
+    assembled: list[CochainComplex] = []
+    ranked: list[CochainComplex] = []
+    cech_complex, cohomology = presheaf.cech_complex, CochainComplex.cohomology
+
+    def assemble(v):
+        assembled.append(cech_complex(v))
+        return assembled[-1]
+
+    with mock.patch.object(presheaf, "cech_complex", assemble), mock.patch.object(
+        CochainComplex, "cohomology", lambda c: ranked.append(c) or cohomology(c)
+    ):
+        yield assembled, ranked
+
+
 def oracle_broken_pairs(v: Presheaf) -> list[tuple[Simplex, Simplex]]:
     """Every (sigma, rho) whose two restriction composites differ, in the order refusals name them.
 
@@ -254,7 +281,8 @@ def oracle_broken_pairs(v: Presheaf) -> list[tuple[Simplex, Simplex]]:
     lexicographic order, and each pair of its positions x < y in
     lexicographic order; sigma is rho without both vertices.  The
     composites from sigma to rho through rho minus one of them are dense
-    ``oracle_matmul`` products of the restriction rows.
+    ``oracle_matmul`` products of the restriction rows, a missing
+    restriction read by ``oracle_restriction`` as the zero map.
     """
     broken = []
     for rho in sorted(v.base.simplices):
@@ -265,8 +293,8 @@ def oracle_broken_pairs(v: Presheaf) -> list[tuple[Simplex, Simplex]]:
             composites = []
             for skip in (x, y):
                 tau = tuple(w for k, w in enumerate(rho) if k != skip)
-                outer = v.restrictions[(tau, rho)].to_rows()
-                inner = v.restrictions[(sigma, tau)].to_rows()
+                outer = oracle_restriction(v, tau, rho).to_rows()
+                inner = oracle_restriction(v, sigma, tau).to_rows()
                 composites.append(oracle_matmul(outer, inner, v.dim(sigma)))
             if composites[0] != composites[1]:
                 broken.append((sigma, rho))
@@ -553,7 +581,7 @@ def oracle_layered_report(d: SncDivisor, r: int, flavor: str) -> snc.CohomologyR
     top = 2 * bound if flavor == DERHAM else bound
     layers = []
     for q in range(top + 1):
-        v = snc.build_presheaf(d, r, q, flavor)
+        v = snc.layer(d, delta, r, q, flavor)
         h = oracle_checked(presheaf.cech_complex(v)).cohomology()
         label = f"derham q={q}" if flavor == DERHAM else f"sheaf r={r} q={q}"
         layers.append((q, v.is_zero(), h, label))
@@ -788,8 +816,8 @@ def oracle_cech_complex(v: Presheaf) -> CochainComplex:
     """``presheaf.cech_complex`` as it was before it wrote numerators at block offsets.
 
     Each restriction, negated on the faces of sign -1, is a block of
-    ``block_matrix``; a restriction of the wrong shape raises its
-    ``ShapeMismatch``.
+    ``block_matrix``, a missing one read by ``oracle_restriction`` as the
+    zero map; a restriction of the wrong shape raises its ``ShapeMismatch``.
     """
     base = v.base
     if base.dim < 0:
@@ -802,7 +830,7 @@ def oracle_cech_complex(v: Presheaf) -> CochainComplex:
         blocks = {}
         for ti, tau in enumerate(levels[p + 1]):
             for sigma, sign in simplicial._faces(tau):
-                mat = v.restrictions[(sigma, tau)]
+                mat = oracle_restriction(v, sigma, tau)
                 blocks[(ti, index[sigma])] = mat if sign > 0 else negated(mat)
         differentials.append(block_matrix(level_dims[p + 1], level_dims[p], blocks))
     return CochainComplex(tuple(sum(d) for d in level_dims), tuple(differentials))

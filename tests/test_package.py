@@ -13,7 +13,8 @@ from dualcech import bicomplex, localmodel, presheaf, snc, toric
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
-# the records that carry no __post_init__ check and no cached property
+# the records that carry no __post_init__ check; Presheaf's cached
+# property, cech, is not a field and is not read here
 RECORDS = [
     snc.Component,
     snc.TableEntry,

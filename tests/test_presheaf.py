@@ -27,9 +27,11 @@ from helpers import (
     oracle_checked,
     oracle_inverse,
     oracle_is_functorial,
+    oracle_restriction,
     random_complex,
     random_presheaf,
     random_unimodular,
+    recorded_cech_work,
     same_storage,
 )
 
@@ -53,6 +55,7 @@ def test_constant_on_triangle_spaces():
 
 def test_zero_presheaf():
     v = presheaf.constant_presheaf(hollow_triangle(), 0)
+    assert v.restrictions == {}
     complex_ = presheaf.cech_complex(v)
     assert complex_.space_dims == (0, 0)
     assert presheaf.presheaf_cohomology(v) == [0, 0]
@@ -92,6 +95,32 @@ def test_missing_restriction_refused():
     base = hollow_triangle()
     with pytest.raises(UnderdeterminedRestrictions):
         presheaf.make_presheaf(base, {s: 1 for s in base.simplices}, {})
+
+
+def test_wrongly_shaped_restriction_with_a_zero_side_refused():
+    # the zero map (0,) -> (0, 1) is not stored, but one given must still fit
+    base = hollow_triangle()
+    dims = {s: (1 if len(s) == 1 else 0) for s in base.simplices}
+    with pytest.raises(ShapeMismatch) as caught:
+        presheaf.make_presheaf(base, dims, {((0,), (0, 1)): RationalMatrix.zeros(1, 1)})
+    assert str(caught.value) == "restriction (0,) -> (0, 1) is 1x1, expected 0x1"
+    v = presheaf.make_presheaf(base, dims, {((0,), (0, 1)): RationalMatrix.zeros(0, 1)})
+    assert v.restrictions == {}
+
+
+@given(st.integers(0, 2**31 - 1))
+def test_make_presheaf_stores_no_map_with_a_zero_side(seed):
+    # every face pair given, the zero maps included: make_presheaf keeps
+    # exactly the maps between nonzero spaces, and its Cech complex is the
+    # oracle's, which reads the missing ones as zero
+    rng = random.Random(seed)
+    v = random_presheaf(rng, random_complex(rng, max_vertices=5))
+    given_maps = {(sigma, tau): oracle_restriction(v, sigma, tau) for sigma, tau in v.base.face_pairs}
+    u = presheaf.make_presheaf(v.base, v.dims, given_maps)
+    assert u.restrictions == {(sigma, tau): m for (sigma, tau), m in given_maps.items() if m.rows and m.cols}
+    expected = oracle_cech_complex(u)
+    assert u.cech.space_dims == expected.space_dims
+    assert all(same_storage(a, b) for a, b in zip(u.cech.differentials, expected.differentials))
 
 
 def nonfunctorial_triangle():
@@ -152,6 +181,15 @@ def test_refusal_names_the_first_broken_pair_of_the_oracle_walk(seed):
         presheaf.make_presheaf(v.base, v.dims, restrictions)
     sigma, rho = broken[0]
     assert str(caught.value) == f"restriction composites {sigma} -> {rho} disagree"
+
+
+def test_checked_complex_is_the_one_ranked():
+    base = simplicial.from_facets(4, [(0, 1, 2), (1, 2, 3)])
+    restrictions = {pair: RationalMatrix.identity(1) for pair in base.face_pairs}
+    with recorded_cech_work() as (assembled, ranked):
+        v = presheaf.make_presheaf(base, {s: 1 for s in base.simplices}, restrictions)
+        assert presheaf.presheaf_cohomology(v) == [1, 0, 0]
+    assert len(assembled) == len(ranked) == 1 and assembled[0] is ranked[0] is v.cech
 
 
 def test_functoriality_check_makes_one_product_per_degree(monkeypatch):
@@ -388,12 +426,16 @@ def test_cech_complex_matches_block_matrix_oracle(seed):
         assert got.space_dims == expected.space_dims
         assert len(got.differentials) == len(expected.differentials)
         assert all(same_storage(a, b) for a, b in zip(got.differentials, expected.differentials))
+    summed_maps = presheaf.direct_sum(v, w).restrictions
     for sigma, tau in base.face_pairs:
-        blocks = {(0, 0): v.restrictions[(sigma, tau)], (1, 1): w.restrictions[(sigma, tau)]}
+        blocks = {(0, 0): oracle_restriction(v, sigma, tau), (1, 1): oracle_restriction(w, sigma, tau)}
         summed = block_matrix([v.dim(tau), w.dim(tau)], [v.dim(sigma), w.dim(sigma)], blocks)
-        assert same_storage(presheaf.direct_sum(v, w).restrictions[(sigma, tau)], summed)
-    if base.face_pairs:
-        pair = rng.choice(sorted(base.face_pairs))
+        if summed.rows and summed.cols:
+            assert same_storage(summed_maps[(sigma, tau)], summed)
+        else:
+            assert (sigma, tau) not in summed_maps
+    if v.restrictions:
+        pair = rng.choice(sorted(v.restrictions))
         mat = v.restrictions[pair]
         wrong = RationalMatrix.zeros(mat.rows + 1, mat.cols) if rng.random() < 0.5 else RationalMatrix.zeros(mat.rows, mat.cols + 1)
         broken = presheaf.Presheaf(base, dict(v.dims), {**v.restrictions, pair: wrong})

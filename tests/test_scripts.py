@@ -121,19 +121,10 @@ def test_compare_reports_reads_json_runs_as_values(tmp_path, old, new, rewrites,
     assert len(differing) == failed and all(line.startswith("differs: ") for line in differing)
 
 
-@pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 5) for m in range(1, 7)])
-def test_general_hyperplanes_match_the_closed_form(n, m):
+def _assert_closed_form(table: snc.HodgeTable, n: int, m: int) -> None:
     # D, the union of m general hyperplanes in P^n, and its complement U,
     # whose Betti numbers are C(m - 1, j) for j <= n and 0 above: from the
-    # sequence of the pair (P^n, D), H^k(D) = b_k(P^n) + b_(2n-1-k)(U).
-    # The strata and rows are listed in a seeded random order, which the
-    # answer does not depend on
-    doc = _make_inputs().general_hyperplanes(n, m)
-    rng = random.Random(100 * n + m)
-    rng.shuffle(doc["strata"])
-    rng.shuffle(doc["tables"])
-    table = snc.hodge_decomposition(formats.parse_divisor(doc))
-
+    # sequence of the pair (P^n, D), H^k(D) = b_k(P^n) + b_(2n-1-k)(U)
     def betti_u(j):
         return comb(m - 1, j) if 0 <= j <= n else 0
 
@@ -144,3 +135,22 @@ def test_general_hyperplanes_match_the_closed_form(n, m):
     assert table.entries == tuple(
         tuple(int(q == r) + (q == n - 1) * betti_u(n - r) for q in range(len(row))) for r, row in enumerate(table.entries)
     )
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 5) for m in range(1, 7)])
+def test_general_hyperplanes_match_the_closed_form(n, m):
+    # the strata and rows are listed in a seeded random order, which the
+    # answer does not depend on
+    doc = _make_inputs().general_hyperplanes(n, m)
+    rng = random.Random(100 * n + m)
+    rng.shuffle(doc["strata"])
+    rng.shuffle(doc["tables"])
+    _assert_closed_form(snc.hodge_decomposition(formats.parse_divisor(doc)), n, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_committed_hyperplanes_match_the_closed_form(n):
+    # the n + 1 coordinate hyperplanes of P^n, as committed
+    with open(os.path.join(ROOT, "inputs", f"pn_hyperplanes_{n}.json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    _assert_closed_form(snc.hodge_decomposition(formats.parse_divisor(doc)), n, n + 1)

@@ -24,6 +24,7 @@ from helpers import (
     oracle_is_functorial,
     oracle_layered_report,
     pn_hyperplanes_divisor,
+    recorded_cech_work,
     three_lines_divisor,
 )
 
@@ -79,20 +80,23 @@ def test_strata_downward_closure_enforced():
 
 
 def test_build_presheaf_structure_layer_is_constant():
-    v = snc.build_presheaf(elliptic_triangle_divisor(), 0, 0)
-    assert all(d == 1 for d in v.dims.values())
+    d = elliptic_triangle_divisor()
+    v = snc.layer(d, snc.dual_complex(d), 0, 0)
+    assert all(dim == 1 for dim in v.dims.values())
 
 
 def test_build_presheaf_vertex_supported_layer():
-    v = snc.build_presheaf(elliptic_triangle_divisor(), 0, 1)
+    d = elliptic_triangle_divisor()
+    v = snc.layer(d, snc.dual_complex(d), 0, 1)
     assert {s: v.dim(s) for s in sorted(v.base.simplices)} == {
         (0,): 1, (1,): 1, (2,): 1, (0, 1): 0, (0, 2): 0, (1, 2): 0,
     }
 
 
 def test_build_presheaf_zero_tables_give_zero_presheaf():
-    v = snc.build_presheaf(three_lines_divisor(), 1, 0)
-    assert v.is_zero()
+    d = three_lines_divisor()
+    v = snc.layer(d, snc.dual_complex(d), 1, 0)
+    assert v.is_zero() and v.restrictions == {}
 
 
 def test_build_presheaf_missing_table():
@@ -100,7 +104,7 @@ def test_build_presheaf_missing_table():
         [("A", 2)], [(0,)], {((0,), SHEAF, 0, 0): TableEntry(1, "constant")}
     )
     with pytest.raises(MissingTable):
-        snc.build_presheaf(d, 0, 1)
+        snc.layer(d, snc.dual_complex(d), 0, 1)
 
 
 def test_build_presheaf_with_explicit_restriction_matrices():
@@ -121,7 +125,7 @@ def test_build_presheaf_with_explicit_restriction_matrices():
             else:
                 tables[(t, SHEAF, 0, q)] = TableEntry(dim)
     d = snc.make_snc_divisor([("S0", 2), ("S1", 2)], strata, tables)
-    layer = snc.build_presheaf(d, 0, 1)
+    layer = snc.layer(d, snc.dual_complex(d), 0, 1)
     assert presheaf.presheaf_cohomology(layer) == [1, 0]
     assert snc.structure_sheaf_cohomology(d).totals == (1, 1, 0)
 
@@ -137,7 +141,7 @@ def test_build_presheaf_refuses_underdetermined_restrictions():
             tables[(t, SHEAF, 0, q)] = TableEntry(1 if q == 1 else 0)
     d = snc.make_snc_divisor([("S0", 2), ("S1", 2)], strata, tables)
     with pytest.raises(UnderdeterminedRestrictions):
-        snc.build_presheaf(d, 0, 1)
+        snc.layer(d, snc.dual_complex(d), 0, 1)
 
 
 def test_structure_sheaf_cohomology_hyperplanes():
@@ -408,7 +412,8 @@ def test_zero_layer_skip_matches_every_layer_ranked():
             report = _outcome(compute, *args)
             assert report == _outcome(oracle_layered_report, *oracle_args), (path, compute.__name__, args[1:])
             reports += isinstance(report, snc.CohomologyReport)
-        zero_layers += sum(snc.build_presheaf(d, 0, q).is_zero() for q in range(bound + 1))
+        delta = snc.dual_complex(d)
+        zero_layers += sum(snc.layer(d, delta, 0, q).is_zero() for q in range(bound + 1))
     # every structure-sheaf report, three_lines_p2's forms and deRham reports, and skipped layers
     assert reports >= 18 and zero_layers > 0
 
@@ -430,7 +435,7 @@ def test_unchecked_layers_are_functorial_by_oracle():
         for flavor, r_top, q_top in ((SHEAF, bound, bound), (DERHAM, 0, 2 * bound)):
             for r in range(r_top + 1):
                 for q in range(q_top + 1):
-                    v = _outcome(snc.build_presheaf, d, r, q, flavor)
+                    v = _outcome(snc.layer, d, snc.dual_complex(d), r, q, flavor)
                     if isinstance(v, presheaf.Presheaf):
                         assert oracle_is_functorial(v), (doc, flavor, r, q)
                         constant += q == 0 and r == 0
@@ -438,8 +443,19 @@ def test_unchecked_layers_are_functorial_by_oracle():
     assert constant > 0 and zero > 0
 
 
+def test_each_ranked_layer_is_assembled_once():
+    # make_presheaf checks d.d on the Cech complex it keeps, and
+    # presheaf_cohomology ranks that complex; the zero layers are neither
+    with open(os.path.join(INPUTS, "pn_hyperplanes_4.json"), encoding="utf-8") as handle:
+        d = formats.parse_divisor(json.load(handle))
+    with recorded_cech_work() as (assembled, ranked):
+        snc.hodge_decomposition(d)
+    assert sorted(map(id, assembled)) == sorted(map(id, ranked))
+    assert len(set(map(id, ranked))) == len(ranked) > 0
+
+
 def test_zero_layer_skip_keeps_functoriality_check():
     d = formats.parse_divisor(nonfunctorial_q1_document())
-    assert snc.build_presheaf(d, 0, 2).is_zero()
+    assert snc.layer(d, snc.dual_complex(d), 0, 2).is_zero()
     with pytest.raises(FunctorialityViolation):
         snc.structure_sheaf_cohomology(d)
